@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
 from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
 from .graph import materialize, orders_on, tail_edge_id
 
@@ -85,35 +86,17 @@ class MarkovChain:
 def _period_and_classes(adj):
     """Period and cyclic class partition of a 0/1 transition structure.
 
-    Works on the strongly connected heart of the digraph; dangling states
-    (truncation frontier) inherit a class from their BFS level.
+    Class r holds the states whose BFS level from state 0 is r mod the
+    period; states state 0 does not reach (truncation frontier) go to class 0.
     """
     n = adj.shape[0]
     if n == 0:
         return 1, (frozenset(),)
-    # BFS levels from state 0 over reachable states
-    level = {0: 0}
-    order = [0]
-    qi = 0
-    g = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w in np.nonzero(adj[v])[0]:
-            w = int(w)
-            if w not in level:
-                level[w] = level[v] + 1
-                order.append(w)
-            else:
-                g = math.gcd(g, level[v] + 1 - level[w])
-    k = abs(g) if g else 1
+    k, levels = period(from_matrix(adj), 0)
+    k = k or 1
     classes = [set() for _ in range(k)]
-    for v, lv in level.items():
-        classes[lv % k].add(v)
-    # unreachable states (should not happen on a chain support) go to class 0
     for v in range(n):
-        if v not in level:
-            classes[0].add(v)
+        classes[levels.get(v, 0) % k].add(v)
     return k, tuple(frozenset(c) for c in classes)
 
 
@@ -161,7 +144,7 @@ def build_chain(g, gd, orders, depth=None):
     adj = P > 0
     # the interior sub-digraph must communicate
     core_idx = [i for i in range(n) if interior[i]]
-    if core_idx and not _communicates(adj, core_idx):
+    if core_idx and len(sccs(from_matrix(adj[np.ix_(core_idx, core_idx)]))) != 1:
         raise ReducibleChainError("chain support splits into non-communicating pieces")
     period, classes = _period_and_classes(adj)
     meta = {
@@ -215,68 +198,9 @@ def _structural_support(mat):
             spec = mat.core.tails[t]
             if any(a > 1 for a, _ in spec.period):
                 succ[pos[e]].append(pos[tail_edge_id(t, n, False)])
-    fwd = _reaches_cycle(succ)
-    ok = set()
-    for e in states:
-        if fwd[pos[e]] and fwd[pos[mat.rev[e]]]:
-            ok.add(e)
-    return ok
-
-
-def _reaches_cycle(succ):
-    n = len(succ)
-    color = [0] * n  # 0 unseen, 1 live cycle-reaching known, -1 known not
-    oncycle = [False] * n
-    # find states on cycles via iterative DFS with stack marking
-    state = [0] * n  # 0 white 1 gray 2 black
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, 0)]
-        path = {root}
-        state[root] = 1
-        while stack:
-            v, ptr = stack[-1]
-            if ptr < len(succ[v]):
-                stack[-1] = (v, ptr + 1)
-                w = succ[v][ptr]
-                if state[w] == 0:
-                    state[w] = 1
-                    path.add(w)
-                    stack.append((w, 0))
-                elif state[w] == 1:
-                    oncycle[w] = True
-            else:
-                stack.pop()
-                path.discard(v)
-                state[v] = 2
-    reach = list(oncycle)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if not reach[v] and any(reach[w] for w in succ[v]):
-                reach[v] = True
-                changed = True
-    return reach
-
-
-def _communicates(adj, idx):
-    sub = adj[np.ix_(idx, idx)]
-    n = len(idx)
-    for direction in (sub, sub.T):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(direction[v])[0]:
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            return False
-    return True
+    oncycle = [v for comp in sccs(succ) if has_cycle(succ, comp) for v in comp]
+    fwd = reachable(reverse(succ), oncycle)
+    return {e for e in states if pos[e] in fwd and pos[mat.rev[e]] in fwd}
 
 
 def _tail_mass_beyond(mat, lam):

@@ -23,7 +23,7 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
-from .gibbs import Potential, spectral_radius
+from .gibbs import Potential, _is_zero as _potential_is_zero, spectral_radius
 from .graph import materialize, orders_on
 
 
@@ -224,17 +224,6 @@ def orbit_oracle(
     return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
 
 
-def _potential_is_zero(F):
-    if any(v != 0.0 for v in F.values.values()):
-        return False
-    for tp in F.tail_values:
-        if tp is None:
-            continue
-        if any(x != 0.0 for pair in tp.prefix + tp.period for x in pair):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # shadows and main terms
 
@@ -431,7 +420,7 @@ def _perron_vector(M, lam):
         if np.linalg.norm(w - v, 1) < 1e-15:
             return w
         v = w
-    return v
+    raise NoPositiveSolutionError(f"Perron vector iteration did not settle at lambda {lam!r}")
 
 
 def _renewal_exact(g, orders, base):

@@ -26,6 +26,7 @@ from .errors import (
     NoPositiveSolutionError,
     ReducibleChainError,
 )
+from .digraph import from_matrix, has_cycle, reachable, reverse, sccs
 from .graph import IndexedGraph, MaterializedGraph, materialize, tail_edge_id
 
 DEFAULT_DEPTH = 80
@@ -133,8 +134,10 @@ def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
     """Perron value of a nonnegative matrix.
 
     Power iteration on T + I from the all-ones vector (the shift makes the
-    peripheral spectrum unique); falls back to dense eigenvalues when the
-    gap is too small for iteration to settle.
+    peripheral spectrum unique).  It stops once two successive estimates
+    agree and the eigen-residual ||A v - est v||_1 is below 1e-10 ||A v||_1;
+    it falls back to dense eigenvalues when the gap is too small for
+    iteration to settle.
     """
     n = T.shape[0]
     if n == 0:
@@ -148,9 +151,14 @@ def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
         nw = np.linalg.norm(w, 1)
         if nw == 0.0:
             return 0.0
+        # successive estimates can agree by an accident of the start vector
+        # (3.6 twice on a bipartite core whose Perron value is 2.5747), so the
+        # eigen-residual must be small too
+        if abs(est - prev) < tol * max(1.0, abs(est)) and (
+            np.linalg.norm(w - est * v, 1) < 1e-10 * nw
+        ):
+            return float(est - 1.0)
         v = w / nw
-        if abs(est - prev) < tol * max(1.0, abs(est)):
-            return est - 1.0
         prev = est
     return float(max(abs(np.linalg.eigvals(T))))
 
@@ -529,65 +537,15 @@ def _is_zero(F):
 # shadow vectors
 
 
-def _scc_decompose(n, adj):
-    """Tarjan SCCs of a dense boolean adjacency; returns list of index lists."""
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            v, ptr = work[-1]
-            if ptr < n:
-                work[-1] = (v, ptr + 1)
-                w = ptr
-                if not adj[v][w]:
-                    continue
-                if index[w] == -1:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, 0))
-                else:
-                    if onstack[w]:
-                        low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-    return sccs
-
-
 def _positive_fixed_vector(states, T, tol=5e-8):
     """Positive u with T u = u, supported on states that reach the dominant class."""
     n = len(states)
-    adj = T > 0.0
-    sccs = _scc_decompose(n, adj)
+    succ = from_matrix(T > 0.0)
     dominant = []
-    for comp in sccs:
-        sub = T[np.ix_(comp, comp)]
-        if len(comp) == 1 and sub[0, 0] == 0.0:
+    for comp in sccs(succ):
+        if not has_cycle(succ, comp):
             continue
-        sr = spectral_radius(sub)
+        sr = spectral_radius(T[np.ix_(comp, comp)])
         if abs(sr - 1.0) <= tol:
             dominant.append(comp)
         elif sr > 1.0 + tol:
@@ -599,19 +557,7 @@ def _positive_fixed_vector(states, T, tol=5e-8):
     if len(dominant) > 1:
         raise ReducibleChainError("several non-communicating components carry full growth")
     dom = sorted(dominant[0])
-    # states reaching the dominant class
-    reach = set(dom)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if v in reach:
-                continue
-            if any(adj[v][w] for w in reach):
-                reach.add(v)
-                changed = True
-    dom_set = set(dom)
-    trans = sorted(reach - dom_set)
+    trans = sorted(reachable(reverse(succ), dom) - set(dom))
     u = np.zeros(n)
     D = T[np.ix_(dom, dom)]
     k = len(dom)

@@ -12,9 +12,11 @@ i(e) - 1 lifts of rev(e).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .digraph import has_cycle, period, sccs
 from .errors import ConfigError, GraphError, NoClosedGeodesicError, NonUnimodularError
 
 RESERVED_PREFIX = "~"
@@ -421,99 +423,22 @@ def orders_on(mat: MaterializedGraph, grading: OrderGrading):
 # length spectrum period
 
 
-def _scc_periods(states, succ):
-    """gcd of cycle lengths per strongly connected component (Tarjan + BFS levels)."""
-    import math
-
-    indexv, low, onstack, stack, sccs = {}, {}, set(), [], []
-    counter = [0]
-
-    def strongconnect(root):
-        work = [(root, iter(succ[root]))]
-        indexv[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in indexv:
-                    indexv[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                elif w in onstack:
-                    low[v] = min(low[v], indexv[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == indexv[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-
-    for s in states:
-        if s not in indexv:
-            strongconnect(s)
-
-    periods = []
-    for comp in sccs:
-        cset = set(comp)
-        has_cycle = len(comp) > 1 or any(w in cset and w == comp[0] for w in succ[comp[0]])
-        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-            continue
-        if not has_cycle:
-            continue
-        # BFS levels; gcd of (level(v) + 1 - level(w)) over edges v->w inside comp
-        root = comp[0]
-        level = {root: 0}
-        order = [root]
-        g = 0
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in succ[v]:
-                if w not in cset:
-                    continue
-                if w not in level:
-                    level[w] = level[v] + 1
-                    order.append(w)
-                else:
-                    g = math.gcd(g, level[v] + 1 - level[w])
-        periods.append(abs(g) if g else 0)
-    return [p for p in periods if p > 0]
-
-
 def length_spectrum_period(g: IndexedGraph) -> int:
     """gcd of lengths of positive-multiplicity closed non-backtracking paths."""
-    import math
-
     horizon = 1
     for spec in g.tails:
         horizon = max(horizon, len(spec.prefix) + 2 * len(spec.period) + 1)
     mat = materialize(g, horizon)
     funnel = mat.funnel_edge_ids()
     states = [e for e in mat.edges if e not in funnel]
-    succ = {e: [f for f, _ in mat.continuations(e) if f not in funnel] for e in states}
-    periods = _scc_periods(states, succ)
-    if not periods:
-        raise NoClosedGeodesicError("no closed non-backtracking path of positive multiplicity")
+    pos = {e: i for i, e in enumerate(states)}
+    succ = [[pos[f] for f, _ in mat.continuations(e) if f not in funnel] for e in states]
     k = 0
-    for p in periods:
-        k = math.gcd(k, p)
+    for comp in sccs(succ):
+        if has_cycle(succ, comp):
+            k = math.gcd(k, period(succ, comp[0], within=set(comp))[0])
+    if not k:
+        raise NoClosedGeodesicError("no closed non-backtracking path of positive multiplicity")
     return k
 
 

@@ -1,0 +1,81 @@
+"""Property tests of the digraph algorithms against a numpy transitive closure."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treegibbs.digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(bits, dtype=np.int64).reshape(n, n)
+
+
+def _closure(A):
+    """R[v, w] is true iff w is reachable from v by a path of length >= 0."""
+    R = np.eye(len(A), dtype=np.int64) | A
+    while True:
+        nxt = np.minimum(R @ R, 1)
+        if np.array_equal(nxt, R):
+            return R.astype(bool)
+        R = nxt
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_sccs_are_the_mutual_reachability_classes(A):
+    n = len(A)
+    succ = from_matrix(A)
+    assert succ == [sorted(np.flatnonzero(row).tolist()) for row in A]
+    R = _closure(A)
+    comps = sccs(succ)
+    assert sorted(v for comp in comps for v in comp) == list(range(n))
+    label = {v: i for i, comp in enumerate(comps) for v in comp}
+    for v in range(n):
+        for w in range(n):
+            assert (label[v] == label[w]) == (R[v, w] and R[w, v])
+            # reverse topological order: a component reaches none listed after it
+            if label[v] < label[w]:
+                assert not R[v, w]
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_period_is_the_gcd_of_closed_walk_lengths(A):
+    n = len(A)
+    succ = from_matrix(A)
+    for comp in sccs(succ):
+        sub = A[np.ix_(comp, comp)]
+        walk = np.eye(len(comp), dtype=np.int64)
+        lengths = []
+        for k in range(1, n + 1):
+            walk = np.minimum(walk @ sub, 1)
+            if np.trace(walk) > 0:
+                lengths.append(k)
+        assert has_cycle(succ, comp) == bool(lengths)
+        if not lengths:
+            continue
+        k, levels = period(succ, comp[0], within=set(comp))
+        assert k == math.gcd(*lengths)
+        assert sorted(levels) == sorted(comp)
+        # cyclic classes: every arc inside the component moves one class on
+        for v in comp:
+            for w in succ[v]:
+                if w in levels:
+                    assert (levels[v] + 1 - levels[w]) % k == 0
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_reachable_matches_the_closure(A, data):
+    n = len(A)
+    sources = data.draw(st.sets(st.integers(0, n - 1)))
+    succ = from_matrix(A)
+    R = _closure(A)
+    assert reachable(succ, sources) == {w for w in range(n) if R[list(sources), w].any()}
+    assert reachable(reverse(succ), sources) == {v for v in range(n) if R[v, list(sources)].any()}
