@@ -147,14 +147,7 @@ def build_chain(g, gd, orders, depth=None):
     if core_idx and len(sccs(from_matrix(adj[np.ix_(core_idx, core_idx)]))) != 1:
         raise ReducibleChainError("chain support splits into non-communicating pieces")
     period, classes = _period_and_classes(adj)
-    meta = {
-        "depth": depth,
-        "delta": delta,
-        "norm_record": gd.normalization,
-        "tail_blocks": _tail_blocks(mat, P, pos),
-        "lambda_remainder": remainder,
-        "mat": mat,
-    }
+    meta = {"tail_blocks": _tail_blocks(mat, P, pos), "mat": mat}
     return MarkovChain(
         states=states,
         p=P,
@@ -175,7 +168,7 @@ def _state_sort_key(mat):
         meta = mat.edge_meta[e]
         if meta[0] == "core":
             return (0, e, 0, 0)
-        return (1, f"t{meta[1]}", meta[2], 0 if meta[3] == "up" else 1)
+        return (1, f"t{meta[1]}", meta[2], 0 if meta[3] else 1)
 
     return key
 
@@ -191,7 +184,7 @@ def _structural_support(mat):
             if f not in funnel:
                 succ[pos[e]].append(pos[f])
         meta = mat.edge_meta[e]
-        if meta[0] == "tail" and meta[3] == "up" and meta[2] == mat.depth:
+        if meta[0] == "tail" and meta[3] and meta[2] == mat.depth:
             # frontier up-state: the ray continues upward forever; the walk can
             # turn around above the window iff some periodic level branches
             t, n = meta[1], meta[2]

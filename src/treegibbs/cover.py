@@ -8,11 +8,12 @@ from their regular branching specs; tails are unrolled on demand.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .graph import IndexedGraph, MaterializedGraph, materialize
+from .graph import IndexedGraph, materialize
 
 NODE_LIMIT = 2_000_000
 
@@ -55,12 +56,37 @@ class CoverBall:
         return nbr
 
 
-def _prepare(g: IndexedGraph, radius: int) -> MaterializedGraph:
-    return materialize(g, radius + 1)
+def _expansion(g: IndexedGraph, radius: int):
+    """(mat, children) for enumerating the cover ball of the given radius.
 
+    ``children(kind, payload)`` lists the children of one cover vertex as
+    (kind, payload) pairs, one per child, in a fixed order.  kind "root":
+    payload = the base vertex; kind "edge": payload = quotient edge just
+    traversed; kind "funnel": payload = (funnel_idx, depth_inside).  The list
+    depends only on the quotient state, so it is computed once per state.
+    """
+    mat = materialize(g, radius + 1)
+    entry_by_root = {g.term[f.entry_edge]: (k, f) for k, f in enumerate(g.funnels)}
 
-def _funnel_children(g, fspec, depth_in):
-    return fspec.children(depth_in)
+    @functools.lru_cache(maxsize=None)
+    def children(kind, payload):
+        if kind == "funnel":
+            k, din = payload
+            return (("funnel", (k, din + 1)),) * g.funnels[k].children(din)
+        if kind == "root":
+            v = payload
+            out = [("edge", e) for e in mat.out_edges(v) for _ in range(mat.index[mat.rev[e]])]
+            enters = v in entry_by_root
+        else:
+            e, v = payload, mat.term[payload]
+            out = [("edge", f) for f, m in mat.continuations(e) for _ in range(m)]
+            enters = v in entry_by_root and e == entry_by_root[v][1].entry_edge
+        if enters:
+            k, fs = entry_by_root[v]
+            out += [("funnel", (k, 1))] * fs.children(0)
+        return tuple(out)
+
+    return mat, children
 
 
 def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LIMIT) -> CoverBall:
@@ -69,21 +95,10 @@ def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LI
     Node labels are quotient vertex ids; funnel interior vertices get
     synthetic labels ~f<k>.d<depth>.
     """
-    mat = _prepare(g, radius)
-    froots = g.funnel_root_vertices()
-    entry_by_root = {g.term[f.entry_edge]: (k, f) for k, f in enumerate(g.funnels)}
+    mat, children = _expansion(g, radius)
     nodes = [CoverNode(base, 0, -1, "", [])]
-    # frontier entries: (node_index, kind, payload)
-    #   kind "edge": payload = quotient edge just traversed
-    #   kind "funnel": payload = (funnel_idx, depth_inside)
-    frontier = []
-    for e in mat.out_edges(base):
-        for _ in range(mat.index[mat.rev[e]]):
-            frontier.append((0, "edge", e))
-    if base in froots:
-        k, f = entry_by_root[base]
-        for _ in range(f.children(0)):
-            frontier.append((0, "funnel", (k, 1)))
+    # frontier entries: (parent node index, kind, payload) as in _expansion
+    frontier = [(0, kind, payload) for kind, payload in children("root", base)]
     for depth in range(1, radius + 1):
         nxt = []
         for parent, kind, payload in frontier:
@@ -91,31 +106,17 @@ def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LI
                 raise ResourceLimitError(
                     f"cover ball exceeds {node_limit} vertices at radius {depth}"
                 )
+            idx = len(nodes)
             if kind == "edge":
-                e = payload
-                v = mat.term[e]
-                idx = len(nodes)
-                nodes.append(CoverNode(v, depth, parent, e, []))
-                nodes[parent].children.append(idx)
-                if depth == radius:
-                    continue
-                for f, m in mat.continuations(e):
-                    for _ in range(m):
-                        nxt.append((idx, "edge", f))
-                if v in entry_by_root and e == entry_by_root[v][1].entry_edge:
-                    k, fs = entry_by_root[v]
-                    for _ in range(fs.children(0)):
-                        nxt.append((idx, "funnel", (k, 1)))
+                nodes.append(CoverNode(mat.term[payload], depth, parent, payload, []))
             else:
                 k, din = payload
-                fs = g.funnels[k]
-                idx = len(nodes)
                 nodes.append(CoverNode(f"~f{k}.d{din}", depth, parent, f"~f{k}", []))
-                nodes[parent].children.append(idx)
-                if depth == radius:
-                    continue
-                for _ in range(fs.children(din)):
-                    nxt.append((idx, "funnel", (k, din + 1)))
+            nodes[parent].children.append(idx)
+            if depth == radius:
+                continue
+            for ck, cp in children(kind, payload):
+                nxt.append((idx, ck, cp))
         frontier = nxt
     return CoverBall(base, radius, nodes)
 
@@ -126,45 +127,27 @@ def cover_census(g: IndexedGraph, base: str, radius: int, node_limit=50_000_000)
     Memory-light variant of build_cover_ball for large radii; still an
     explicit one-iteration-per-vertex enumeration, not a weighted DP.
     """
-    mat = _prepare(g, radius)
-    froots = g.funnel_root_vertices()
-    entry_by_root = {g.term[f.entry_edge]: (k, f) for k, f in enumerate(g.funnels)}
+    mat, children = _expansion(g, radius)
     counts = Counter()
     counts[(base, 0)] += 1
     total = 1
     # DFS over (kind, payload, depth); each pop = one cover vertex
     stack = []
     if radius >= 1:
-        for e in mat.out_edges(base):
-            for _ in range(mat.index[mat.rev[e]]):
-                stack.append(("edge", e, 1))
-        if base in froots:
-            k, f = entry_by_root[base]
-            for _ in range(f.children(0)):
-                stack.append(("funnel", (k, 1), 1))
+        for kind, payload in children("root", base):
+            stack.append((kind, payload, 1))
     while stack:
         kind, payload, depth = stack.pop()
         total += 1
         if total > node_limit:
             raise ResourceLimitError(f"cover census exceeds {node_limit} vertices")
         if kind == "edge":
-            e = payload
-            v = mat.term[e]
-            counts[(v, depth)] += 1
-            if depth == radius:
-                continue
-            for f, m in mat.continuations(e):
-                for _ in range(m):
-                    stack.append(("edge", f, depth + 1))
-            if v in entry_by_root and e == entry_by_root[v][1].entry_edge:
-                k, fs = entry_by_root[v]
-                for _ in range(fs.children(0)):
-                    stack.append(("funnel", (k, 1), depth + 1))
+            counts[(mat.term[payload], depth)] += 1
         else:
             k, din = payload
             counts[(f"~f{k}.d{din}", depth)] += 1
-            if depth == radius:
-                continue
-            for _ in range(g.funnels[k].children(din)):
-                stack.append(("funnel", (k, din + 1), depth + 1))
+        if depth == radius:
+            continue
+        for ck, cp in children(kind, payload):
+            stack.append((ck, cp, depth + 1))
     return counts

@@ -9,6 +9,12 @@ shadow vector u(e) (boundary mass of the set of directions through e, seen
 from the head of e) is the positive fixed vector of T(delta); on tails it is
 recovered level by level from the identity u(e_n) = g_n * u(rev(e_n)), which
 keeps the decaying solution branch without any unstable subtraction.
+
+Orientation convention: every function here computes the forward quantity
+for the potential it is given.  The backward quantities (``delta_minus``,
+``u_minus``, ``residual_minus``) are the same code applied to
+``F.reversed(g)``, the potential e -> F(rev e); ``Potential.reversed`` is the
+only place an orientation is flipped.
 """
 
 from __future__ import annotations
@@ -78,20 +84,29 @@ class Potential:
             return self.tail_values[t]
         return TailPotential()
 
-    def on(self, mat: MaterializedGraph, minus=False):
-        """Edge -> value map over a materialized graph; minus gives F(rev e)."""
+    def reversed(self, g: IndexedGraph):
+        """The reversed potential e -> F(rev e) on g, tail pairs swapped."""
+        return Potential(
+            {e: self.values.get(g.rev[e], 0.0) for e in g.edges},
+            tuple(
+                TailPotential(
+                    prefix=tuple((fd, fu) for fu, fd in self.tail(t).prefix),
+                    period=tuple((fd, fu) for fu, fd in self.tail(t).period),
+                )
+                for t in range(len(g.tails))
+            ),
+        )
+
+    def on(self, mat: MaterializedGraph):
+        """Edge -> value map over a materialized graph."""
         vals = {}
         for e in mat.edges:
             meta = mat.edge_meta[e]
             if meta[0] == "core":
-                key = mat.rev[e] if minus else e
-                vals[e] = float(self.values.get(key, 0.0))
+                vals[e] = float(self.values.get(e, 0.0))
             else:
-                _, t, n, direction = meta
+                _, t, n, up = meta
                 fu, fd = self.tail(t).pair(n)
-                up = direction == "up"
-                if minus:
-                    up = not up
                 vals[e] = fu if up else fd
         return vals
 
@@ -207,11 +222,10 @@ class TailGreen:
     the minimal nonnegative one (the decaying branch).
     """
 
-    def __init__(self, spec, tpot, s, minus=False):
+    def __init__(self, spec, tpot, s):
         self.spec = spec
         self.tpot = tpot or TailPotential()
         self.s = float(s)
-        self.minus = minus
         self.converged = True
         self._values = {}
         self._phase = None
@@ -220,8 +234,6 @@ class TailGreen:
     def _level(self, n):
         I, J = self.spec.pair(n)
         fu, fd = self.tpot.pair(n)
-        if self.minus:
-            fu, fd = fd, fu
         phi = math.exp(fu - self.s)
         psi = math.exp(fd - self.s)
         return I, J, phi, psi
@@ -320,13 +332,13 @@ class TailGreen:
         return self._phase[(n - self.spec.period_start) % len(self.spec.period)]
 
 
-def tail_critical_value(spec, tpot=None, minus=False, lo=-50.0, hi=None, tol=1e-10):
+def tail_critical_value(spec, tpot=None, lo=-50.0, hi=None, tol=1e-10):
     """Infimum s at which the tail's excursion resummation converges.
 
     Returns -inf when it converges for every s (no branching in the tail).
     """
     def ok(s):
-        return TailGreen(spec, tpot, s, minus=minus).converged
+        return TailGreen(spec, tpot, s).converged
 
     if hi is None:
         hi = 5.0
@@ -364,13 +376,13 @@ def junction_states(g: IndexedGraph):
     return states
 
 
-def junction_matrix(g: IndexedGraph, fvals_core, tail_fvals, s, greens):
+def junction_matrix(g: IndexedGraph, F: Potential, s, greens):
     """Finite operator equivalent to T(s) with tail excursions resummed.
 
-    ``tail_fvals[t]`` is (f_up_1, f_dn_1), the potential on the first tail
-    level; ``greens[t]`` the TailGreen at s.  Deep levels only enter through
-    the resummed first-return weight on the entry state.
+    ``greens[t]`` is the TailGreen of tail t under F at s.  Deep levels only
+    enter through the resummed first-return weight on the entry state.
     """
+    f_up1 = [F.tail(t).pair(1)[0] for t in range(len(g.tails))]
     states = junction_states(g)
     pos = {e: i for i, e in enumerate(states)}
     n = len(states)
@@ -388,13 +400,11 @@ def junction_matrix(g: IndexedGraph, fvals_core, tail_fvals, s, greens):
                 continue
             m = g.index[e] - 1 if f == g.rev[e] else g.index[g.rev[f]]
             if m > 0:
-                T[pos[e], pos[f]] = m * math.exp(fvals_core[f] - s)
+                T[pos[e], pos[f]] = m * math.exp(F.values.get(f, 0.0) - s)
         for t in tails_at.get(v, []):
             iu, idn = g.tails[t].pair(1)
-            T[pos[e], pos[tail_edge_id(t, 1, True)]] = idn * math.exp(tail_fvals[t][0] - s)
+            T[pos[e], pos[tail_edge_id(t, 1, True)]] = idn * math.exp(f_up1[t] - s)
     for t, spec in enumerate(g.tails):
-        iu, idn = spec.pair(1)
-        fu, fd = tail_fvals[t]
         e1 = tail_edge_id(t, 1, True)
         r1 = tail_edge_id(t, 1, False)
         T[pos[e1], pos[r1]] = greens[t].g(1)
@@ -402,36 +412,24 @@ def junction_matrix(g: IndexedGraph, fvals_core, tail_fvals, s, greens):
         for f in g.out_edges(v):
             if f in funnel:
                 continue
-            T[pos[r1], pos[f]] = g.index[g.rev[f]] * math.exp(fvals_core[f] - s)
+            T[pos[r1], pos[f]] = g.index[g.rev[f]] * math.exp(F.values.get(f, 0.0) - s)
         for t2 in tails_at.get(v, []):
             iu2, idn2 = g.tails[t2].pair(1)
             m = idn2 - 1 if t2 == t else idn2
             if m > 0:
-                fu2 = tail_fvals[t2][0]
-                T[pos[r1], pos[tail_edge_id(t2, 1, True)]] = m * math.exp(fu2 - s)
+                T[pos[r1], pos[tail_edge_id(t2, 1, True)]] = m * math.exp(f_up1[t2] - s)
     return states, T
 
 
-def _tail_fvals(g, F, minus):
-    out = []
-    for t in range(len(g.tails)):
-        fu, fd = F.tail(t).pair(1)
-        if minus:
-            fu, fd = fd, fu
-        out.append((fu, fd))
-    return out
-
-
-def _junction_sr(g, F, s, minus):
-    fvals_core = {e: (F.values.get(g.rev[e] if minus else e, 0.0)) for e in g.edges}
+def _junction_sr(g, F, s):
     greens = []
     for t, spec in enumerate(g.tails):
-        tg = TailGreen(spec, F.tail(t), s, minus=minus)
+        tg = TailGreen(spec, F.tail(t), s)
         if not tg.converged:
-            return None, None, None
+            return None
         greens.append(tg)
-    states, T = junction_matrix(g, fvals_core, _tail_fvals(g, F, minus), s, greens)
-    return spectral_radius(T), states, T
+    _, T = junction_matrix(g, F, s, greens)
+    return spectral_radius(T)
 
 
 # ---------------------------------------------------------------------------
@@ -450,30 +448,32 @@ class CriticalExponent:
         return self.delta
 
 
-def _critical_one(g, F, minus=False, tol=1e-14):
+def _critical_one(g, F, tol=1e-14):
     if not g.tails:
-        _, T = transfer_matrix(g, F if not minus else _reverse_potential(g, F), 0.0, depth=0)
+        _, T = transfer_matrix(g, F, 0.0, depth=0)
         sr = spectral_radius(T)
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
         return math.log(sr), None
     s_tail = max(
-        tail_critical_value(spec, F.tail(t), minus=minus) for t, spec in enumerate(g.tails)
+        tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails)
     )
     imax = max(g.index[e] for e in g.edges) if g.edges else 1
     for spec in g.tails:
         imax = max(imax, max(max(a, b) for a, b in spec.prefix + spec.period))
-    fmax = max((abs(v) for v in F.values.values()), default=0.0)
+    # read over g's edges, which reversal permutes, so F and F.reversed(g)
+    # bisect from the same upper bracket
+    fmax = max((abs(F.values.get(e, 0.0)) for e in g.edges), default=0.0)
     hi = math.log(imax + 1) + fmax + 2.0
     while True:
-        sr, _, _ = _junction_sr(g, F, hi, minus)
+        sr = _junction_sr(g, F, hi)
         if sr is not None and sr < 1.0:
             break
         hi += 2.0
         if hi > 300:
             raise DivergenceError("no upper bracket for the critical exponent")
     lo = (s_tail if math.isfinite(s_tail) else hi - 60.0) + 1e-9
-    sr_lo, _, _ = _junction_sr(g, F, lo, minus)
+    sr_lo = _junction_sr(g, F, lo)
     if sr_lo is None or sr_lo <= 1.0:
         raise DivergenceError(
             "growth dominated by a tail; no convergent resummation regime",
@@ -482,7 +482,7 @@ def _critical_one(g, F, minus=False, tol=1e-14):
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
-        sr_mid, _, _ = _junction_sr(g, F, mid, minus)
+        sr_mid = _junction_sr(g, F, mid)
         if sr_mid is None or sr_mid > 1.0:
             a = mid
         else:
@@ -492,27 +492,20 @@ def _critical_one(g, F, minus=False, tol=1e-14):
     return 0.5 * (a + b), s_tail
 
 
-def _reverse_potential(g, F):
-    vals = {e: F.values.get(g.rev[e], 0.0) for e in g.edges}
-    tails = tuple(
-        TailPotential(
-            prefix=tuple((fd, fu) for fu, fd in F.tail(t).prefix),
-            period=tuple((fd, fu) for fu, fd in F.tail(t).period),
-        )
-        for t in range(len(g.tails))
-    )
-    return Potential(vals, tails)
-
-
 def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalExponent:
-    """delta for (graph, F), its reversed-potential twin, and the zero-potential value."""
+    """delta for (graph, F), its reversed-potential twin, and the zero-potential value.
+
+    A potential equal to its reversal (every zero or symmetric one) reuses
+    delta as delta_minus: the second solve would repeat the same arithmetic.
+    """
     F = F or Potential.zero(g)
-    delta, s_tail = _critical_one(g, F, minus=False)
-    delta_minus, _ = _critical_one(g, F, minus=True)
+    delta, s_tail = _critical_one(g, F)
+    rev = F.reversed(g)
+    delta_minus = delta if rev == F else _critical_one(g, rev)[0]
     if _is_zero(F):
         delta_zero = delta
     else:
-        delta_zero, _ = _critical_one(g, Potential.zero(g), minus=False)
+        delta_zero, _ = _critical_one(g, Potential.zero(g))
     return CriticalExponent(
         delta=delta,
         delta_minus=delta_minus,
@@ -589,32 +582,29 @@ def shadow_vector(
     g: IndexedGraph,
     F: Potential | None,
     delta: float,
-    direction: str = "forward",
     depth: int = DEFAULT_DEPTH,
     normalize_base: str | None = None,
 ):
     """Normalized positive solution of u(e) = sum_f m(e,f) exp(F(f)-delta) u(f).
 
     Returns a dict over materialized non-funnel edges (funnel edges map to 0).
-    ``direction="backward"`` uses the reversed potential.  Scaled so the total
-    boundary mass seen from the base vertex is 1.
+    The backward vector is ``shadow_vector(g, F.reversed(g), delta)``.  Scaled
+    so the total boundary mass seen from the base vertex is 1.
     """
     F = F or Potential.zero(g)
-    minus = direction == "backward"
     base = normalize_base or g.base_vertex
     if g.tails and depth < 2:
         raise ValueError("tailed graphs need depth >= 2")
     mat = materialize(g, depth if g.tails else 0)
-    fvals = F.on(mat, minus=minus)
+    fvals = F.on(mat)
     greens = []
     for t, spec in enumerate(g.tails):
-        tg = TailGreen(spec, F.tail(t), delta, minus=minus)
+        tg = TailGreen(spec, F.tail(t), delta)
         if not tg.converged:
             raise DivergenceError("tail resummation diverges at the given exponent")
         greens.append(tg)
     if g.tails:
-        fvals_core = {e: (F.values.get(g.rev[e] if minus else e, 0.0)) for e in g.edges}
-        jstates, A = junction_matrix(g, fvals_core, _tail_fvals(g, F, minus), delta, greens)
+        jstates, A = junction_matrix(g, F, delta, greens)
     else:
         jstates, A = _transfer_on(mat, fvals, delta)
     uj = _positive_fixed_vector(jstates, A)
@@ -630,9 +620,6 @@ def shadow_vector(
             I1, J1 = spec.pair(n + 1)
             fu, fd = tpot.pair(n)
             fu1, fd1 = tpot.pair(n + 1)
-            if minus:
-                fu, fd = fd, fu
-                fu1, fd1 = fd1, fu1
             psi = math.exp(fd - delta)
             phi1 = math.exp(fu1 - delta)
             dn = u[tail_edge_id(t, n, False)]
@@ -655,11 +642,11 @@ def shadow_vector(
     return {e: val / mass for e, val in u.items()}
 
 
-def shadow_residual(g, F, delta, u, mat=None, minus=False):
+def shadow_residual(g, F, delta, u, mat=None):
     """Sup-norm of the fixed-point defect over interior non-funnel states."""
     F = F or Potential.zero(g)
     mat = mat or materialize(g, DEFAULT_DEPTH if g.tails else 0)
-    fvals = F.on(mat, minus=minus)
+    fvals = F.on(mat)
     funnel = mat.funnel_edge_ids()
     worst = 0.0
     for e in mat.edges:
@@ -693,9 +680,6 @@ class GibbsData:
     normalization: dict
     method: dict = field(default_factory=dict)
 
-    def norm_record(self):
-        return self.normalization
-
 
 def compute_gibbs(
     g: IndexedGraph,
@@ -703,7 +687,11 @@ def compute_gibbs(
     depth: int = DEFAULT_DEPTH,
     delta_tol: float = 1e-8,
 ) -> GibbsData:
-    """Full thermodynamic solve: exponent, forward/backward shadows, residuals."""
+    """Full thermodynamic solve: exponent, forward/backward shadows, residuals.
+
+    The backward shadow and residual are the forward ones for F.reversed(g),
+    reused as they are when that equals F.
+    """
     F = F or Potential.zero(g)
     ce = critical_exponent(g, F)
     if abs(ce.delta - ce.delta_minus) > delta_tol * max(1.0, abs(ce.delta)):
@@ -711,11 +699,15 @@ def compute_gibbs(
             f"forward/backward exponents differ: {ce.delta} vs {ce.delta_minus}"
         )
     depth = depth if g.tails else 0
-    u_plus = shadow_vector(g, F, ce.delta, "forward", depth=depth)
-    u_minus = shadow_vector(g, F, ce.delta, "backward", depth=depth)
     mat = materialize(g, depth)
-    res_p = shadow_residual(g, F, ce.delta, u_plus, mat=mat, minus=False)
-    res_m = shadow_residual(g, F, ce.delta, u_minus, mat=mat, minus=True)
+    u_plus = shadow_vector(g, F, ce.delta, depth=depth)
+    res_p = shadow_residual(g, F, ce.delta, u_plus, mat=mat)
+    rev = F.reversed(g)
+    if rev == F:
+        u_minus, res_m = u_plus, res_p
+    else:
+        u_minus = shadow_vector(g, rev, ce.delta, depth=depth)
+        res_m = shadow_residual(g, rev, ce.delta, u_minus, mat=mat)
     record = {
         "convention": "unit boundary mass at base vertex",
         "base_vertex": g.base_vertex,

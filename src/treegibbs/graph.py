@@ -138,12 +138,6 @@ class IndexedGraph:
             s.add(self.rev[f.entry_edge])
         return s
 
-    def funnel_for_edge(self, e):
-        for f in self.funnels:
-            if f.entry_edge == e:
-                return f
-        return None
-
     def tails_at(self, v):
         return [(t, spec) for t, spec in enumerate(self.tails) if spec.attach == v]
 
@@ -309,8 +303,9 @@ class MaterializedGraph:
     """Core plus tails unrolled to ``depth`` levels.
 
     Behaves like a finite edge-indexed graph; ``edge_meta`` maps each edge to
-    ("core",) or ("tail", tail_index, level, "up"|"dn").  States whose whole
-    transition row stays inside the materialization are ``interior``.
+    ("core",) or ("tail", tail_index, level, up), with ``up`` the bool that
+    ``tail_edge_id`` takes.  States whose whole transition row stays inside
+    the materialization are ``interior``.
     """
 
     core: IndexedGraph
@@ -346,10 +341,6 @@ class MaterializedGraph:
     def funnel_edge_ids(self):
         return self.core.funnel_edge_ids()
 
-    def tail_level(self, e):
-        meta = self.edge_meta[e]
-        return meta[2] if meta[0] == "tail" else 0
-
     def is_interior(self, e):
         meta = self.edge_meta[e]
         return meta[0] == "core" or meta[2] < self.depth
@@ -382,8 +373,8 @@ def materialize(g: IndexedGraph, depth: int) -> MaterializedGraph:
             orig[eu], term[eu] = prev, v
             orig[ed], term[ed] = v, prev
             index[eu], index[ed] = iu, idn
-            meta[eu] = ("tail", t, n, "up")
-            meta[ed] = ("tail", t, n, "dn")
+            meta[eu] = ("tail", t, n, True)
+            meta[ed] = ("tail", t, n, False)
             prev = v
     out = {v: [] for v in vertices}
     for e in edges:
@@ -472,7 +463,7 @@ def graph_from_dict(d: dict) -> IndexedGraph:
             idx = ed["index"]
         except KeyError as exc:
             raise ConfigError(f"edges[{pos}]: missing field {exc}") from exc
-        if not isinstance(idx, int) or idx < 1:
+        if not _is_int(idx) or idx < 1:
             raise ConfigError(f"edges[{pos}].index: must be a positive integer, got {idx!r}")
         index[eid] = idx
     tails = []
@@ -480,11 +471,13 @@ def graph_from_dict(d: dict) -> IndexedGraph:
         extra = set(td) - {"attach", "prefix", "period"}
         if extra:
             raise ConfigError(f"tails[{pos}]: unknown fields {sorted(extra)}")
+        if "attach" not in td:
+            raise ConfigError(f"tails[{pos}]: missing field 'attach'")
         tails.append(
             TailSpec(
                 attach=str(td["attach"]),
-                prefix=tuple((int(a), int(b)) for a, b in td.get("prefix", [])),
-                period=tuple((int(a), int(b)) for a, b in td.get("period", [])),
+                prefix=_index_pairs(td.get("prefix", []), f"tails[{pos}].prefix"),
+                period=_index_pairs(td.get("period", []), f"tails[{pos}].period"),
             )
         )
     funnels = []
@@ -513,6 +506,21 @@ def graph_from_dict(d: dict) -> IndexedGraph:
         base_vertex=base_vertex,
         base_value=base_value,
     )
+
+
+def _is_int(x):
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _index_pairs(raw, path):
+    """Tail index pairs [[i(e_n), i(rev e_n)], ...] as a tuple of int pairs."""
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list of index pairs, got {raw!r}")
+    for k, pair in enumerate(raw):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
+            raise ConfigError(f"{path}[{k}]: must be a pair of integers, got {pair!r}")
+    return tuple((a, b) for a, b in raw)
 
 
 def graph_to_dict(g: IndexedGraph) -> dict:

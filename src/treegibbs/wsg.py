@@ -17,6 +17,7 @@ Tail weights come in two analytic families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,9 @@ class DriftCertificate:
         if mat is not None and state in mat.edge_meta:
             meta = mat.edge_meta[state]
             if meta[0] == "tail":
-                _, t, n, direction = meta
+                _, t, n, up = meta
                 if t < len(self.tails) and self.tails[t] is not None:
-                    return self.tails[t].value(n, direction == "up")
+                    return self.tails[t].value(n, up)
         raise KeyError(f"certificate assigns no weight to state {state}")
 
     def to_dict(self):
@@ -195,6 +196,12 @@ def _tail_block(mc, t):
     return blk
 
 
+def _period_p_up(blk):
+    """p_up over one period, taken one period past the periodic onset."""
+    start, L = blk["start"], blk["period"]
+    return [blk["p_up"][start + L + off] for off in range(L)]
+
+
 def _cusp_weights(mc, t, R):
     """Exact drift-equality weights on a cuspidal tail, ratio 1/R everywhere.
 
@@ -206,13 +213,10 @@ def _cusp_weights(mc, t, R):
     """
     blk = _tail_block(mc, t)
     start, L = blk["start"], blk["period"]
-    depth = mc.meta["depth"]
-    prod_p = 1.0
-    for off in range(L):
-        prod_p *= blk["p_up"][start + L + off]
-    if prod_p * R ** (2 * L) >= 1.0:
+    depth = mc.meta["mat"].depth
+    p_per = _period_p_up(blk)
+    if math.prod(p_per) * R ** (2 * L) >= 1.0:
         return None
-    p_per = [blk["p_up"][start + L + off] for off in range(L)]
 
     def p_at(n):
         if n < start:
@@ -317,11 +321,8 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
         best = None
         if spec.is_cuspidal():
             blk = _tail_block(mc, t)
-            start, L = blk["start"], blk["period"]
-            prod_p = 1.0
-            for off in range(L):
-                prod_p *= blk["p_up"][start + L + off]
-            R_max = prod_p ** (-1.0 / (2 * L))
+            L = blk["period"]
+            R_max = math.prod(_period_p_up(blk)) ** (-1.0 / (2 * L))
             lo, hi = 1.0 + 1e-12, R_max
             feasible = None
             for _ in range(80):
@@ -437,11 +438,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
             got = None
             if spec.is_cuspidal():
                 blk = _tail_block(mc, t)
-                start, L = blk["start"], blk["period"]
-                prod_p = 1.0
-                for off in range(L):
-                    prod_p *= blk["p_up"][start + L + off]
-                if rho > prod_p ** (1.0 / (2 * L)):
+                if rho > math.prod(_period_p_up(blk)) ** (1.0 / (2 * blk["period"])):
                     w = _cusp_weights(mc, t, 1.0 / rho)
                     if w is not None:
                         got = w
@@ -468,8 +465,8 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
                 for i, s in enumerate(mc.states):
                     meta = mat.edge_meta[s]
                     if meta[0] == "tail" and s not in Bset:
-                        _, t, n, direction = meta
-                        boundary[s] = forms[t].value(n, direction == "up")
+                        _, t, n, up = meta
+                        boundary[s] = forms[t].value(n, up)
             t_vec = _minimal_supersolution(mc, Bset, rho, boundary)
             if t_vec is None:
                 return None

@@ -160,3 +160,33 @@ def test_cli_rejects_bad_potential(tmp_path, fixture_dir):
         tmp_path, "badpot", graph=fixture_dir["single_edge_3"], potential=str(pot_path)
     )
     assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "ob")]) == 2
+
+
+def _analyze_mutated_thick_ray(tmp_path, capsys, mutate):
+    """Exit code and stderr of ``analyze`` on thick_ray_5 after ``mutate``."""
+    d = graph_to_dict(fx.thick_ray(5))
+    mutate(d)
+    graph_path = tmp_path / "mutated_graph.json"
+    graph_path.write_text(json.dumps(d))
+    cfg_path = _write_cfg(tmp_path, "mutated", graph=str(graph_path))
+    code = main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_tail_without_attach_exits_2(tmp_path, capsys):
+    code, err = _analyze_mutated_thick_ray(tmp_path, capsys, lambda d: d["tails"][0].pop("attach"))
+    assert code == 2 and "tails[0]: missing field 'attach'" in err
+
+
+def test_one_element_period_pair_exits_2(tmp_path, capsys):
+    code, err = _analyze_mutated_thick_ray(
+        tmp_path, capsys, lambda d: d["tails"][0].update(period=[[4]])
+    )
+    assert code == 2 and "tails[0].period[0]" in err
+
+
+def test_boolean_index_exits_2(tmp_path, capsys):
+    code, err = _analyze_mutated_thick_ray(tmp_path, capsys, lambda d: d["edges"][0].update(index=True))
+    assert code == 2 and "edges[0].index" in err
