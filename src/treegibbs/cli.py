@@ -41,7 +41,14 @@ from .errors import (
     ZeroShadowError,
 )
 from .gibbs import Potential, compute_gibbs, cusp_exponent_bound, potential_from_json
-from .graph import graph_from_json, length_spectrum_period, propagate_orders, validate_graph
+from .graph import (
+    _is_int,
+    _is_number,
+    graph_from_json,
+    length_spectrum_period,
+    propagate_orders,
+    validate_graph,
+)
 from .wsg import lemma_bound_check, search_certificate, tail_certificate, verify_certificate
 
 COMMANDS = ("analyze", "chain", "wsg", "mix", "count", "probe")
@@ -104,6 +111,8 @@ def parse_config(argv=None):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{ns.config}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{ns.config}: must be a JSON object")
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -114,15 +123,37 @@ def parse_config(argv=None):
             return None
         return p if os.path.isabs(p) else os.path.join(cdir, p)
 
-    tol = ns.tol if ns.tol is not None else float(raw.get("tol", 1e-10))
-    n_max = ns.nmax if ns.nmax is not None else int(raw.get("n_max", 40))
-    if tol <= 0:
-        raise ConfigError("tol: must be positive")
+    def nonneg_int(name, default):
+        val = raw.get(name, default)
+        if not _is_int(val) or val < 0:
+            raise ConfigError(f"{name}: must be a nonnegative integer, got {val!r}")
+        return val
+
+    tol = raw.get("tol", 1e-10) if ns.tol is None else ns.tol
+    if not _is_number(tol) or tol <= 0:
+        raise ConfigError(f"tol: must be a positive number, got {tol!r}")
+    n_max = nonneg_int("n_max", 40) if ns.nmax is None else ns.nmax
     if n_max < 0 or n_max > 10_000:
         raise ConfigError("n_max: outside the resource guard")
-    depth = int(raw.get("depth", 80))
-    depth = max(depth, n_max + 8)
+    depth = max(nonneg_int("depth", 80), n_max + 8)
+    for name in ("graph", "potential", "out"):
+        if not isinstance(raw.get(name, ""), (str, type(None))):
+            raise ConfigError(f"{name}: must be a path, got {raw[name]!r}")
+    truncations = raw.get("truncations", [10, 20, 40, 80])
+    if not isinstance(truncations, list):
+        raise ConfigError(f"truncations: must be a list, got {truncations!r}")
+    for k, N in enumerate(truncations):
+        if not _is_int(N) or N < 0:
+            raise ConfigError(f"truncations[{k}]: must be a nonnegative integer, got {N!r}")
     probe = raw.get("probe", {})
+    if not isinstance(probe, dict):
+        raise ConfigError(f"probe: must be an object, got {probe!r}")
+    for name in ("gamma", "beta"):
+        prof = probe.get(name, {})
+        if not isinstance(prof, dict):
+            raise ConfigError(f"probe.{name}: must be an object, got {prof!r}")
+        if not _is_number(prof.get("value", 0.5)):
+            raise ConfigError(f"probe.{name}.value: must be a number, got {prof['value']!r}")
     pieces = [json.dumps(raw, sort_keys=True).encode()]
     for p in (resolve(raw.get("graph")), resolve(raw.get("potential"))):
         if p and os.path.exists(p):
@@ -134,10 +165,10 @@ def parse_config(argv=None):
         graph_path=resolve(raw.get("graph")),
         potential_path=resolve(raw.get("potential")),
         n_max=n_max,
-        radius=int(raw.get("radius", 4)),
-        tol=tol,
+        radius=nonneg_int("radius", 4),
+        tol=float(tol),
         depth=depth,
-        truncations=tuple(int(x) for x in raw.get("truncations", (10, 20, 40, 80))),
+        truncations=tuple(truncations),
         out=ns.out or raw.get("out", "out"),
         probe_gamma=probe.get("gamma", {"kind": "one_minus_inv"}),
         probe_beta=probe.get("beta", {"kind": "uniform"}),

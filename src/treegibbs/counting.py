@@ -344,14 +344,22 @@ def _chi_psi(g, mat, states, base, F, exact):
     return chi, psi
 
 
-def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> RenewalConstant:
+def renewal_constant(
+    g, orders, F=None, base=None, prefer_exact=True, delta=None
+) -> RenewalConstant:
     """C* = lim N_x(2n) exp(-2 n delta) for a finite quotient.
 
     Perron decomposition of the counting matrix; for bipartite quotients with
-    zero potential the whole computation runs in rational arithmetic.
+    zero potential the whole computation runs in rational arithmetic.  A
+    tailed quotient extrapolates the counts, with ``delta`` the exponent of
+    (g, F) when the caller has it and a fresh solve otherwise.
     """
     if g.tails:
-        return _renewal_extrapolated(g, orders, F, base)
+        if delta is None:
+            from .gibbs import critical_exponent
+
+            delta = critical_exponent(g, F).delta
+        return _renewal_extrapolated(g, orders, F, base, delta)
     F = F or Potential.zero(g)
     base = base or g.base_vertex
     if prefer_exact and _potential_is_zero(F) and _is_bipartite(g):
@@ -511,16 +519,13 @@ def _invert_fraction(A):
     return [row[n:] for row in M]
 
 
-def _renewal_extrapolated(g, orders, F, base, n_max=40, tol=1e-8):
+def _renewal_extrapolated(g, orders, F, base, delta, n_max=40, tol=1e-8):
     """Aitken-accelerated limit of N_x(2n) exp(-2 n delta) (geometric residuals)."""
     base = base or g.base_vertex
     F = F or Potential.zero(g)
-    from .gibbs import critical_exponent
-
-    ce = critical_exponent(g, F)
     rep = orbit_oracle(g, orders, F, base, 2 * n_max)
     series = rep.series()
-    vals = [float(series[2 * n]) * math.exp(-2.0 * n * ce.delta) for n in range(1, n_max + 1)]
+    vals = [float(series[2 * n]) * math.exp(-2.0 * n * delta) for n in range(1, n_max + 1)]
 
     def aitken(seq):
         out = []
@@ -626,7 +631,7 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     F = F or Potential.zero(g)
     rep = orbit_oracle(g, orders, F, base, 2 * n_hi)
     series = rep.series()
-    rc = renewal_constant(g, orders, F, base)
+    rc = renewal_constant(g, orders, F, base, delta=gd.delta)
     ns = tuple(range(n_lo, n_hi + 1))
     oracle = tuple(float(series[2 * n]) for n in ns)
     terms = [main_term(params, gd, orders, m_mass, n) for n in ns]

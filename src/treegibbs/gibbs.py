@@ -33,7 +33,15 @@ from .errors import (
     ReducibleChainError,
 )
 from .digraph import from_matrix, has_cycle, reachable, reverse, sccs
-from .graph import IndexedGraph, MaterializedGraph, materialize, tail_edge_id
+from .graph import (
+    IndexedGraph,
+    MaterializedGraph,
+    _is_int,
+    _is_number,
+    _pairs,
+    materialize,
+    tail_edge_id,
+)
 
 DEFAULT_DEPTH = 80
 
@@ -112,33 +120,55 @@ class Potential:
 
 
 def potential_from_dict(g: IndexedGraph, d: dict) -> Potential:
+    """Parse the potential schema; raises ConfigError with a field path."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"potential: must be an object, got {d!r}")
     allowed = {"edges", "tail_values"}
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown potential fields: {sorted(unknown)}")
+    edges = d.get("edges", {})
+    if not isinstance(edges, dict):
+        raise ConfigError(f"edges: must be an object, got {edges!r}")
     values = {e: 0.0 for e in g.edges}
-    for k, v in d.get("edges", {}).items():
+    for k, v in edges.items():
         if k not in values:
             raise ConfigError(f"potential assigns unknown edge {k!r}")
+        if not _is_number(v):
+            raise ConfigError(f"edges.{k}: must be a number, got {v!r}")
         values[k] = float(v)
+    tail_values = d.get("tail_values", [])
+    if not isinstance(tail_values, list):
+        raise ConfigError(f"tail_values: must be a list, got {tail_values!r}")
     tails = [TailPotential() for _ in g.tails]
-    for pos, td in enumerate(d.get("tail_values", [])):
+    for pos, td in enumerate(tail_values):
+        if not isinstance(td, dict):
+            raise ConfigError(f"tail_values[{pos}]: must be an object, got {td!r}")
         extra = set(td) - {"tail_index", "prefix", "period"}
         if extra:
             raise ConfigError(f"tail_values[{pos}]: unknown fields {sorted(extra)}")
-        t = int(td["tail_index"])
+        if "tail_index" not in td:
+            raise ConfigError(f"tail_values[{pos}]: missing field 'tail_index'")
+        t = td["tail_index"]
+        if not _is_int(t):
+            raise ConfigError(f"tail_values[{pos}].tail_index: must be an integer, got {t!r}")
         if not 0 <= t < len(g.tails):
             raise ConfigError(f"tail_values[{pos}].tail_index out of range")
+        path = f"tail_values[{pos}]"
         tails[t] = TailPotential(
-            prefix=tuple(tuple(p) for p in td.get("prefix", [])),
-            period=tuple(tuple(p) for p in td.get("period", [(0.0, 0.0)])),
+            prefix=_pairs(td.get("prefix", []), f"{path}.prefix", _is_number, "numbers"),
+            period=_pairs(td.get("period", [(0.0, 0.0)]), f"{path}.period", _is_number, "numbers"),
         )
     return Potential(values, tuple(tails))
 
 
 def potential_from_json(g: IndexedGraph, path) -> Potential:
     with open(path, "r", encoding="utf-8") as fh:
-        return potential_from_dict(g, json.load(fh))
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    return potential_from_dict(g, d)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +241,16 @@ def _transfer_on(mat: MaterializedGraph, fvals: dict, s: float):
 # tail Green values
 
 
+def _joint_period(spec, tpot):
+    """(first periodic level, period length) shared by a tail and its potential.
+
+    The indices and the potential values both repeat from the level where the
+    later of the two prefixes ends, with the lcm of the two period lengths.
+    """
+    start = max(spec.period_start, len(tpot.prefix) + 1)
+    return start, math.lcm(len(spec.period), len(tpot.period))
+
+
 class TailGreen:
     """First-return weights g_n(s) for one ray tail.
 
@@ -219,7 +259,12 @@ class TailGreen:
     the level-n down edge.  It satisfies
         g_n = a_n + b_n g_{n+1} / (1 - c_n g_{n+1}),
     a Moebius map per level, eventually periodic; the periodic fixed point is
-    the minimal nonnegative one (the decaying branch).
+    the minimal nonnegative one (the decaying branch), taken over the
+    ``_joint_period`` of the index spec and the tail potential.
+
+    Divergence (``converged`` False) is decided from the composed one-period
+    map when it has no fixed point g >= 0 by a clear margin; otherwise the
+    fixed-point loop iterates from g = 0 and decides.
     """
 
     def __init__(self, spec, tpot, s):
@@ -229,6 +274,7 @@ class TailGreen:
         self.converged = True
         self._values = {}
         self._phase = None
+        self._start, self._L = _joint_period(spec, self.tpot)
         self._solve()
 
     def _level(self, n):
@@ -256,11 +302,16 @@ class TailGreen:
         return gval
 
     def _solve(self, cap=1e12, maxit=200000):
-        spec = self.spec
-        L = len(spec.period)
-        start = spec.period_start
+        L = self._L
+        start = self._start
         # one period of step maps at phase 0 (innermost level last)
         params = [self._step_params(start + k) for k in range(L)]
+        moebius = self._compose(params)
+        if self._no_fixed_point(*moebius):
+            # the loop could only end unconverged: no root for the jump, and
+            # M(g) - g stays far above the stall test's 1e-16 tolerance
+            self.converged = False
+            return
         gval = 0.0
         it = 0
         while it < maxit:
@@ -273,7 +324,7 @@ class TailGreen:
                 break
             # quadratic jump via the composed Moebius matrix, checked for validity
             if it == 256:
-                jump = self._quadratic_root(params, gval)
+                jump = self._quadratic_root(moebius, gval)
                 if jump is not None:
                     applied = self._apply(params, jump)
                     if applied is not None and abs(applied - jump) < 1e-12 * max(1.0, jump):
@@ -303,13 +354,37 @@ class TailGreen:
             self._values[n] = val
 
     @staticmethod
-    def _quadratic_root(params, current):
-        # compose step matrices [[b - a c, a], [-c, 1]] outermost-first
+    def _compose(params):
+        """(A, B, C, D) of g -> (A g + B)/(C g + D), the steps applied innermost first."""
+        # step matrices [[b - a c, a], [-c, 1]] multiplied outermost-first
         A, B, C, D = 1.0, 0.0, 0.0, 1.0
         for a, b, c in params:
             A, B, C, D = A * (b - a * c) + B * (-c), A * a + B, C * (b - a * c) + D * (-c), C * a + D
             scale = max(abs(A), abs(B), abs(C), abs(D), 1.0)
             A, B, C, D = A / scale, B / scale, C / scale, D / scale
+        return A, B, C, D
+
+    @staticmethod
+    def _no_fixed_point(A, B, C, D):
+        """True when g -> (A g + B)/(C g + D) has no fixed point g >= 0, by a margin.
+
+        Then M(g) - g > m (1 + g) with m = 1e-12 on g >= 0 below the pole,
+        and ``_quadratic_root`` finds no root.
+        """
+        m = 1e-12
+        if not (C <= 0.0 < D and B > m * D):
+            return False
+        if abs(C) < 1e-300:
+            return A - D > m * (abs(A) + abs(D))
+        disc = (D - A) ** 2 + 4.0 * C * B
+        if not disc < -m * ((D - A) ** 2 + abs(4.0 * C * B)):
+            return False
+        lin = D - A + m * D
+        return lin <= 0.0 or lin * lin < -4.0 * C * (B - m * D)
+
+    @staticmethod
+    def _quadratic_root(moebius, current):
+        A, B, C, D = moebius
         # fixed points of g -> (A g + B)/(C g + D)
         if abs(C) < 1e-300:
             if D - A <= 0:
@@ -327,14 +402,17 @@ class TailGreen:
     def g(self, n):
         if not self.converged:
             raise DivergenceError("tail Green value does not converge", tail_critical=None)
-        if n < self.spec.period_start:
+        if n < self._start:
             return self._values[n]
-        return self._phase[(n - self.spec.period_start) % len(self.spec.period)]
+        return self._phase[(n - self._start) % self._L]
 
 
 def tail_critical_value(spec, tpot=None, lo=-50.0, hi=None, tol=1e-10):
     """Infimum s at which the tail's excursion resummation converges.
 
+    Bisects on s with one TailGreen solve per probe.  A probe below the
+    critical value is decided divergent from the composed period map when
+    that map has no fixed point g >= 0, and by the fixed-point loop otherwise.
     Returns -inf when it converges for every s (no branching in the tail).
     """
     def ok(s):
@@ -780,12 +858,12 @@ def cusp_exponent_bound(ray, tpot=None):
     if not ray.is_cuspidal():
         raise GraphError("ray is not cuspidal (a downward index exceeds 1)")
     tpot = tpot or TailPotential()
-    L = len(ray.period)
     if all(a == 1 for a, _ in ray.period):
         return float("-inf")
+    start, L = _joint_period(ray, tpot)
     total = 0.0
     for k in range(L):
-        n = ray.period_start + k
+        n = start + k
         I, _ = ray.pair(n)
         fu, fd = tpot.pair(n)
         total += math.log(I) + fu + fd

@@ -476,8 +476,8 @@ def graph_from_dict(d: dict) -> IndexedGraph:
         tails.append(
             TailSpec(
                 attach=str(td["attach"]),
-                prefix=_index_pairs(td.get("prefix", []), f"tails[{pos}].prefix"),
-                period=_index_pairs(td.get("period", []), f"tails[{pos}].period"),
+                prefix=_pairs(td.get("prefix", []), f"tails[{pos}].prefix"),
+                period=_pairs(td.get("period", []), f"tails[{pos}].period"),
             )
         )
     funnels = []
@@ -485,6 +485,8 @@ def graph_from_dict(d: dict) -> IndexedGraph:
         extra = set(fd) - {"entry_edge", "branching"}
         if extra:
             raise ConfigError(f"funnels[{pos}]: unknown fields {sorted(extra)}")
+        if "entry_edge" not in fd:
+            raise ConfigError(f"funnels[{pos}]: missing field 'entry_edge'")
         funnels.append(
             FunnelSpec(entry_edge=str(fd["entry_edge"]), branching=tuple(fd.get("branching", [2])))
         )
@@ -493,7 +495,13 @@ def graph_from_dict(d: dict) -> IndexedGraph:
     if extra:
         raise ConfigError(f"orders: unknown fields {sorted(extra)}")
     base_vertex = str(orders.get("base_vertex", vertices[0] if vertices else ""))
-    base_value = Fraction(str(orders.get("base_value", 1)))
+    raw_base = orders.get("base_value", 1)
+    try:
+        base_value = Fraction(str(raw_base))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"orders.base_value: must be a rational number, got {raw_base!r}"
+        ) from exc
     return IndexedGraph(
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -513,13 +521,18 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _index_pairs(raw, path):
-    """Tail index pairs [[i(e_n), i(rev e_n)], ...] as a tuple of int pairs."""
+def _is_number(x):
+    # json.load also parses NaN and Infinity
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _pairs(raw, path, check=_is_int, noun="integers"):
+    """Tail pairs [[x(e_n), x(rev e_n)], ...] as a tuple of pairs passing ``check``."""
     if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"{path}: must be a list of index pairs, got {raw!r}")
+        raise ConfigError(f"{path}: must be a list of pairs, got {raw!r}")
     for k, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
-            raise ConfigError(f"{path}[{k}]: must be a pair of integers, got {pair!r}")
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(check, pair)):
+            raise ConfigError(f"{path}[{k}]: must be a pair of {noun}, got {pair!r}")
     return tuple((a, b) for a, b in raw)
 
 

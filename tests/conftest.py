@@ -78,5 +78,63 @@ try:
         return IndexedGraph(
             vertices=vertices, edges=tuple(edges), rev=rev, orig=orig, term=term, index=index
         )
+
+    @st.composite
+    def tailed_graphs(draw):
+        """(graph, potential): a connected unimodular core with at most 3
+        edges plus one ray tail, random edge potentials, and a tail potential
+        whose prefix and period lengths are drawn apart from the tail's own."""
+        from fractions import Fraction
+
+        from treegibbs.gibbs import Potential, TailPotential
+        from treegibbs.graph import IndexedGraph, TailSpec
+
+        index_value = st.integers(min_value=1, max_value=4)
+        n = draw(st.integers(min_value=1, max_value=3))
+        vertices = tuple(f"v{i}" for i in range(n))
+        n_edges = draw(st.integers(min_value=max(1, n - 1), max_value=3))
+        edges, rev, orig, term, index = [], {}, {}, {}, {}
+        # vertex orders: i(e) / i(rev e) = order(term e) / order(orig e)
+        order = [Fraction(1)]
+        for k in range(n_edges):
+            e, eb = f"e{k}", f"e{k}r"
+            if k < n - 1:
+                # the first n - 1 edges form a path, so the core is connected
+                u, w = k, k + 1
+                index[e], index[eb] = draw(index_value), draw(index_value)
+                order.append(order[u] * index[e] / index[eb])
+            else:
+                u = draw(st.integers(min_value=0, max_value=n - 1))
+                w = draw(st.integers(min_value=0, max_value=n - 1))
+                ratio = order[w] / order[u]
+                m = draw(st.integers(min_value=1, max_value=3))
+                index[e], index[eb] = ratio.numerator * m, ratio.denominator * m
+            edges += [e, eb]
+            rev[e], rev[eb] = eb, e
+            orig[e], term[e] = f"v{u}", f"v{w}"
+            orig[eb], term[eb] = f"v{w}", f"v{u}"
+        pair = st.tuples(index_value, index_value)
+        spec = TailSpec(
+            attach=f"v{draw(st.integers(min_value=0, max_value=n - 1))}",
+            prefix=tuple(draw(st.lists(pair, max_size=2))),
+            period=tuple(draw(st.lists(pair, min_size=1, max_size=3))),
+        )
+        g = IndexedGraph(
+            vertices=vertices, edges=tuple(edges), rev=rev, orig=orig, term=term, index=index,
+            tails=(spec,), base_vertex="v0",
+        )
+        value = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+        vpair = st.tuples(value, value)
+        F = Potential(
+            {e: draw(value) for e in edges},
+            (
+                TailPotential(
+                    prefix=tuple(draw(st.lists(vpair, max_size=2))),
+                    period=tuple(draw(st.lists(vpair, min_size=1, max_size=3))),
+                ),
+            ),
+        )
+        return g, F
+
 except ImportError:  # pragma: no cover
     pass

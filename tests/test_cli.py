@@ -190,3 +190,97 @@ def test_one_element_period_pair_exits_2(tmp_path, capsys):
 def test_boolean_index_exits_2(tmp_path, capsys):
     code, err = _analyze_mutated_thick_ray(tmp_path, capsys, lambda d: d["edges"][0].update(index=True))
     assert code == 2 and "edges[0].index" in err
+
+
+def _run(tmp_path, tag, graph, potential=None, command="analyze", **cfg):
+    """(exit code, analyze.json payload or None) of one CLI run on written-out inputs."""
+    if graph is not None:
+        graph_path = tmp_path / f"graph_{tag}.json"
+        graph_path.write_text(json.dumps(graph))
+        cfg["graph"] = str(graph_path)
+    if potential is not None:
+        pot_path = tmp_path / f"pot_{tag}.json"
+        pot_path.write_text(json.dumps(potential))
+        cfg["potential"] = str(pot_path)
+    out = tmp_path / f"out_{tag}"
+    code = main([command, "--config", _write_cfg(tmp_path, tag, **cfg), "--out", str(out)])
+    if command != "analyze" or code != 0:
+        return code, None
+    return code, json.loads((out / "analyze.json").read_text())
+
+
+def _drop_funnel_entry(d):
+    d["funnels"][0].pop("entry_edge")
+
+
+def _bad_base_value(d):
+    d["orders"]["base_value"] = "x"
+
+
+def _tail_values(entry):
+    return {"tail_values": [entry]}
+
+
+@pytest.mark.parametrize(
+    "name, mutate, potential, cfg, field_path",
+    [
+        ("funnel_loop", _drop_funnel_entry, None, {}, "funnels[0]: missing field 'entry_edge'"),
+        ("thick_ray_5", _bad_base_value, None, {}, "orders.base_value"),
+        ("thick_ray_5", None, _tail_values({"period": [[0.1, 0.1]]}), {},
+         "tail_values[0]: missing field 'tail_index'"),
+        ("thick_ray_5", None, _tail_values({"tail_index": [0]}), {}, "tail_values[0].tail_index"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 0.5}), {}, "tail_values[0].tail_index"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 0, "period": [[0.1]]}), {},
+         "tail_values[0].period[0]"),
+        ("single_edge_3", None, None, {"radius": "x"}, "radius"),
+        ("single_edge_3", None, None, {"depth": 4.5}, "depth"),
+        ("single_edge_3", None, None, {"n_max": "40"}, "n_max"),
+        ("single_edge_3", None, None, {"depth": -1}, "depth"),
+        (None, None, None, {"probe": 5}, "probe"),
+        (None, None, None, {"truncations": [0, -3]}, "truncations[1]"),
+    ],
+    ids=[
+        "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
+        "list-tail-index", "fractional-tail-index", "one-element-potential-pair",
+        "string-radius", "fractional-depth", "string-n-max", "negative-depth",
+        "probe-not-an-object", "negative-truncation",
+    ],
+)
+def test_bad_inputs_exit_2_with_a_field_path(
+    tmp_path, capsys, name, mutate, potential, cfg, field_path
+):
+    # a named graph runs analyze; without one, the config is for probe
+    graph = None
+    if name is not None:
+        graph = graph_to_dict(fx.get(name))
+        if mutate:
+            mutate(graph)
+    code, _ = _run(tmp_path, "bad", graph, potential, "analyze" if name else "probe", **cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert field_path in err
+
+
+@pytest.mark.parametrize(
+    "tail_values, written_out",
+    [
+        ({"period": [[0.1, -0.05], [0.02, 0.03]]}, {"period": [[2, 1], [2, 1]]}),
+        ({"prefix": [[0.3, 0.1]], "period": [[0.1, 0.1]]}, {"prefix": [[2, 1]]}),
+    ],
+    ids=["longer-period", "longer-prefix"],
+)
+def test_mismatched_tail_potential_uses_the_joint_period(tmp_path, tail_values, written_out):
+    # the cusp_22 tail has period [[2, 1]]; a potential of another prefix or
+    # period length must give what the same tail written out over the joint
+    # period gives
+    potential = {"tail_values": [dict(tail_index=0, **tail_values)]}
+    graph = graph_to_dict(fx.cusp_ray(2, 2))
+    code, got = _run(tmp_path, "short", graph, potential)
+    assert code == 0
+    graph["tails"][0].update(written_out)
+    code, want = _run(tmp_path, "long", graph, potential)
+    assert code == 0
+    assert got["delta"] == want["delta"] and got["delta_minus"] == want["delta_minus"]
+    got.pop("meta"), want.pop("meta")
+    assert got == want
