@@ -454,7 +454,7 @@ def _cmd_count(cfg):
     }
 
 
-def _probe_fn(spec, kind_default):
+def _probe_fn(name, spec, kind_default):
     kind = spec.get("kind", kind_default)
     if kind == "one_minus_inv":
         return lambda n: 1.0 - 1.0 / (1.0 + abs(n))
@@ -466,14 +466,35 @@ def _probe_fn(spec, kind_default):
     if kind == "geometric":
         a = float(spec.get("value", 0.5))
         return lambda n: a ** abs(n)
-    raise ConfigError(f"unknown probe profile kind {kind!r}")
+    raise ConfigError(f"probe.{name}.kind: unknown probe profile kind {kind!r}")
+
+
+def _probe_profiles(cfg):
+    """(gamma, beta) for the star family, checked on every truncation: each
+    gamma(n) in [0, 1), each beta(n) >= 0, and some beta(n) > 0."""
+    try:
+        gamma = _probe_fn("gamma", cfg.probe_gamma, "one_minus_inv")
+        beta = _probe_fn("beta", cfg.probe_beta, "uniform")
+        # the truncations are nested, so the largest one holds every n
+        top = max(cfg.truncations, default=-1)
+        values = [(n, float(gamma(n)), float(beta(n))) for n in range(-top, top + 1)]
+    except OverflowError as exc:
+        raise ConfigError(f"probe: profile value overflows ({exc})") from exc
+    for n, g, b in values:
+        if not 0.0 <= g < 1.0:
+            raise ConfigError(f"probe.gamma: gamma({n}) = {g!r} outside [0, 1)")
+        if not b >= 0.0:
+            raise ConfigError(f"probe.beta: beta({n}) = {b!r} is negative")
+    low = min(cfg.truncations, default=0)
+    if values and not any(b > 0.0 for n, _, b in values if abs(n) <= low):
+        raise ConfigError(f"probe.beta: beta(n) = 0 for every n in [{-low}, {low}]")
+    return gamma, beta
 
 
 def _cmd_probe(cfg):
     from .wsg import degradation_probe
 
-    gamma = _probe_fn(cfg.probe_gamma, "one_minus_inv")
-    beta = _probe_fn(cfg.probe_beta, "uniform")
+    gamma, beta = _probe_profiles(cfg)
     _progress(f"probing truncations {list(cfg.truncations)}")
     rows = degradation_probe(gamma, beta, cfg.truncations)
     ok_monotone = all(rows[i + 1]["rho"] > rows[i]["rho"] for i in range(len(rows) - 1))

@@ -432,14 +432,25 @@ def _perron_vector(M, lam):
 
 
 def _renewal_exact(g, orders, base):
-    """Rational-arithmetic Perron resummation (bipartite, zero potential)."""
+    """Rational-arithmetic Perron resummation (bipartite, zero potential).
+
+    The guess mu for lambda^2 is the float Perron value squared, rounded to
+    the nearest fraction with denominator at most 10^9.  The exact path runs
+    only when mu is an integer: M^2 has integer entries, so its
+    characteristic polynomial is monic with integer coefficients, and by the
+    rational root theorem a non-integer rational mu is never one of its
+    eigenvalues.  M^2 - mu I is then nonsingular, its null space is empty and
+    there is nothing to resum, so None is returned before any rational
+    elimination.
+    """
     mat, states, _, M = _counting_matrix(g, Potential.zero(g), exact=True)
+    Mf = np.array([[float(x) for x in row] for row in M])
+    mu = Fraction(spectral_radius(Mf) ** 2).limit_denominator(10**9)
+    if mu.denominator != 1:
+        return None
     ext = orders_on(mat, orders)
     n = len(states)
     M2 = [[sum(M[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    Mf = np.array([[float(x) for x in row] for row in M])
-    lam2_float = spectral_radius(Mf) ** 2
-    mu = Fraction(lam2_float).limit_denominator(10**9)
     A = [[Fraction(M2[i][j]) - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     V = _nullspace_fraction(A)
     if not V:

@@ -373,14 +373,50 @@ class SearchOutcome:
     notes: tuple = ()
 
 
-def _minimal_supersolution(mc, Bset, rho, t_boundary):
+@dataclass(frozen=True)
+class _TabooBlock:
+    """The free states of one search and the matrices on them.
+
+    Free states lie outside B, carry no analytic boundary weight and are
+    interior.  Which states are free depends only on B and on which tail
+    states get a boundary weight, not on the candidate rho, so one search
+    builds this once, with the Perron value of the taboo block P_ff.
+    """
+
+    idx: np.ndarray  # free states
+    other: np.ndarray  # every other state
+    block: np.ndarray  # P_ff
+    p_other: np.ndarray  # P restricted to free rows and the other columns
+    rho_ff: float  # spectral radius of P_ff
+
+
+def _taboo_block(mc, Bset, bounded):
+    """The ``_TabooBlock`` for B and the states in ``bounded``, or None when
+    no state is free."""
+    free = [
+        i
+        for i, s in enumerate(mc.states)
+        if s not in Bset and s not in bounded and mc.interior[i]
+    ]
+    if not free:
+        return None
+    fset = set(free)
+    idx = np.array(free, dtype=int)
+    other = np.array([i for i in range(len(mc.states)) if i not in fset], dtype=int)
+    block = mc.p[np.ix_(idx, idx)]
+    return _TabooBlock(idx, other, block, mc.p[np.ix_(idx, other)], spectral_radius(block))
+
+
+def _minimal_supersolution(mc, Bset, rho, t_boundary, taboo):
     """Minimal solution of t_i = (1/rho) sum_j p_ij t_j on the free states.
 
-    Free states are those outside B without an analytic boundary weight.  The
-    series sum_k (P_ff/rho)^k rhs converges iff the taboo spectral radius on
-    the free block is below rho; in that regime the direct linear solve gives
-    the same limit, and infeasibility shows up as a singular system, a
-    non-positive entry, or a weight beyond the cap.
+    Free states are those outside B without an analytic boundary weight;
+    ``taboo`` is their ``_TabooBlock`` (None when there are none).  The
+    series sum_k (P_ff/rho)^k rhs converges iff the taboo spectral radius
+    rho(P_ff) is below rho, so a rho at or below the Perron value computed
+    once per search is rejected without a solve.  Above it the direct linear
+    solve gives the same limit, and infeasibility shows up as a singular
+    system, a non-positive entry, or a weight beyond the cap.
     """
     t = np.ones(len(mc.states))
     for i, s in enumerate(mc.states):
@@ -388,29 +424,18 @@ def _minimal_supersolution(mc, Bset, rho, t_boundary):
             t[i] = 1.0
         elif s in t_boundary:
             t[i] = t_boundary[s]
-    free = [
-        i
-        for i, s in enumerate(mc.states)
-        if s not in Bset and s not in t_boundary and mc.interior[i]
-    ]
-    if not free:
+    if taboo is None:
         return t
-    fset = set(free)
-    idx = np.array(free, dtype=int)
-    other = np.array([i for i in range(len(mc.states)) if i not in fset], dtype=int)
-    block = mc.p[np.ix_(idx, idx)]
-    # the Neumann series defining the minimal supersolution converges iff the
-    # taboo spectral radius on the free block is below rho
-    if spectral_radius(block) >= rho:
+    if taboo.rho_ff >= rho:
         return None
-    rhs = (mc.p[np.ix_(idx, other)] @ t[other]) / rho
+    rhs = (taboo.p_other @ t[taboo.other]) / rho
     try:
-        sol = np.linalg.solve(np.eye(len(idx)) - block / rho, rhs)
+        sol = np.linalg.solve(np.eye(len(taboo.idx)) - taboo.block / rho, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(sol).all() or sol.min() <= 0 or sol.max() > VALUE_CAP:
         return None
-    t[idx] = sol
+    t[taboo.idx] = sol
     return t
 
 
@@ -420,6 +445,9 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     Finite chains: minimal-supersolution solve with t = 1 on B.  Tailed
     chains: analytic tail feasibility at the candidate ratio, a core solve for
     any states left outside B, and a tail rescaling loop for the junctions.
+    The free states, their taboo block P_ff and its Perron value rho(P_ff) do
+    not depend on the candidate, so they are computed once per search; a
+    candidate at or below rho(P_ff) is rejected without a linear solve.
     """
     mat = mc.meta.get("mat")
     has_tails = bool(mat is not None and mat.core.tails)
@@ -429,6 +457,11 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         Bset = {s for s in mc.states if mat.edge_meta[s][0] == "core"}
     else:
         Bset = {mc.states[0]}
+    # tail states outside B take their weights from the analytic forms
+    bounded = [
+        s for s in mc.states if has_tails and mat.edge_meta[s][0] == "tail" and s not in Bset
+    ]
+    taboo = _taboo_block(mc, Bset, set(bounded))
 
     def tail_feasible(rho):
         forms = [None] * len(mat.core.tails) if has_tails else []
@@ -461,13 +494,10 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         # solve: iterate the pair a few times
         for _ in range(8):
             boundary = {}
-            if has_tails:
-                for i, s in enumerate(mc.states):
-                    meta = mat.edge_meta[s]
-                    if meta[0] == "tail" and s not in Bset:
-                        _, t, n, up = meta
-                        boundary[s] = forms[t].value(n, up)
-            t_vec = _minimal_supersolution(mc, Bset, rho, boundary)
+            for s in bounded:
+                _, t, n, up = mat.edge_meta[s]
+                boundary[s] = forms[t].value(n, up)
+            t_vec = _minimal_supersolution(mc, Bset, rho, boundary, taboo)
             if t_vec is None:
                 return None
             t_core = {

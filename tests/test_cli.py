@@ -238,12 +238,30 @@ def _tail_values(entry):
         ("single_edge_3", None, None, {"depth": -1}, "depth"),
         (None, None, None, {"probe": 5}, "probe"),
         (None, None, None, {"truncations": [0, -3]}, "truncations[1]"),
+        (None, None, None, {"probe": {"gamma": {"kind": "geometric"}}, "truncations": [2]},
+         "probe.gamma: gamma(0) = 1.0 outside [0, 1)"),
+        (None, None, None, {"probe": {"gamma": {"kind": "constant", "value": 1}}, "truncations": [2]},
+         "probe.gamma: gamma(-2) = 1.0"),
+        (None, None, None, {"probe": {"gamma": {"kind": "uniform"}}, "truncations": [1]},
+         "probe.gamma: gamma(-1) = 1.0"),
+        (None, None, None, {"probe": {"beta": {"kind": "constant", "value": -0.5}}, "truncations": [2]},
+         "probe.beta: beta(-2) = -0.5"),
+        (None, None, None, {"probe": {"beta": {"kind": "constant", "value": 0}}, "truncations": [2]},
+         "probe.beta: beta(n) = 0 for every n in [-2, 2]"),
+        # beta(0) = 0, so the smallest truncation has no positive beta
+        (None, None, None, {"probe": {"beta": {"kind": "one_minus_inv"}}, "truncations": [3, 0]},
+         "probe.beta: beta(n) = 0 for every n in [0, 0]"),
+        (None, None, None, {"probe": {"beta": {"kind": "geometric", "value": 1e10}}, "truncations": [80]},
+         "probe: profile value overflows"),
+        (None, None, None, {"probe": {"gamma": {"kind": "cubic"}}}, "probe.gamma.kind"),
     ],
     ids=[
         "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
         "list-tail-index", "fractional-tail-index", "one-element-potential-pair",
         "string-radius", "fractional-depth", "string-n-max", "negative-depth",
-        "probe-not-an-object", "negative-truncation",
+        "probe-not-an-object", "negative-truncation", "geometric-gamma", "constant-gamma-one",
+        "uniform-gamma", "negative-beta", "zero-beta", "zero-beta-on-the-smallest-truncation",
+        "overflowing-beta", "unknown-profile-kind",
     ],
 )
 def test_bad_inputs_exit_2_with_a_field_path(

@@ -20,7 +20,7 @@ from treegibbs.counting import (
 from treegibbs.cover import build_cover_ball, cover_census
 from treegibbs.errors import GraphError, NormalizationMismatchError
 from treegibbs.gibbs import Potential
-from treegibbs.graph import materialize, propagate_orders
+from treegibbs.graph import graph_from_dict, materialize, propagate_orders
 
 
 def test_sphere_sizes_formula():
@@ -303,3 +303,59 @@ def test_sphere_partial_sums_match_oracle_lift_counts():
         for J in range(9):
             want = sum(sphere_size(params, j) for j in range(J + 1))
             assert rep.cumulative(2 * J) == want, (qd, qdp, J)
+
+
+def _core_edges(pairs):
+    return [
+        half
+        for k, (u, v) in enumerate(pairs)
+        for half in (
+            {"id": f"e{k}", "rev": f"e{k}r", "from": u, "to": v, "index": 1},
+            {"id": f"e{k}r", "rev": f"e{k}", "from": v, "to": u, "index": 1},
+        )
+    ]
+
+
+# A bipartite 4-cycle a-b-c-d with a-b tripled and c-d doubled (degrees 4, 4,
+# 3, 3; 14 states); lambda^2 = 6.6293... is not an integer.
+CORE_4_3 = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": _core_edges(
+        [("a", "b"), ("a", "b"), ("a", "b"), ("b", "c"), ("c", "d"), ("c", "d"), ("d", "a")]
+    ),
+    "tails": [],
+    "funnels": [],
+    "orders": {"base_vertex": "a", "base_value": "1"},
+}
+
+
+def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkeypatch):
+    import treegibbs.counting as counting
+
+    g = graph_from_dict(CORE_4_3)
+    orders = propagate_orders(g)
+    want = counting._renewal_float(g, orders, Potential.zero(g), g.base_vertex)
+
+    def forbidden(A):
+        raise AssertionError("rational elimination at a non-integer lambda^2")
+
+    monkeypatch.setattr(counting, "_nullspace_fraction", forbidden)
+    got = renewal_constant(g, orders)
+    assert got.method == "perron-float"
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, exact, growth_sq",
+    [
+        ("single_edge_3", Fraction(6), Fraction(4)),
+        ("biregular_24", Fraction(12, 7), Fraction(8)),
+        ("biregular_44", Fraction(4, 3), Fraction(16)),
+    ],
+)
+def test_renewal_exact_path_still_hits(name, exact, growth_sq):
+    g = fx.get(name)
+    rc = renewal_constant(g, propagate_orders(g))
+    assert rc.method == "perron-exact"
+    assert rc.exact == exact and rc.growth_sq == growth_sq
+    assert rc.value == float(exact)

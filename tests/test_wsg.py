@@ -1,13 +1,23 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import pipeline
-from treegibbs.chain import MarkovChain, counterexample_chain
+from conftest import FINITE_FIXTURES, TAILED_FIXTURES, pipeline
+from treegibbs.chain import MarkovChain, build_chain, counterexample_chain
 from treegibbs.errors import NoGeometricDriftError
+from treegibbs.gibbs import compute_gibbs, spectral_radius
+from treegibbs.graph import graph_from_dict, propagate_orders, tail_edge_id
 from treegibbs.wsg import (
+    VALUE_CAP,
     DriftCertificate,
+    SearchOutcome,
+    TailWeightForm,
+    _cusp_weights,
+    _geometric_best,
+    _period_p_up,
+    _tail_block,
     degradation_probe,
     lemma_bound_check,
     search_certificate,
@@ -182,3 +192,201 @@ def test_search_with_core_subset_on_tailed_chain():
     out = search_certificate(mc, B0=core[:1])
     assert out.feasible and out.infimum_rho < 1.0
     assert verify_certificate(mc, out.certificate).ok
+
+
+# ---------------------------------------------------------------------------
+# the search against its per-probe reference
+
+
+def _reference_minimal_supersolution(mc, Bset, rho, t_boundary):
+    """The free block and its spectral radius rebuilt at every probe."""
+    t = np.ones(len(mc.states))
+    for i, s in enumerate(mc.states):
+        if s in Bset:
+            t[i] = 1.0
+        elif s in t_boundary:
+            t[i] = t_boundary[s]
+    free = [
+        i
+        for i, s in enumerate(mc.states)
+        if s not in Bset and s not in t_boundary and mc.interior[i]
+    ]
+    if not free:
+        return t
+    fset = set(free)
+    idx = np.array(free, dtype=int)
+    other = np.array([i for i in range(len(mc.states)) if i not in fset], dtype=int)
+    block = mc.p[np.ix_(idx, idx)]
+    if spectral_radius(block) >= rho:
+        return None
+    rhs = (mc.p[np.ix_(idx, other)] @ t[other]) / rho
+    try:
+        sol = np.linalg.solve(np.eye(len(idx)) - block / rho, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all() or sol.min() <= 0 or sol.max() > VALUE_CAP:
+        return None
+    t[idx] = sol
+    return t
+
+
+def _reference_search(mc, B0=None, rho_tol=1e-6):
+    """Bisection on rho with the free block's Perron value found per probe."""
+    mat = mc.meta.get("mat")
+    has_tails = bool(mat is not None and mat.core.tails)
+    if B0 is not None:
+        Bset = set(B0)
+    elif has_tails:
+        Bset = {s for s in mc.states if mat.edge_meta[s][0] == "core"}
+    else:
+        Bset = {mc.states[0]}
+
+    def tail_feasible(rho):
+        forms = [None] * len(mat.core.tails) if has_tails else []
+        if not has_tails:
+            return forms
+        for t, spec in enumerate(mat.core.tails):
+            got = None
+            if spec.is_cuspidal():
+                blk = _tail_block(mc, t)
+                if rho > math.prod(_period_p_up(blk)) ** (1.0 / (2 * blk["period"])):
+                    got = _cusp_weights(mc, t, 1.0 / rho)
+            if got is None:
+                xi, scale, r_geo = _geometric_best(mc, t)
+                if scale is not None and r_geo <= rho:
+                    got = TailWeightForm("geometric", {"xi": xi, "scale": scale})
+            if got is None:
+                return None
+            forms[t] = got
+        return forms
+
+    def feasible(rho):
+        forms = tail_feasible(rho)
+        if forms is None:
+            return None
+        for _ in range(8):
+            boundary = {}
+            if has_tails:
+                for s in mc.states:
+                    meta = mat.edge_meta[s]
+                    if meta[0] == "tail" and s not in Bset:
+                        _, t, n, up = meta
+                        boundary[s] = forms[t].value(n, up)
+            t_vec = _reference_minimal_supersolution(mc, Bset, rho, boundary)
+            if t_vec is None:
+                return None
+            t_core = {
+                s: float(t_vec[i])
+                for i, s in enumerate(mc.states)
+                if (mat is None or mat.edge_meta[s][0] == "core")
+            }
+            cert = DriftCertificate(t_core, tuple(sorted(Bset)), rho, tuple(forms), "search")
+            if verify_certificate(mc, cert).ok:
+                return cert
+            if not has_tails:
+                return None
+            bumped = False
+            for t in range(len(mat.core.tails)):
+                r1 = tail_edge_id(t, 1, False)
+                if r1 not in mc.states or r1 in Bset:
+                    continue
+                i1 = mc.pos(r1)
+                acc = sum(
+                    mc.p[i1, int(j)] * cert.weight(mc, mc.states[int(j)])
+                    for j in np.nonzero(mc.p[i1])[0]
+                )
+                ratio = acc / cert.weight(mc, r1)
+                if ratio > rho:
+                    forms[t] = forms[t].scaled(ratio / rho * (1.0 + 1e-9))
+                    bumped = True
+            if not bumped:
+                return None
+        return None
+
+    hi = 1.0 - 1e-9
+    top = feasible(hi)
+    if top is None:
+        return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
+    lo, best = 0.0, top
+    while hi - lo > rho_tol:
+        mid = 0.5 * (lo + hi)
+        cand = feasible(mid)
+        if cand is not None:
+            best, hi = cand, mid
+        else:
+            lo = mid
+    return SearchOutcome(best, True, hi, ())
+
+
+def _random_unimodular_chain(seed):
+    """Chain of a random connected core on 2..20 vertices with symmetric
+    indices (so unimodular), every lift degree at least 3."""
+    rng = random.Random(seed)
+    V = rng.randint(2, 20)
+    pairs = [(rng.randrange(v), v) for v in range(1, V)]
+    pairs += [tuple(rng.sample(range(V), 2)) for _ in range(rng.randint(1, V))]
+    index = [rng.randint(1, 3) for _ in pairs]
+    for v in range(V):
+        k = next(k for k, p in enumerate(pairs) if v in p)
+        lift = sum(i for p, i in zip(pairs, index) if v in p)
+        index[k] += max(0, 3 - lift)
+    edges = []
+    for k, ((u, v), i) in enumerate(zip(pairs, index)):
+        edges += [
+            {"id": f"e{k}", "rev": f"e{k}r", "from": f"v{u}", "to": f"v{v}", "index": i},
+            {"id": f"e{k}r", "rev": f"e{k}", "from": f"v{v}", "to": f"v{u}", "index": i},
+        ]
+    g = graph_from_dict(
+        {
+            "vertices": [f"v{k}" for k in range(V)],
+            "edges": edges,
+            "tails": [],
+            "funnels": [],
+            "orders": {"base_vertex": "v0", "base_value": "1"},
+        }
+    )
+    return build_chain(g, compute_gibbs(g), propagate_orders(g))
+
+
+def _search_cases():
+    for name in FINITE_FIXTURES:
+        mc = pipeline(name)[3]
+        yield name, mc, None
+        yield f"{name}-B2", mc, tuple(mc.states[:2])
+    gamma = lambda n: 1.0 - 1.0 / (1.0 + abs(n))
+    for N in range(2, 9):
+        yield f"star-{N}", counterexample_chain(gamma, lambda n: 1.0, N), ("inf",)
+    for seed in range(6):
+        yield f"unimodular-{seed}", _random_unimodular_chain(seed), None
+    yield "birth-death", birth_death_chain(), ("0", "30")
+    yield "drifting-birth-death", birth_death_chain(N=25, p_fwd=0.9), ("0",)
+    # one core state in B leaves the other free; "c" steps into the tail
+    for name in TAILED_FIXTURES:
+        mc = pipeline(name)[3]
+        for s in mc.states:
+            if not s.startswith("~"):
+                yield f"{name}-{s}", mc, (s,)
+
+
+def test_search_matches_the_per_probe_reference(monkeypatch):
+    import treegibbs.wsg as wsg
+
+    calls = []
+
+    def counted(T):
+        calls.append(T.shape)
+        return spectral_radius(T)
+
+    monkeypatch.setattr(wsg, "spectral_radius", counted)
+    for name, mc, B0 in _search_cases():
+        want = _reference_search(mc, B0)
+        calls.clear()
+        got = search_certificate(mc, B0)
+        assert len(calls) <= 1, name
+        assert got.feasible == want.feasible, name
+        assert got.infimum_rho == want.infimum_rho, name
+        if want.certificate is None:
+            assert got.certificate is None, name
+            continue
+        assert got.certificate.rho == want.certificate.rho, name
+        assert got.certificate.t_core == want.certificate.t_core, name
