@@ -1,10 +1,12 @@
 """Print a sha256 digest of every CLI artifact over the shipped fixtures.
 
 Runs analyze, chain, wsg, mix and count on every config under fixtures/,
-plus probe with its default settings, and prints one ``exit <code>  <run>``
-line per run followed by one ``<sha256>  <run>/<file>`` line per artifact,
-where ``<run>`` is ``<command>_<fixture>`` (or ``probe``).  Each config names
-its graph by a path relative to the config file, so the input hash stamped
+plus probe with its default settings, then the same five commands on a few
+tailed fixtures with a tail potential (``POTENTIAL_RUNS``).  It prints one
+``exit <code>  <run>`` line per run followed by one ``<sha256>  <run>/<file>``
+line per artifact, where ``<run>`` is ``<command>_<fixture>`` (or ``probe``,
+or ``<command>_<fixture>+<potential>``).  Each config names its graph and
+potential by paths relative to the config file, so the input hash stamped
 into the artifacts does not depend on where the checkout lives.  Diffing the
 output of two checkouts lists the artifacts whose bytes differ.
 
@@ -26,6 +28,15 @@ from treegibbs.cli import main as cli_main
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 GRAPH_COMMANDS = ("analyze", "chain", "wsg", "mix", "count")
 
+# (fixture, name, potential): tail potentials whose prefix or period length
+# differs from the tail's own, so the chain and its tail blocks follow the
+# joint period
+POTENTIAL_RUNS = (
+    ("cusp_22", "period2", {"period": [[0.1, -0.05], [0.02, 0.03]]}),
+    ("cusp_22", "prefix1", {"prefix": [[0.3, 0.1]], "period": [[0.1, 0.1]]}),
+    ("thick_ray_5", "period2", {"period": [[0.1, -0.05], [-0.2, 0.03]]}),
+)
+
 
 def _runs():
     names = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR) if f.endswith(".json"))
@@ -33,11 +44,20 @@ def _runs():
         for name in names:
             yield f"{cmd}_{name}", cmd, {"graph": f"graphs/{name}.json"}
     yield "probe", "probe", {}
+    for cmd in GRAPH_COMMANDS:
+        for name, pot, _ in POTENTIAL_RUNS:
+            config = {"graph": f"graphs/{name}.json", "potential": f"potentials/{name}+{pot}.json"}
+            yield f"{cmd}_{name}+{pot}", cmd, config
 
 
 def digest_lines(work):
     """Run every command on every fixture under ``work``; yield the output lines."""
     shutil.copytree(FIXTURE_DIR, os.path.join(work, "graphs"))
+    os.makedirs(os.path.join(work, "potentials"))
+    for name, pot, tail_values in POTENTIAL_RUNS:
+        path = os.path.join(work, "potentials", f"{name}+{pot}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"tail_values": [dict(tail_index=0, **tail_values)]}, fh)
     for run, cmd, config in _runs():
         cfg = os.path.join(work, f"{run}.json")
         with open(cfg, "w", encoding="utf-8") as fh:

@@ -4,8 +4,10 @@ States are the quotient oriented edges carrying positive cylinder mass.
 Transitions p_ij = m(s_i, s_j) exp(F(s_j) - delta) u+(s_j) / u+(s_i) and the
 stationary weights pi_j proportional to u-(rev s_j) u+(s_j) exp(F(s_j) - delta)
 divided by the edge order.  Tails are materialized to the shadow depth; their
-transition probabilities become exactly periodic past the prefix, which gives
-closed-form tail mass and analytic continuation beyond the window.
+transition probabilities are periodic from the tail's joint period on (the
+first level and the length ``compute_gibbs`` records per tail in
+``GibbsData.tail_periods``), which gives closed-form tail mass and the
+``TailBlock`` records that drift certificates continue beyond the window.
 """
 
 from __future__ import annotations
@@ -23,6 +25,28 @@ PI_REMAINDER_TOL = 1e-13
 
 
 @dataclass(frozen=True)
+class TailBlock:
+    """Transition probabilities along one tail, periodic from ``start`` on.
+
+    ``start`` and ``period`` are the tail's joint period.  The maps send a
+    level n to p(e_n -> e_{n+1}) (``p_up``), p(e_n -> r_n) (``p_turn``),
+    p(r_n -> r_{n-1}) (``p_dn``) and p(r_n -> e_n) (``p_re``), with e_n the up
+    and r_n the down state at level n; ``p_dn`` and ``p_re`` start at level 2.
+    """
+
+    start: int
+    period: int
+    p_up: dict
+    p_turn: dict
+    p_dn: dict
+    p_re: dict
+
+    def period_p_up(self):
+        """p_up over one period, taken one period past the periodic onset."""
+        return [self.p_up[self.start + self.period + off] for off in range(self.period)]
+
+
+@dataclass(frozen=True)
 class MarkovChain:
     states: tuple
     p: np.ndarray
@@ -34,7 +58,8 @@ class MarkovChain:
     lam: np.ndarray = None
     m_mass: float = None
     tail_remainder: float = 0.0
-    meta: dict = field(default_factory=dict)
+    mat: object = None  # the MaterializedGraph the states live on
+    tails: tuple = ()  # TailBlock per tail of mat
     _pos: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -57,7 +82,7 @@ class MarkovChain:
         return -1
 
     @staticmethod
-    def from_kernel(states, p, pi=None, interior=None, meta=None):
+    def from_kernel(states, p, pi=None, interior=None):
         """Wrap an explicit stochastic kernel (counterexample chains, tests)."""
         p = np.asarray(p, dtype=float)
         states = tuple(states)
@@ -79,7 +104,6 @@ class MarkovChain:
             period=period,
             classes=classes,
             interior=interior,
-            meta=meta or {},
         )
 
 
@@ -133,7 +157,7 @@ def build_chain(g, gd, orders, depth=None):
             if f in pos:
                 P[pos[e], pos[f]] = m * math.exp(fvals[f] - delta) * up[f] / up[e]
     lamvec = np.array([lam[s] for s in states])
-    remainder, blocks = _tail_mass_beyond(mat, lam)
+    remainder = _tail_mass_beyond(mat, lam, gd.tail_periods)
     m_mass = float(lamvec.sum() + remainder)
     if remainder / m_mass > PI_REMAINDER_TOL:
         raise DivergenceError(
@@ -147,7 +171,6 @@ def build_chain(g, gd, orders, depth=None):
     if core_idx and len(sccs(from_matrix(adj[np.ix_(core_idx, core_idx)]))) != 1:
         raise ReducibleChainError("chain support splits into non-communicating pieces")
     period, classes = _period_and_classes(adj)
-    meta = {"tail_blocks": _tail_blocks(mat, P, pos), "mat": mat}
     return MarkovChain(
         states=states,
         p=P,
@@ -159,7 +182,11 @@ def build_chain(g, gd, orders, depth=None):
         lam=lamvec,
         m_mass=m_mass,
         tail_remainder=float(remainder),
-        meta=meta,
+        mat=mat,
+        tails=tuple(
+            _tail_block(P, pos, t, depth, start, L)
+            for t, (start, L) in enumerate(gd.tail_periods)
+        ),
     )
 
 
@@ -196,14 +223,13 @@ def _structural_support(mat):
     return {e for e in states if pos[e] in fwd and pos[mat.rev[e]] in fwd}
 
 
-def _tail_mass_beyond(mat, lam):
-    """Closed-form cylinder mass past the materialized window, per tail."""
+def _tail_mass_beyond(mat, lam, tail_periods):
+    """Closed-form cylinder mass past the materialized window, summed over the
+    tails, each with its (first periodic level, period length)."""
     total = 0.0
-    ratios = {}
-    for t, spec in enumerate(mat.core.tails):
-        L = len(spec.period)
-        D = mat.depth
-        if D < spec.period_start + 3 * L:
+    D = mat.depth
+    for t, (start, L) in enumerate(tail_periods):
+        if D < start + 3 * L:
             raise DivergenceError(f"depth {D} too shallow for tail {t} mass resummation")
 
         def block(d0):
@@ -221,55 +247,29 @@ def _tail_mass_beyond(mat, lam):
         if rho >= 1.0 - 1e-12:
             raise DivergenceError(f"tail {t} cylinder mass does not decay (ratio {rho})")
         total += s_last * rho / (1.0 - rho)
-        ratios[t] = rho
-    return total, ratios
+    return total
 
 
-def _tail_blocks(mat, P, pos):
-    """Per-tail eventually-periodic transition data (for drift certificates)."""
-    blocks = {}
-    for t, spec in enumerate(mat.core.tails):
-        L = len(spec.period)
-        D = mat.depth
+def _tail_block(P, pos, t, depth, start, L):
+    """The ``TailBlock`` of tail t, read off the kernel P up to ``depth``."""
 
-        def p_at(a, b):
-            ia, ib = pos.get(a), pos.get(b)
-            if ia is None or ib is None:
-                return 0.0
-            return float(P[ia, ib])
+    def p_at(a, b):
+        ia, ib = pos.get(a), pos.get(b)
+        if ia is None or ib is None:
+            return 0.0
+        return float(P[ia, ib])
 
-        p_up, p_turn, p_dn, p_re = {}, {}, {}, {}
-        for nlv in range(1, D):
-            e_n = tail_edge_id(t, nlv, True)
-            e_n1 = tail_edge_id(t, nlv + 1, True)
-            r_n = tail_edge_id(t, nlv, False)
-            r_n1 = tail_edge_id(t, nlv + 1, False)
-            p_up[nlv] = p_at(e_n, e_n1)
-            p_turn[nlv] = p_at(e_n, r_n)
-            p_dn[nlv + 1] = p_at(r_n1, r_n)
-            p_re[nlv + 1] = p_at(r_n1, e_n1)
-        # periodic onset: earliest level from which values repeat with period L
-        start = None
-        for cand in range(spec.period_start, D - 2 * L):
-            okc = True
-            for off in range(L):
-                for arr in (p_up, p_turn):
-                    a = arr.get(cand + off)
-                    b = arr.get(cand + off + L)
-                    if a is None or b is None or abs(a - b) > 1e-11:
-                        okc = False
-            if okc:
-                start = cand
-                break
-        blocks[t] = {
-            "period": L,
-            "start": start,
-            "p_up": p_up,
-            "p_turn": p_turn,
-            "p_dn": p_dn,
-            "p_re": p_re,
-        }
-    return blocks
+    p_up, p_turn, p_dn, p_re = {}, {}, {}, {}
+    for nlv in range(1, depth):
+        e_n = tail_edge_id(t, nlv, True)
+        e_n1 = tail_edge_id(t, nlv + 1, True)
+        r_n = tail_edge_id(t, nlv, False)
+        r_n1 = tail_edge_id(t, nlv + 1, False)
+        p_up[nlv] = p_at(e_n, e_n1)
+        p_turn[nlv] = p_at(e_n, r_n)
+        p_dn[nlv + 1] = p_at(r_n1, r_n)
+        p_re[nlv + 1] = p_at(r_n1, e_n1)
+    return TailBlock(start, L, p_up, p_turn, p_dn, p_re)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     stat = np.abs(flow - pi)
     max_stat = float(stat[inter].max()) if inter.any() else 0.0
     max_cyl = 0.0
-    mat = mc.meta.get("mat")
+    mat = mc.mat
     if mc.lam is not None and mc.orders is not None and gd is not None and mat is not None:
         # direct two-edge cylinder mass vs pi_j p_jk on a full sweep
         for i, si in enumerate(mc.states):
@@ -475,6 +475,7 @@ class MixingFit:
     r2: float
     n_points: int
     exact: bool
+    p_kn: tuple = ()  # p^{(kn)}_{ij} for n = 1..n_max // k
 
 
 def mixing_rate_estimate(mc: MarkovChain, i, j, n_max, skip=5, floor=1e-14) -> MixingFit:
@@ -486,17 +487,16 @@ def mixing_rate_estimate(mc: MarkovChain, i, j, n_max, skip=5, floor=1e-14) -> M
     target = k * mc.pi_of(j)
     v = np.zeros(len(mc.states))
     v[mc.pos(i)] = 1.0
-    ns, ds = [], []
-    steps = n_max // k
-    for n in range(1, steps + 1):
+    p_kn = []
+    for _ in range(n_max // k):
         for _ in range(k):
             v = v @ mc.p
-        d = abs(v[mc.pos(j)] - target)
-        ns.append(n)
-        ds.append(d)
-    pts = [(n, d) for n, d in zip(ns, ds) if n > skip and d > floor]
+        p_kn.append(float(v[mc.pos(j)]))
+    p_kn = tuple(p_kn)
+    pts = [(n, abs(p - target)) for n, p in enumerate(p_kn, start=1)]
+    pts = [(n, d) for n, d in pts if n > skip and d > floor]
     if not pts:
-        return MixingFit(0.0, 0.0, 1.0, 0, True)
+        return MixingFit(0.0, 0.0, 1.0, 0, True, p_kn)
     if len(pts) < 3:
         # too short for a least-squares fit; fall back to the last ratio
         if len(pts) == 2 and pts[0][1] > 0:
@@ -504,7 +504,7 @@ def mixing_rate_estimate(mc: MarkovChain, i, j, n_max, skip=5, floor=1e-14) -> M
         else:
             th = 0.0
         c = pts[-1][1] / th ** pts[-1][0] if 0 < th < 1 else pts[-1][1]
-        return MixingFit(float(th), float(c), 1.0, len(pts), False)
+        return MixingFit(float(th), float(c), 1.0, len(pts), False, p_kn)
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.log(np.array([p[1] for p in pts]))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -512,7 +512,7 @@ def mixing_rate_estimate(mc: MarkovChain, i, j, n_max, skip=5, floor=1e-14) -> M
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return MixingFit(float(math.exp(slope)), float(math.exp(intercept)), r2, len(pts), False)
+    return MixingFit(float(math.exp(slope)), float(math.exp(intercept)), r2, len(pts), False, p_kn)
 
 
 def second_eigenvalue_modulus(mc: MarkovChain, class_index=0):
@@ -618,4 +618,4 @@ def counterexample_chain(gammas, betas, truncation):
     pi[0] = 1.0 / z
     for k, n in enumerate(sats, start=1):
         pi[k] = pi[0] * b[n] / (1.0 - g[n])
-    return MarkovChain.from_kernel(states, P, pi, meta={"family": "star", "N": N})
+    return MarkovChain.from_kernel(states, P, pi)

@@ -60,6 +60,7 @@ NUMERIC_ERRORS = (
     NoGeometricDriftError,
     ZeroShadowError,
     NormalizationMismatchError,
+    OverflowError,  # e.g. exp of a large finite potential value
 )
 
 
@@ -135,7 +136,10 @@ def parse_config(argv=None):
     n_max = nonneg_int("n_max", 40) if ns.nmax is None else ns.nmax
     if n_max < 0 or n_max > 10_000:
         raise ConfigError("n_max: outside the resource guard")
-    depth = max(nonneg_int("depth", 80), n_max + 8)
+    depth = nonneg_int("depth", 80)
+    if depth > 10_000:
+        raise ConfigError("depth: outside the resource guard")
+    depth = max(depth, n_max + 8)
     for name in ("graph", "potential", "out"):
         if not isinstance(raw.get(name, ""), (str, type(None))):
             raise ConfigError(f"{name}: must be a path, got {raw[name]!r}")
@@ -360,20 +364,17 @@ def _cmd_mix(cfg):
     k, classes, _ = periodic_classes(mc)
     i = j = classes[0][0]
     fit = mixing_rate_estimate(mc, i, j, cfg.n_max)
-    rows = []
-    import numpy as np
-
-    v = np.zeros(len(mc.states))
-    v[mc.pos(i)] = 1.0
     target = k * mc.pi_of(j)
-    for n in range(1, cfg.n_max // k + 1):
-        for _ in range(k):
-            v = v @ mc.p
-        d = abs(float(v[mc.pos(j)]) - target)
-        env = fit.C * fit.theta**n if fit.theta > 0 else 0.0
-        rows.append(
-            {"n": n, "p_kn": float(v[mc.pos(j)]), "pi_k": target, "dist": d, "envelope": env}
-        )
+    rows = [
+        {
+            "n": n,
+            "p_kn": p,
+            "pi_k": target,
+            "dist": abs(p - target),
+            "envelope": fit.C * fit.theta**n if fit.theta > 0 else 0.0,
+        }
+        for n, p in enumerate(fit.p_kn, start=1)
+    ]
     mr = mean_return_time(mc, j, cfg.n_max)
     horizon = min(cfg.n_max, 40)
     B = (i,)

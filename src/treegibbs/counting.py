@@ -12,7 +12,7 @@ formulas provide the literal main terms to compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -611,13 +611,13 @@ class CountReport:
     kappa_hat: float
     ratio_full: tuple  # full main term / oracle
     ratio_constants: float  # cone constant / full constant
-    meta: dict = field(default_factory=dict)
+    delta: float
+    renewal_method: str  # how cstar was obtained (RenewalConstant.method)
 
     def rows(self):
         out = []
-        e2d = self.meta.get("delta")
         for idx, n in enumerate(self.ns):
-            geom = self.cstar * math.exp(2.0 * e2d * n)
+            geom = self.cstar * math.exp(2.0 * self.delta * n)
             out.append(
                 {
                     "n": n,
@@ -675,5 +675,6 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
         kappa_hat=kappa,
         ratio_full=ratio_full,
         ratio_constants=terms[0].cone_constant / terms[0].full_constant,
-        meta={"delta": delta, "renewal_method": rc.method},
+        delta=delta,
+        renewal_method=rc.method,
     )

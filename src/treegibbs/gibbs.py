@@ -757,6 +757,7 @@ class GibbsData:
     residual_minus: float
     normalization: dict
     method: dict = field(default_factory=dict)
+    tail_periods: tuple = ()  # per tail, its ``_joint_period`` (start, length)
 
 
 def compute_gibbs(
@@ -804,6 +805,7 @@ def compute_gibbs(
         residual_minus=res_m,
         normalization=record,
         method=dict(ce.method, s_tail=ce.s_tail),
+        tail_periods=tuple(_joint_period(spec, F.tail(t)) for t, spec in enumerate(g.tails)),
     )
 
 

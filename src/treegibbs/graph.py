@@ -522,8 +522,14 @@ def _is_int(x):
 
 
 def _is_number(x):
-    # json.load also parses NaN and Infinity
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    # json.load also parses NaN, Infinity and integers beyond the float range
+    if not _is_int(x):
+        return isinstance(x, float) and math.isfinite(x)
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _pairs(raw, path, check=_is_int, noun="integers"):

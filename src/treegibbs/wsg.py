@@ -82,7 +82,7 @@ class DriftCertificate:
     def weight(self, mc: MarkovChain, state):
         if state in self.t_core:
             return float(self.t_core[state])
-        mat = mc.meta.get("mat")
+        mat = mc.mat
         if mat is not None and state in mat.edge_meta:
             meta = mat.edge_meta[state]
             if meta[0] == "tail":
@@ -156,25 +156,18 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
 
 def _symbolic_tail_check(mc, cert, tol):
     """Drift inequality on the eventually-periodic tail blocks, one period exactly."""
-    blocks = mc.meta.get("tail_blocks") or {}
     notes = []
     ok = True
-    for t, blk in blocks.items():
+    for t, blk in enumerate(mc.tails):
         if t >= len(cert.tails) or cert.tails[t] is None:
             continue
         tf = cert.tails[t]
-        start, L = blk["start"], blk["period"]
-        if start is None:
-            notes.append(f"tail {t}: no periodic onset detected")
-            ok = False
-            continue
+        start, L = blk.start, blk.period
         base = start + 2 * L  # safely inside the periodic regime
         for off in range(L):
             n = base + off
-            pu, pt = blk["p_up"].get(n), blk["p_turn"].get(n)
-            pd, pr = blk["p_dn"].get(n), blk["p_re"].get(n)
-            if pu is None or pd is None:
-                continue
+            pu, pt = blk.p_up[n], blk.p_turn[n]
+            pd, pr = blk.p_dn[n], blk.p_re[n]
             up_ratio = (pu * tf.value(n + 1, True) + pt * tf.value(n, False)) / tf.value(n, True)
             dn_ratio = (pd * tf.value(n - 1, False) + pr * tf.value(n, True)) / tf.value(n, False)
             if up_ratio > cert.rho + tol or dn_ratio > cert.rho + tol:
@@ -189,19 +182,6 @@ def _symbolic_tail_check(mc, cert, tol):
 # analytic tail certificates
 
 
-def _tail_block(mc, t):
-    blk = mc.meta.get("tail_blocks", {}).get(t)
-    if blk is None or blk["start"] is None:
-        raise NoGeometricDriftError(f"tail {t} lacks a periodic transition block")
-    return blk
-
-
-def _period_p_up(blk):
-    """p_up over one period, taken one period past the periodic onset."""
-    start, L = blk["start"], blk["period"]
-    return [blk["p_up"][start + L + off] for off in range(L)]
-
-
 def _cusp_weights(mc, t, R):
     """Exact drift-equality weights on a cuspidal tail, ratio 1/R everywhere.
 
@@ -211,16 +191,16 @@ def _cusp_weights(mc, t, R):
     margin, and then certify positivity by unrolling forward until the values
     are period-over-period increasing (after which they grow without bound).
     """
-    blk = _tail_block(mc, t)
-    start, L = blk["start"], blk["period"]
-    depth = mc.meta["mat"].depth
-    p_per = _period_p_up(blk)
+    blk = mc.tails[t]
+    start, L = blk.start, blk.period
+    depth = mc.mat.depth
+    p_per = blk.period_p_up()
     if math.prod(p_per) * R ** (2 * L) >= 1.0:
         return None
 
     def p_at(n):
         if n < start:
-            return blk["p_up"][n]
+            return blk.p_up[n]
         return p_per[(n - start) % L]
 
     # critical trajectory by contracting backward recursion
@@ -262,8 +242,8 @@ def _geometric_best(mc, t, xi_lo=1.0 + 1e-9, xi_hi=64.0):
     the exit ratio down to the interior level.  Assumes the tail is the only
     one at its attach vertex (cross-tail entries are caught by verification).
     """
-    blk = _tail_block(mc, t)
-    start, L = blk["start"], blk["period"]
+    blk = mc.tails[t]
+    start, L = blk.start, blk.period
     levels = sorted(set(range(1, start + L + 1)))
     e1 = tail_edge_id(t, 1, True)
     r1 = tail_edge_id(t, 1, False)
@@ -273,11 +253,11 @@ def _geometric_best(mc, t, xi_lo=1.0 + 1e-9, xi_hi=64.0):
     def interior(xi):
         worst = 0.0
         for n in levels:
-            pu, pt = blk["p_up"].get(n), blk["p_turn"].get(n, 0.0)
+            pu, pt = blk.p_up.get(n), blk.p_turn.get(n, 0.0)
             if pu is not None:
                 worst = max(worst, pu * xi + pt / xi)
         for n in levels:
-            pd, pr = blk["p_dn"].get(n), blk["p_re"].get(n, 0.0)
+            pd, pr = blk.p_dn.get(n), blk.p_re.get(n, 0.0)
             if pd is not None:
                 worst = max(worst, pd / xi + pr * xi)
         return worst
@@ -310,7 +290,7 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
     R (bisection); other tails use the best geometric profile.  Raises
     NoGeometricDriftError when no family yields rho < 1.
     """
-    mat = mc.meta.get("mat")
+    mat = mc.mat
     if mat is None or not mat.core.tails:
         raise NoGeometricDriftError("chain has no tails to certify")
     tails_idx = range(len(mat.core.tails)) if tail_index is None else [tail_index]
@@ -320,9 +300,8 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
         spec = mat.core.tails[t]
         best = None
         if spec.is_cuspidal():
-            blk = _tail_block(mc, t)
-            L = blk["period"]
-            R_max = math.prod(_period_p_up(blk)) ** (-1.0 / (2 * L))
+            blk = mc.tails[t]
+            R_max = math.prod(blk.period_p_up()) ** (-1.0 / (2 * blk.period))
             lo, hi = 1.0 + 1e-12, R_max
             feasible = None
             for _ in range(80):
@@ -342,7 +321,7 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
             raise NoGeometricDriftError(f"tail {t}: no drift family with ratio < 1")
         forms[t] = best[1]
         rho = max(rho, best[0])
-    core_states = tuple(s for s in mc.states if mc.meta["mat"].edge_meta[s][0] == "core")
+    core_states = tuple(s for s in mc.states if mat.edge_meta[s][0] == "core")
     t_core = {s: 1.0 for s in core_states}
     cert = DriftCertificate(
         t_core=t_core,
@@ -449,7 +428,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     not depend on the candidate, so they are computed once per search; a
     candidate at or below rho(P_ff) is rejected without a linear solve.
     """
-    mat = mc.meta.get("mat")
+    mat = mc.mat
     has_tails = bool(mat is not None and mat.core.tails)
     if B0 is not None:
         Bset = set(B0)
@@ -470,8 +449,8 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         for t, spec in enumerate(mat.core.tails):
             got = None
             if spec.is_cuspidal():
-                blk = _tail_block(mc, t)
-                if rho > math.prod(_period_p_up(blk)) ** (1.0 / (2 * blk["period"])):
+                blk = mc.tails[t]
+                if rho > math.prod(blk.period_p_up()) ** (1.0 / (2 * blk.period)):
                     w = _cusp_weights(mc, t, 1.0 / rho)
                     if w is not None:
                         got = w

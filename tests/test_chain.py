@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PIPELINE_FIXTURES, pipeline
+from conftest import PIPELINE_FIXTURES, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs.chain import (
     MarkovChain,
@@ -25,7 +25,9 @@ from treegibbs.chain import (
     taboo_probability,
     taboo_table,
 )
-from treegibbs.graph import length_spectrum_period, tail_edge_id
+from treegibbs.errors import TreeGibbsError
+from treegibbs.gibbs import _joint_period, compute_gibbs
+from treegibbs.graph import length_spectrum_period, propagate_orders, tail_edge_id, validate_graph
 
 
 def test_two_state_chain(single_edge_pipeline):
@@ -298,3 +300,25 @@ def test_taboo_entries_stay_probabilities():
         mats = taboo_matrix_powers(mc, (mc.states[0],), 30)
         for M in mats:
             assert M.min() >= 0.0 and M.max() <= 1.0 + 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(tailed_graphs())
+def test_tail_blocks_repeat_over_the_joint_period(drawn):
+    g, F = drawn
+    assume(validate_graph(g).ok)
+    try:
+        gd = compute_gibbs(g, F, depth=40)
+        mc = build_chain(g, gd, propagate_orders(g))
+    except TreeGibbsError:
+        return
+    for t, spec in enumerate(g.tails):
+        blk = mc.tails[t]
+        assert (blk.start, blk.period) == _joint_period(spec, F.tail(t))
+        for series in (blk.p_up, blk.p_turn, blk.p_dn, blk.p_re):
+            for n in series:
+                if n >= blk.start and n + blk.period in series:
+                    assert abs(series[n] - series[n + blk.period]) <= 1e-11
+    rep = check_markov_property(mc)
+    assert rep.max_row_residual <= 1e-8
+    assert rep.max_stationarity_residual <= 1e-9

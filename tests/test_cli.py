@@ -254,6 +254,11 @@ def _tail_values(entry):
         (None, None, None, {"probe": {"beta": {"kind": "geometric", "value": 1e10}}, "truncations": [80]},
          "probe: profile value overflows"),
         (None, None, None, {"probe": {"gamma": {"kind": "cubic"}}}, "probe.gamma.kind"),
+        (None, None, None, {"truncations": [2], "tol": 10**400}, "tol"),
+        ("two_loops", None, {"edges": {"l1": 10**400}}, {}, "edges.l1"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 0, "period": [[10**400, 0.1]]}), {},
+         "tail_values[0].period[0]"),
+        ("single_edge_3", None, None, {"depth": 10**400}, "depth: outside the resource guard"),
     ],
     ids=[
         "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
@@ -261,7 +266,8 @@ def _tail_values(entry):
         "string-radius", "fractional-depth", "string-n-max", "negative-depth",
         "probe-not-an-object", "negative-truncation", "geometric-gamma", "constant-gamma-one",
         "uniform-gamma", "negative-beta", "zero-beta", "zero-beta-on-the-smallest-truncation",
-        "overflowing-beta", "unknown-profile-kind",
+        "overflowing-beta", "unknown-profile-kind", "huge-integer-tol",
+        "huge-integer-edge-value", "huge-integer-tail-value", "huge-depth",
     ],
 )
 def test_bad_inputs_exit_2_with_a_field_path(
@@ -302,3 +308,51 @@ def test_mismatched_tail_potential_uses_the_joint_period(tmp_path, tail_values, 
     assert got["delta"] == want["delta"] and got["delta_minus"] == want["delta_minus"]
     got.pop("meta"), want.pop("meta")
     assert got == want
+
+
+def test_overflowing_potential_exits_3(tmp_path, capsys):
+    # a finite potential can still overflow exp() in the transfer operator
+    graph = graph_to_dict(fx.get("two_loops"))
+    code, _ = _run(tmp_path, "huge", graph, {"edges": {"l1": 800.0}})
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+
+
+def _artifacts(tmp_path, tag, graph, potential, command):
+    """(exit code, {file name: content}) of one CLI run, without the run
+    stamp: JSON artifacts lose ``meta`` and the summary its input-hash line."""
+    code, _ = _run(tmp_path, tag, graph, potential, command)
+    got = {}
+    for path in sorted((tmp_path / f"out_{tag}").glob("*")):
+        text = path.read_text()
+        if path.suffix == ".json":
+            got[path.name] = json.loads(text)
+            got[path.name].pop("meta")
+        elif path.name == "summary.txt":
+            got[path.name] = [ln for ln in text.splitlines() if not ln.startswith("input hash:")]
+        else:
+            got[path.name] = text
+    return code, got
+
+
+@pytest.mark.parametrize("command", ["chain", "wsg"])
+@pytest.mark.parametrize(
+    "tail_values, written_out",
+    [
+        ({"period": [[0.1, -0.05], [-0.2, 0.03]]}, {"period": [[4, 2], [4, 2]]}),
+        ({"prefix": [[0.3, 0.1]], "period": [[0.1, 0.1]]}, {"prefix": [[4, 2]]}),
+    ],
+    ids=["period-2", "one-level-prefix"],
+)
+def test_chain_tail_blocks_use_the_joint_period(tmp_path, tail_values, written_out, command):
+    # the thick_ray_5 tail has period [[4, 2]]; chain and wsg must read its
+    # transitions over the joint period, as for the tail written out over it
+    potential = {"tail_values": [dict(tail_index=0, **tail_values)]}
+    graph = graph_to_dict(fx.thick_ray(5))
+    code, got = _artifacts(tmp_path, "short", graph, potential, command)
+    assert code == 0
+    graph["tails"][0].update(written_out)
+    code, want = _artifacts(tmp_path, "long", graph, potential, command)
+    assert code == 0
+    assert got and got == want

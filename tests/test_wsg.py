@@ -16,8 +16,6 @@ from treegibbs.wsg import (
     TailWeightForm,
     _cusp_weights,
     _geometric_best,
-    _period_p_up,
-    _tail_block,
     degradation_probe,
     lemma_bound_check,
     search_certificate,
@@ -84,11 +82,11 @@ def test_tail_certificate_cuspidal():
     assert cert.rho < 1.0
     assert cert.tails[0].form == "cusp"
     # best cuspidal ratio approaches (prod p over a period)^(1/(2L))
-    blk = mc.meta["tail_blocks"][0]
-    start, L = blk["start"], blk["period"]
+    blk = mc.tails[0]
+    start, L = blk.start, blk.period
     prod = 1.0
     for off in range(L):
-        prod *= blk["p_up"][start + L + off]
+        prod *= blk.p_up[start + L + off]
     assert cert.rho >= prod ** (1.0 / (2 * L)) - 1e-9
     assert cert.rho <= prod ** (1.0 / (2 * L)) + 5e-2
     assert verify_certificate(mc, cert).ok
@@ -232,7 +230,7 @@ def _reference_minimal_supersolution(mc, Bset, rho, t_boundary):
 
 def _reference_search(mc, B0=None, rho_tol=1e-6):
     """Bisection on rho with the free block's Perron value found per probe."""
-    mat = mc.meta.get("mat")
+    mat = mc.mat
     has_tails = bool(mat is not None and mat.core.tails)
     if B0 is not None:
         Bset = set(B0)
@@ -248,8 +246,8 @@ def _reference_search(mc, B0=None, rho_tol=1e-6):
         for t, spec in enumerate(mat.core.tails):
             got = None
             if spec.is_cuspidal():
-                blk = _tail_block(mc, t)
-                if rho > math.prod(_period_p_up(blk)) ** (1.0 / (2 * blk["period"])):
+                blk = mc.tails[t]
+                if rho > math.prod(blk.period_p_up()) ** (1.0 / (2 * blk.period)):
                     got = _cusp_weights(mc, t, 1.0 / rho)
             if got is None:
                 xi, scale, r_geo = _geometric_best(mc, t)
