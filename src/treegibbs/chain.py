@@ -342,12 +342,6 @@ class TabooTable:
     p: dict  # (i, j) -> np.ndarray of length n_max + 1
     f: dict  # (i, j) -> np.ndarray
 
-    def p_series(self, i, j):
-        return self.p[(i, j)]
-
-    def f_series(self, i, j):
-        return self.f[(i, j)]
-
 
 def _taboo_row(P, avoid_mask, i_idx, n_max):
     """rows[n] = vector of n-step probabilities avoiding ``avoid`` at interior times."""

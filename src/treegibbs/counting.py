@@ -36,12 +36,6 @@ class BiregularParams:
     qd: int  # base-vertex degree minus 1
     qdp: int  # other-class degree minus 1
 
-    def degree_base(self):
-        return self.qd + 1
-
-    def degree_other(self):
-        return self.qdp + 1
-
 
 def biregular_params(g, base=None) -> BiregularParams:
     """Detect (qd+1, qdp+1)-biregularity of the cover, base vertex first."""

@@ -258,13 +258,16 @@ class TailGreen:
     up edge at level n, stay at levels >= n, and end on the first traversal of
     the level-n down edge.  It satisfies
         g_n = a_n + b_n g_{n+1} / (1 - c_n g_{n+1}),
-    a Moebius map per level, eventually periodic; the periodic fixed point is
-    the minimal nonnegative one (the decaying branch), taken over the
-    ``_joint_period`` of the index spec and the tail potential.
+    a Moebius map per level, eventually periodic over the ``_joint_period`` of
+    the index spec and the tail potential.  One period composes to a single
+    map g -> (A g + B)/(C g + D), and the periodic value is its least fixed
+    point g >= 0 (the decaying branch, the limit of the maps iterated from
+    g = 0), taken in closed form as the least non-negative root of
+    C g^2 + (D - A) g - B = 0.  The phases and the prefix levels follow by
+    applying the level maps downwards.
 
-    Divergence (``converged`` False) is decided from the composed one-period
-    map when it has no fixed point g >= 0 by a clear margin; otherwise the
-    fixed-point loop iterates from g = 0 and decides.
+    The tail converges (``converged``) iff that root exists and every level
+    map is applied inside its pole (1 - c_n g_{n+1} > 0).
     """
 
     def __init__(self, spec, tpot, s):
@@ -294,61 +297,30 @@ class TailGreen:
 
     @staticmethod
     def _apply(params, gval):
+        """The steps applied innermost first; None outside a pole or on overflow."""
         for a, b, c in reversed(params):
             den = 1.0 - c * gval
             if den <= 0.0 or not math.isfinite(gval):
                 return None
             gval = a + b * gval / den
-        return gval
+        return gval if math.isfinite(gval) else None
 
-    def _solve(self, cap=1e12, maxit=200000):
-        L = self._L
-        start = self._start
+    def _solve(self):
+        start, L = self._start, self._L
         # one period of step maps at phase 0 (innermost level last)
         params = [self._step_params(start + k) for k in range(L)]
-        moebius = self._compose(params)
-        if self._no_fixed_point(*moebius):
-            # the loop could only end unconverged: no root for the jump, and
-            # M(g) - g stays far above the stall test's 1e-16 tolerance
+        root = self._minimal_root(*self._compose(params))
+        if root is None or self._apply(params, root) is None:
             self.converged = False
             return
-        gval = 0.0
-        it = 0
-        while it < maxit:
-            new = self._apply(params, gval)
-            if new is None or new > cap:
-                self.converged = False
-                return
-            if abs(new - gval) < 1e-16 * max(1.0, abs(new)):
-                gval = new
-                break
-            # quadratic jump via the composed Moebius matrix, checked for validity
-            if it == 256:
-                jump = self._quadratic_root(moebius, gval)
-                if jump is not None:
-                    applied = self._apply(params, jump)
-                    if applied is not None and abs(applied - jump) < 1e-12 * max(1.0, jump):
-                        gval = jump
-                        break
-            gval = new
-            it += 1
-        else:
-            self.converged = False
-            return
-        phase = [0.0] * L
-        phase[0] = gval
+        # every phase lies on the path just applied, so none can fail
+        phase = [root] * L
         for k in range(L - 1, 0, -1):
-            nxt = phase[(k + 1) % L] if k + 1 < L else gval
-            val = self._apply([self._step_params(start + k)], nxt)
-            if val is None:
-                self.converged = False
-                return
-            phase[k] = val
+            phase[k] = self._apply([params[k]], phase[(k + 1) % L])
         self._phase = phase
         for n in range(start - 1, 0, -1):
-            nxt = self.g(n + 1)
-            val = self._apply([self._step_params(n)], nxt)
-            if val is None or val > cap:
+            val = self._apply([self._step_params(n)], self.g(n + 1))
+            if val is None:
                 self.converged = False
                 return
             self._values[n] = val
@@ -365,39 +337,22 @@ class TailGreen:
         return A, B, C, D
 
     @staticmethod
-    def _no_fixed_point(A, B, C, D):
-        """True when g -> (A g + B)/(C g + D) has no fixed point g >= 0, by a margin.
+    def _minimal_root(A, B, C, D):
+        """Least root g >= 0 of C g^2 + (D - A) g - B = 0, or None.
 
-        Then M(g) - g > m (1 + g) with m = 1e-12 on g >= 0 below the pole,
-        and ``_quadratic_root`` finds no root.
+        B = 0 means every level has I = 1: the tail never branches and
+        g = 0 is fixed.  Otherwise the roots are taken as q/C and -B/q, which
+        do not cancel the way the textbook formula does.
         """
-        m = 1e-12
-        if not (C <= 0.0 < D and B > m * D):
-            return False
-        if abs(C) < 1e-300:
-            return A - D > m * (abs(A) + abs(D))
-        disc = (D - A) ** 2 + 4.0 * C * B
-        if not disc < -m * ((D - A) ** 2 + abs(4.0 * C * B)):
-            return False
-        lin = D - A + m * D
-        return lin <= 0.0 or lin * lin < -4.0 * C * (B - m * D)
-
-    @staticmethod
-    def _quadratic_root(moebius, current):
-        A, B, C, D = moebius
-        # fixed points of g -> (A g + B)/(C g + D)
-        if abs(C) < 1e-300:
-            if D - A <= 0:
-                return None
-            return B / (D - A)
-        disc = (D - A) ** 2 + 4.0 * C * B
-        if disc < 0:
+        if B == 0.0:
+            return 0.0
+        lin = D - A
+        disc = lin * lin + 4.0 * C * B
+        if disc < 0.0:
             return None
-        roots = [((A - D) + sgn * math.sqrt(disc)) / (2.0 * C) for sgn in (1.0, -1.0)]
-        cands = [r for r in roots if r >= current - 1e-12]
-        if not cands:
-            return None
-        return min(cands)
+        q = -0.5 * (lin + math.copysign(math.sqrt(disc), lin))
+        roots = ([q / C] if C else []) + ([-B / q] if q else [])
+        return min((r for r in roots if r >= 0.0), default=None)
 
     def g(self, n):
         if not self.converged:
@@ -410,10 +365,9 @@ class TailGreen:
 def tail_critical_value(spec, tpot=None, lo=-50.0, hi=None, tol=1e-10):
     """Infimum s at which the tail's excursion resummation converges.
 
-    Bisects on s with one TailGreen solve per probe.  A probe below the
-    critical value is decided divergent from the composed period map when
-    that map has no fixed point g >= 0, and by the fixed-point loop otherwise.
-    Returns -inf when it converges for every s (no branching in the tail).
+    Bisects on s with one closed-form TailGreen solve per probe.  Returns -inf
+    when the tail already converges at ``lo``, as a tail that never branches
+    does at every s.
     """
     def ok(s):
         return TailGreen(spec, tpot, s).converged

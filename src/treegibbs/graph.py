@@ -440,68 +440,78 @@ def length_spectrum_period(g: IndexedGraph) -> int:
 def graph_from_dict(d: dict) -> IndexedGraph:
     """Parse the graph config schema; raises ConfigError with a field path."""
     allowed = {"vertices", "edges", "tails", "funnels", "orders"}
-    unknown = set(d) - allowed
+    unknown = set(_shape(d, dict, "graph")) - allowed
     if unknown:
         raise ConfigError(f"unknown graph config fields: {sorted(unknown)}")
     try:
-        vertices = [str(v) for v in d["vertices"]]
-        raw_edges = d["edges"]
+        raw_vertices = _shape(d["vertices"], list, "vertices")
+        raw_edges = _shape(d["edges"], list, "edges")
     except KeyError as exc:
         raise ConfigError(f"missing required field {exc}") from exc
+    vertices = [_shape(v, str, f"vertices[{k}]") for k, v in enumerate(raw_vertices)]
     rev, orig, term, index = {}, {}, {}, {}
     edges = []
     for pos, ed in enumerate(raw_edges):
-        extra = set(ed) - {"id", "rev", "from", "to", "index"}
+        path = f"edges[{pos}]"
+        extra = set(_shape(ed, dict, path)) - {"id", "rev", "from", "to", "index"}
         if extra:
-            raise ConfigError(f"edges[{pos}]: unknown fields {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
         try:
-            eid = str(ed["id"])
-            edges.append(eid)
-            rev[eid] = str(ed["rev"])
-            orig[eid] = str(ed["from"])
-            term[eid] = str(ed["to"])
+            eid, e_rev, e_orig, e_term = (
+                _shape(ed[k], str, f"{path}.{k}") for k in ("id", "rev", "from", "to")
+            )
             idx = ed["index"]
         except KeyError as exc:
-            raise ConfigError(f"edges[{pos}]: missing field {exc}") from exc
+            raise ConfigError(f"{path}: missing field {exc}") from exc
         if not _is_int(idx) or idx < 1:
-            raise ConfigError(f"edges[{pos}].index: must be a positive integer, got {idx!r}")
-        index[eid] = idx
+            raise ConfigError(f"{path}.index: must be a positive integer, got {idx!r}")
+        edges.append(eid)
+        rev[eid], orig[eid], term[eid], index[eid] = e_rev, e_orig, e_term, idx
     tails = []
-    for pos, td in enumerate(d.get("tails", [])):
-        extra = set(td) - {"attach", "prefix", "period"}
+    for pos, td in enumerate(_shape(d.get("tails", []), list, "tails")):
+        path = f"tails[{pos}]"
+        extra = set(_shape(td, dict, path)) - {"attach", "prefix", "period"}
         if extra:
-            raise ConfigError(f"tails[{pos}]: unknown fields {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
         if "attach" not in td:
-            raise ConfigError(f"tails[{pos}]: missing field 'attach'")
+            raise ConfigError(f"{path}: missing field 'attach'")
         tails.append(
             TailSpec(
-                attach=str(td["attach"]),
-                prefix=_pairs(td.get("prefix", []), f"tails[{pos}].prefix"),
-                period=_pairs(td.get("period", []), f"tails[{pos}].period"),
+                attach=_shape(td["attach"], str, f"{path}.attach"),
+                prefix=_pairs(td.get("prefix", []), f"{path}.prefix"),
+                period=_pairs(td.get("period", []), f"{path}.period"),
             )
         )
     funnels = []
-    for pos, fd in enumerate(d.get("funnels", [])):
-        extra = set(fd) - {"entry_edge", "branching"}
+    for pos, fd in enumerate(_shape(d.get("funnels", []), list, "funnels")):
+        path = f"funnels[{pos}]"
+        extra = set(_shape(fd, dict, path)) - {"entry_edge", "branching"}
         if extra:
-            raise ConfigError(f"funnels[{pos}]: unknown fields {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
         if "entry_edge" not in fd:
-            raise ConfigError(f"funnels[{pos}]: missing field 'entry_edge'")
-        funnels.append(
-            FunnelSpec(entry_edge=str(fd["entry_edge"]), branching=tuple(fd.get("branching", [2])))
-        )
-    orders = d.get("orders", {})
+            raise ConfigError(f"{path}: missing field 'entry_edge'")
+        branching = _shape(fd.get("branching", [2]), list, f"{path}.branching")
+        if not branching or not all(_is_int(b) and b >= 1 for b in branching):
+            raise ConfigError(
+                f"{path}.branching: must be a non-empty list of positive integers, got {branching!r}"
+            )
+        entry = _shape(fd["entry_edge"], str, f"{path}.entry_edge")
+        funnels.append(FunnelSpec(entry_edge=entry, branching=tuple(branching)))
+    orders = _shape(d.get("orders", {}), dict, "orders")
     extra = set(orders) - {"base_vertex", "base_value"}
     if extra:
         raise ConfigError(f"orders: unknown fields {sorted(extra)}")
-    base_vertex = str(orders.get("base_vertex", vertices[0] if vertices else ""))
+    base_vertex = orders.get("base_vertex", vertices[0] if vertices else "")
+    base_vertex = _shape(base_vertex, str, "orders.base_vertex")
     raw_base = orders.get("base_value", 1)
     try:
         base_value = Fraction(str(raw_base))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError):
+        base_value = 0
+    if base_value <= 0:
         raise ConfigError(
-            f"orders.base_value: must be a rational number, got {raw_base!r}"
-        ) from exc
+            f"orders.base_value: must be a positive rational number, got {raw_base!r}"
+        )
     return IndexedGraph(
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -530,6 +540,16 @@ def _is_number(x):
     except OverflowError:
         return False
     return True
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _shape(value, kind, path):
+    """``value`` when it has the JSON type ``kind`` (dict, list or str), else ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def _pairs(raw, path, check=_is_int, noun="integers"):

@@ -195,6 +195,9 @@ def _cusp_weights(mc, t, R):
     start, L = blk.start, blk.period
     depth = mc.mat.depth
     p_per = blk.period_p_up()
+    # a level that is never climbed (zero up-shadow) has no cusp profile
+    if not all(p_per + [blk.p_up[n] for n in range(1, start)]):
+        return None
     if math.prod(p_per) * R ** (2 * L) >= 1.0:
         return None
 
@@ -299,9 +302,10 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
     for t in tails_idx:
         spec = mat.core.tails[t]
         best = None
-        if spec.is_cuspidal():
-            blk = mc.tails[t]
-            R_max = math.prod(blk.period_p_up()) ** (-1.0 / (2 * blk.period))
+        blk = mc.tails[t]
+        climb = math.prod(blk.period_p_up())
+        if spec.is_cuspidal() and climb > 0.0:
+            R_max = climb ** (-1.0 / (2 * blk.period))
             lo, hi = 1.0 + 1e-12, R_max
             feasible = None
             for _ in range(80):

@@ -1,7 +1,11 @@
+import copy
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegibbs import fixtures as fx
 from treegibbs.cli import main, parse_config
@@ -217,6 +221,18 @@ def _bad_base_value(d):
     d["orders"]["base_value"] = "x"
 
 
+def _tails_not_a_list(d):
+    d["tails"] = 7
+
+
+def _string_branching(d):
+    d["funnels"][0]["branching"] = ["x"]
+
+
+def _zero_base_value(d):
+    d["orders"]["base_value"] = 0
+
+
 def _tail_values(entry):
     return {"tail_values": [entry]}
 
@@ -259,6 +275,9 @@ def _tail_values(entry):
         ("thick_ray_5", None, _tail_values({"tail_index": 0, "period": [[10**400, 0.1]]}), {},
          "tail_values[0].period[0]"),
         ("single_edge_3", None, None, {"depth": 10**400}, "depth: outside the resource guard"),
+        ("cusp_22", _tails_not_a_list, None, {}, "tails: must be a list"),
+        ("funnel_loop", _string_branching, None, {}, "funnels[0].branching"),
+        ("biregular_24", _zero_base_value, None, {}, "orders.base_value"),
     ],
     ids=[
         "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
@@ -268,6 +287,7 @@ def _tail_values(entry):
         "uniform-gamma", "negative-beta", "zero-beta", "zero-beta-on-the-smallest-truncation",
         "overflowing-beta", "unknown-profile-kind", "huge-integer-tol",
         "huge-integer-edge-value", "huge-integer-tail-value", "huge-depth",
+        "tails-not-a-list", "string-branching", "zero-base-value",
     ],
 )
 def test_bad_inputs_exit_2_with_a_field_path(
@@ -308,6 +328,15 @@ def test_mismatched_tail_potential_uses_the_joint_period(tmp_path, tail_values, 
     assert got["delta"] == want["delta"] and got["delta_minus"] == want["delta_minus"]
     got.pop("meta"), want.pop("meta")
     assert got == want
+
+
+def test_never_climbed_cusp_tail_exits_0(tmp_path, capsys):
+    # I = 1 at every tail level: the up-shadow is zero, so the chain never
+    # climbs the tail and the certificate cannot use a cusp profile there
+    graph = graph_to_dict(fx.cusp_ray(2, 2))
+    graph["tails"][0]["period"] = [[1, 1]]
+    code, _ = _run(tmp_path, "flat", graph, command="wsg")
+    assert code == 0, capsys.readouterr().err
 
 
 def test_overflowing_potential_exits_3(tmp_path, capsys):
@@ -356,3 +385,55 @@ def test_chain_tail_blocks_use_the_joint_period(tmp_path, tail_values, written_o
     code, want = _artifacts(tmp_path, "long", graph, potential, command)
     assert code == 0
     assert got and got == want
+
+
+_DELETE = object()
+_REPLACEMENTS = (
+    None, True, False, 0, -1, 2, 0.5, 1e308, "", "x", "a", [], ["x"], [0], [[1, 1]], {}, {"x": 1},
+    _DELETE,
+)
+
+
+def _json_paths(value, path=()):
+    """Paths to every node below the root of a parsed JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(d, path, new):
+    for key in path[:-1]:
+        d = d[key]
+    if new is _DELETE:
+        del d[path[-1]]
+    else:
+        d[path[-1]] = copy.deepcopy(new)
+
+
+@st.composite
+def _mutated_fixtures(draw):
+    graph = graph_to_dict(fx.get(draw(st.sampled_from(sorted(fx.FIXTURES)))))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        paths = list(_json_paths(graph))
+        _mutate(graph, draw(st.sampled_from(paths)), draw(st.sampled_from(_REPLACEMENTS)))
+    return graph
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_mutated_fixtures(), st.sampled_from(("analyze", "chain", "wsg", "mix", "count")))
+def test_mutated_fixtures_never_crash(graph, command):
+    # one or two fields of a shipped fixture set to a value of another JSON
+    # type, or deleted: every command ends in a documented exit code
+    with tempfile.TemporaryDirectory() as d:
+        graph_path = os.path.join(d, "graph.json")
+        with open(graph_path, "w", encoding="utf-8") as fh:
+            json.dump(graph, fh)
+        cfg_path = os.path.join(d, "config.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"graph": graph_path, "n_max": 12, "depth": 40}, fh)
+        code = main([command, "--config", cfg_path, "--out", os.path.join(d, "out")])
+    assert code in (0, 2, 3, 4)

@@ -1,9 +1,12 @@
-"""Tail resummation: TailGreen against the plain fixed-point loop, and
-compute_gibbs on random tailed graphs.
+"""Tail resummation: TailGreen's closed form against the plain fixed-point
+loop, and compute_gibbs on random tailed graphs.
 
-``_reference_solve`` is the fixed-point loop without the early divergence
-exit, kept here as the reference: every probe must agree with it on
-``converged`` and, when converged, on every g_n, bit for bit.
+``_reference_solve`` is the fixed-point loop iterated from g = 0, with its
+1e12 cap and its quadratic jump at step 256, kept here as the reference.  A
+converged probe must solve every level's recursion inside its pole, agree
+with the loop's verdict (except where the loop gave up on its cap), and
+agree with the loop's values away from the critical value s_tail, where the
+fixed point is nearly a double root and neither answer has full precision.
 """
 
 import math
@@ -100,14 +103,37 @@ def _reference_solve(spec, tpot, s, cap=1e12, maxit=200000):
     return True, values, phase
 
 
-def _assert_matches_reference(spec, tpot, s):
+def _level_map(spec, tpot, s, n):
+    """(a, b, c) of g_n = a + b g_{n+1} / (1 - c g_{n+1})."""
+    I, _ = spec.pair(n)
+    _, J1 = spec.pair(n + 1)
+    psi = math.exp(tpot.pair(n)[1] - s)
+    phi1 = math.exp(tpot.pair(n + 1)[0] - s)
+    return (I - 1) * psi, J1 * phi1 * I * psi, (J1 - 1) * phi1
+
+
+def _assert_matches_reference(spec, tpot, s, s_tail):
     tg = TailGreen(spec, tpot, s)
     converged, values, phase = _reference_solve(spec, tpot, s)
-    assert tg.converged == converged, s
-    if converged:
-        start = max(spec.period_start, len(tpot.prefix) + 1)
-        got = [tg.g(n) for n in range(1, start + len(phase))]
-        assert got == [values[n] for n in range(1, start)] + phase, s
+    if not tg.converged:
+        assert not converged, s
+        return
+    start = max(spec.period_start, len(tpot.prefix) + 1)
+    L = math.lcm(len(spec.period), len(tpot.period))
+    # (a) every level's recursion holds, inside its pole
+    for n in range(1, start + L):
+        a, b, c = _level_map(spec, tpot, s, n)
+        den = 1.0 - c * tg.g(n + 1)
+        assert den > 0.0, (s, n)
+        assert math.isclose(tg.g(n), a + b * tg.g(n + 1) / den, rel_tol=1e-10), (s, n)
+    got = [tg.g(n) for n in range(1, start + L)]
+    if not converged:
+        # (b) the loop only gives up on a convergent tail at its 1e12 cap
+        assert max(got) > 1e12, s
+    elif abs(s - s_tail) >= 1e-6:
+        # (c) the loop's values, away from the nearly double root at s_tail
+        want = [values[n] for n in range(1, start)] + phase
+        assert all(math.isclose(x, y, rel_tol=1e-9) for x, y in zip(got, want)), s
 
 
 def _probes(s_tail):
@@ -158,7 +184,7 @@ def _tails(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=25)
 @given(_tails())
-def test_early_exit_matches_the_loop_on_random_tails(tail):
+def test_closed_form_matches_the_loop_on_random_tails(tail):
     spec, tail_pot = tail
     for tpot in (tail_pot, _swapped(tail_pot)):
         try:
@@ -166,27 +192,52 @@ def test_early_exit_matches_the_loop_on_random_tails(tail):
         except DivergenceError:
             continue
         for s in _probes(s_tail) if math.isfinite(s_tail) else (-3.0, 0.0, 3.0):
-            _assert_matches_reference(spec, tpot, s)
+            _assert_matches_reference(spec, tpot, s, s_tail)
 
 
 @pytest.mark.parametrize("name", TAILED_FIXTURES + ("critical_ray_5",))
 def test_early_exit_matches_the_loop_on_fixtures(name):
+    # named for the early divergence exit the closed form replaced; it checks
+    # the closed form against the loop on the shipped tails
     for spec in fx.get(name).tails:
         tpot = TailPotential()
-        for s in _probes(tail_critical_value(spec, tpot)):
-            _assert_matches_reference(spec, tpot, s)
+        s_tail = tail_critical_value(spec, tpot)
+        for s in _probes(s_tail):
+            _assert_matches_reference(spec, tpot, s, s_tail)
 
 
-def test_stall_case_is_left_to_the_loop():
-    # g -> 2 g + e^-40 has no fixed point g >= 0, but its first step moves
-    # less than the loop's 1e-16 stall tolerance, so the loop reports
-    # convergence; the early exit must not change that verdict
+def test_stall_case_diverges():
+    # g -> 2 g + e^-40 has no fixed point g >= 0; the loop's first step moves
+    # less than its 1e-16 stall tolerance, so the loop calls it converged
     spec = TailSpec(attach="a", period=((2, 1),))
     tpot = TailPotential(period=((40.0, -40.0),))
-    tg = TailGreen(spec, tpot, 0.0)
+    assert not TailGreen(spec, tpot, 0.0).converged
+    assert _reference_solve(spec, tpot, 0.0)[0]
+
+
+def test_cap_case_converges():
+    # the periodic part converges at s = 1; the prefix level's weight
+    # e^30 lifts g_1 past the loop's 1e12 cap, where the loop gives up
+    spec = TailSpec(attach="a", period=((2, 1),))
+    tpot = TailPotential(prefix=((0.0, 30.0),))
+    tg = TailGreen(spec, tpot, 1.0)
     assert tg.converged
-    assert tg.g(1) == math.exp(-40.0)
-    _assert_matches_reference(spec, tpot, 0.0)
+    assert math.isclose(tg.g(1), 5.39e12, rel_tol=1e-3)
+    assert not _reference_solve(spec, tpot, 1.0)[0]
+    _assert_matches_reference(spec, tpot, 1.0, tail_critical_value(spec, tpot))
+    # a g_1 past the float range is divergent, not converged at inf
+    assert not TailGreen(spec, TailPotential(prefix=((0.0, 710.5),)), 1.0).converged
+
+
+def test_unbranched_tail_has_zero_green_values():
+    # I = 1 at every level: no excursion turns back, so g_n = +0.0 at every s,
+    # including where the composed map's linear coefficient D - A vanishes
+    spec = TailSpec(attach="a", prefix=((1, 2),), period=((1, 3),))
+    for s in (-5.0, 0.0, 0.5 * math.log(3.0), 5.0):
+        tg = TailGreen(spec, TailPotential(), s)
+        assert tg.converged
+        assert all(tg.g(n) == 0.0 and math.copysign(1.0, tg.g(n)) == 1.0 for n in (1, 2, 3))
+    assert tail_critical_value(spec) == -math.inf
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
