@@ -38,6 +38,7 @@ from .chain import (  # noqa: F401
     check_markov_property,
     correlation_decay,
     counterexample_chain,
+    cyclic_classes,
     first_passage,
     mean_return_time,
     mixing_rate_estimate,

@@ -318,17 +318,20 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     return MarkovReport(max_row, max_stat, max_cyl, defect)
 
 
+def cyclic_classes(mc: MarkovChain):
+    """The cyclic classes as state tuples, each in state order."""
+    return tuple(tuple(mc.states[i] for i in sorted(members)) for members in mc.classes)
+
+
 def periodic_classes(mc: MarkovChain):
     """(k, class partition as state tuples, k-step kernels restricted per class)."""
     k = mc.period
-    out_classes = []
-    kernels = []
     Pk = np.linalg.matrix_power(mc.p, k)
+    kernels = []
     for members in mc.classes:
         idx = sorted(members)
-        out_classes.append(tuple(mc.states[i] for i in idx))
         kernels.append(Pk[np.ix_(idx, idx)])
-    return k, tuple(out_classes), kernels
+    return k, cyclic_classes(mc), kernels
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +417,26 @@ def convolution_residual(table: TabooTable, mc: MarkovChain, i, j):
     return worst
 
 
-def taboo_matrix_powers(mc: MarkovChain, B, n_max):
-    """Full matrices p^{(n),B} for n = 0..n_max (used by drift-bound replay)."""
+def iter_taboo_matrix_powers(mc: MarkovChain, B, n_max):
+    """Yield the full matrices p^{(n),B} for n = 0..n_max, one at a time."""
     S = len(mc.states)
     mask = np.ones(S)
     for b in B:
         mask[mc.pos(b)] = 0.0
-    out = [np.eye(S)]
-    if n_max >= 1:
-        out.append(mc.p.copy())
+    yield np.eye(S)
+    if n_max < 1:
+        return
+    Pn = mc.p.copy()
+    yield Pn
     DP = mask[:, None] * mc.p
     for _ in range(2, n_max + 1):
-        out.append(out[-1] @ DP)
-    return out
+        Pn = Pn @ DP
+        yield Pn
+
+
+def taboo_matrix_powers(mc: MarkovChain, B, n_max):
+    """Full matrices p^{(n),B} for n = 0..n_max, as a list."""
+    return list(iter_taboo_matrix_powers(mc, B, n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from .chain import (
     build_chain,
     check_markov_property,
     correlation_decay,
+    cyclic_classes,
     mean_return_time,
     mixing_rate_estimate,
-    periodic_classes,
     second_eigenvalue_modulus,
     taboo_table,
 )
@@ -292,7 +292,7 @@ def _cmd_analyze(cfg):
 def _cmd_chain(cfg):
     g, F, report, orders, gd, mc = _pipeline(cfg)
     rep = check_markov_property(mc, gd)
-    k, classes, _ = periodic_classes(mc)
+    k, classes = mc.period, cyclic_classes(mc)
     rows = [
         {"state": s, "pi": float(mc.pi[i]), "interior": int(mc.interior[i])}
         for i, s in enumerate(mc.states)
@@ -361,7 +361,7 @@ def _cmd_wsg(cfg):
 
 def _cmd_mix(cfg):
     g, F, report, orders, gd, mc = _pipeline(cfg)
-    k, classes, _ = periodic_classes(mc)
+    k, classes = mc.period, cyclic_classes(mc)
     i = j = classes[0][0]
     fit = mixing_rate_estimate(mc, i, j, cfg.n_max)
     target = k * mc.pi_of(j)

@@ -193,14 +193,15 @@ def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
     for _ in range(maxit):
         w = A @ v
         est = w.sum() / v.sum()
-        nw = np.linalg.norm(w, 1)
+        # 1-norms summed as np.linalg.norm(x, 1) sums them, without its dispatch
+        nw = np.add.reduce(np.abs(w))
         if nw == 0.0:
             return 0.0
         # successive estimates can agree by an accident of the start vector
         # (3.6 twice on a bipartite core whose Perron value is 2.5747), so the
         # eigen-residual must be small too
         if abs(est - prev) < tol * max(1.0, abs(est)) and (
-            np.linalg.norm(w - est * v, 1) < 1e-10 * nw
+            np.add.reduce(np.abs(w - est * v)) < 1e-10 * nw
         ):
             return float(est - 1.0)
         v = w / nw

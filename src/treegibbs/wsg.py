@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovChain, taboo_matrix_powers
+from .chain import MarkovChain, iter_taboo_matrix_powers
 from .gibbs import spectral_radius
 from .errors import NoGeometricDriftError
 from .graph import tail_edge_id
@@ -134,24 +134,75 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
     """Per-state drift ratios outside B; parametric tail levels checked on their
     periodic blocks."""
     Bset = set(cert.B)
-    ratios = {}
+    rows = np.array(
+        [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]], dtype=int
+    )
+    p_rows = mc.p[rows]
+    nz = np.nonzero(p_rows)
+    t, checked = _read_weights(mc, cert, rows, nz)
+    head = rows[:checked]
+    sums = _drift_sums(p_rows, nz, t)[:checked]
+    ratios = dict(zip([mc.states[i] for i in head], (sums / t[head]).tolist()))
+    if checked < len(rows):
+        s = mc.states[rows[checked]]
+        return DriftReport(False, float("inf"), s, ratios, notes=(f"t({s}) <= 0",))
     worst = ("", 0.0)
-    for i, s in enumerate(mc.states):
-        if s in Bset or not mc.interior[i]:
-            continue
-        ti = cert.weight(mc, s)
-        if ti <= 0:
-            return DriftReport(False, float("inf"), s, ratios, notes=(f"t({s}) <= 0",))
-        acc = 0.0
-        for j in np.nonzero(mc.p[i])[0]:
-            acc += mc.p[i, int(j)] * cert.weight(mc, mc.states[int(j)])
-        r = float(acc / ti)
-        ratios[s] = r
+    for s, r in ratios.items():
         if r > worst[1]:
             worst = (s, r)
     symbolic_ok, notes = _symbolic_tail_check(mc, cert, tol)
     ok = worst[1] <= cert.rho + tol and symbolic_ok
     return DriftReport(ok, worst[1], worst[0], ratios, symbolic_ok, tuple(notes))
+
+
+def _read_weights(mc, cert, rows, nz):
+    """The certificate's weights on ``rows`` and on the nonzero columns
+    ``nz = np.nonzero(mc.p[rows])``, each read once, and the number of rows
+    before the first row with t <= 0.
+
+    States are read in the order of a loop over the rows (a row, then its
+    nonzero columns in column order) that returns at the first row with
+    t <= 0, so a missing weight raises the same ``KeyError`` as that loop.
+    Unread weights stay 0.
+    """
+    t = np.zeros(len(mc.states))
+    seen = [False] * len(mc.states)
+
+    def read(j):
+        if not seen[j]:
+            seen[j] = True
+            t[j] = cert.weight(mc, mc.states[j])
+
+    cols = nz[1].tolist()
+    ends = np.cumsum(np.bincount(nz[0], minlength=len(rows))).tolist()
+    start = 0
+    for k, (i, end) in enumerate(zip(rows.tolist(), ends)):
+        read(i)
+        if t[i] <= 0:
+            return t, k
+        for j in cols[start:end]:
+            read(j)
+        start = end
+    return t, len(rows)
+
+
+def _drift_sums(p_rows, nz, t):
+    """sum_j p_ij t_j for each row of ``p_rows``, with ``nz`` its
+    ``np.nonzero``.
+
+    Each row's nonzero terms are added left to right in column order, the
+    float sequence of a loop over the row's nonzeros; ``t`` is read only at
+    those columns.
+    """
+    r, c = nz
+    counts = np.bincount(r, minlength=len(p_rows))
+    slot = np.arange(len(c)) - (np.cumsum(counts) - counts)[r]
+    terms = np.zeros((int(counts.max(initial=0)), len(p_rows)))
+    terms[slot, r] = p_rows[r, c] * t[c]
+    acc = np.zeros(len(p_rows))
+    for column in terms:
+        acc += column
+    return acc
 
 
 def _symbolic_tail_check(mc, cert, tol):
@@ -428,9 +479,10 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     Finite chains: minimal-supersolution solve with t = 1 on B.  Tailed
     chains: analytic tail feasibility at the candidate ratio, a core solve for
     any states left outside B, and a tail rescaling loop for the junctions.
-    The free states, their taboo block P_ff and its Perron value rho(P_ff) do
-    not depend on the candidate, so they are computed once per search; a
-    candidate at or below rho(P_ff) is rejected without a linear solve.
+    The free states, their taboo block P_ff and its Perron value rho(P_ff),
+    each tail's best geometric profile and the junction rows do not depend on
+    the candidate, so they are computed at most once per search; a candidate
+    at or below rho(P_ff) is rejected without a linear solve.
     """
     mat = mc.mat
     has_tails = bool(mat is not None and mat.core.tails)
@@ -445,6 +497,17 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         s for s in mc.states if has_tails and mat.edge_meta[s][0] == "tail" and s not in Bset
     ]
     taboo = _taboo_block(mc, Bset, set(bounded))
+    geometric = {}  # tail -> _geometric_best, found when a probe first needs it
+    # junctions: the level-1 down states outside B, whose drift the tail
+    # rescaling loop pushes down to the candidate
+    junctions = []
+    for t in range(len(mat.core.tails) if has_tails else 0):
+        r1 = tail_edge_id(t, 1, False)
+        if r1 in mc.states and r1 not in Bset:
+            junctions.append((t, mc.pos(r1)))
+    j_idx = np.array([i for _, i in junctions], dtype=int)
+    j_rows = mc.p[j_idx]
+    j_nz = np.nonzero(j_rows)
 
     def tail_feasible(rho):
         forms = [None] * len(mat.core.tails) if has_tails else []
@@ -459,7 +522,9 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
                     if w is not None:
                         got = w
             if got is None:
-                xi, scale, r_geo = _geometric_best(mc, t)
+                if t not in geometric:
+                    geometric[t] = _geometric_best(mc, t)
+                xi, scale, r_geo = geometric[t]
                 if scale is not None and r_geo <= rho:
                     got = TailWeightForm("geometric", {"xi": xi, "scale": scale})
             if got is None:
@@ -501,16 +566,8 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
             if not has_tails:
                 return None
             bumped = False
-            for t in range(len(mat.core.tails)):
-                r1 = tail_edge_id(t, 1, False)
-                if r1 not in mc.states or r1 in Bset:
-                    continue
-                i1 = mc.pos(r1)
-                acc = sum(
-                    mc.p[i1, int(j)] * cert.weight(mc, mc.states[int(j)])
-                    for j in np.nonzero(mc.p[i1])[0]
-                )
-                ratio = acc / cert.weight(mc, r1)
+            w, _ = _read_weights(mc, cert, j_idx, j_nz)
+            for (t, _), ratio in zip(junctions, _drift_sums(j_rows, j_nz, w) / w[j_idx]):
                 if ratio > rho:
                     forms[t] = forms[t].scaled(ratio / rho * (1.0 + 1e-9))
                     bumped = True
@@ -551,21 +608,23 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
     """Replay p^{(n),B}_{ij} <= t_i rho^n / t_j for rows outside B, n <= n_max.
 
     Also checks the aggregated return bound p^{(n),B}_{i,B} <= M t_i rho^n with
-    M = max over B of 1/t_j.
+    M = max over B of 1/t_j.  The taboo powers are taken one at a time, so the
+    replay holds a fixed number of S x S matrices, not n_max + 1 of them.
     """
     Bset = set(cert.B)
     weights = np.array([cert.weight(mc, s) for s in mc.states])
-    mats = taboo_matrix_powers(mc, cert.B, n_max)
+    powers = iter_taboo_matrix_powers(mc, cert.B, n_max)
+    next(powers)  # p^{(0),B} = I
     rows = [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]]
     bcols = [i for i, s in enumerate(mc.states) if s in Bset]
     M = max(1.0 / weights[j] for j in bcols) if bcols else 0.0
     viol = 0
     max_slack = 0.0
     ret_ok = True
-    for n in range(1, n_max + 1):
-        Pn = mats[n]
+    t_ratio = np.outer(weights[rows], 1.0 / weights)
+    for n, Pn in enumerate(powers, start=1):
         rho_n = cert.rho**n
-        bound = np.outer(weights[rows], 1.0 / weights) * rho_n
+        bound = t_ratio * rho_n
         diff = Pn[rows] - bound
         if (diff > 1e-12).any():
             viol += int((diff > 1e-12).sum())

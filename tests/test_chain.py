@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from treegibbs.chain import (
     convolution_residual,
     correlation_decay,
     counterexample_chain,
+    cyclic_classes,
     cylinder_mass,
     first_passage,
     mean_return_time,
@@ -322,3 +324,31 @@ def test_tail_blocks_repeat_over_the_joint_period(drawn):
     rep = check_markov_property(mc)
     assert rep.max_row_residual <= 1e-8
     assert rep.max_stationarity_residual <= 1e-9
+
+
+def test_cyclic_classes_are_the_periodic_classes():
+    for name in PIPELINE_FIXTURES:
+        mc = pipeline(name)[3]
+        assert cyclic_classes(mc) == periodic_classes(mc)[1], name
+    mc = counterexample_chain(lambda n: 0.5, lambda n: 1.0, 3)
+    assert cyclic_classes(mc) == periodic_classes(mc)[1]
+
+
+@pytest.mark.parametrize("command, powers", [("chain", 0), ("mix", 1)])
+def test_chain_and_mix_compute_no_unused_kernel_power(tmp_path, monkeypatch, command, powers):
+    from treegibbs.cli import main
+
+    graph = fx.write_all(str(tmp_path))["thick_ray_5"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": graph}))
+    calls = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(a, n):
+        calls.append(n)
+        return matrix_power(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # mix raises P to the period once, for second_eigenvalue_modulus
+    assert len(calls) == powers

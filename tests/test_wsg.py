@@ -1,21 +1,27 @@
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from conftest import FINITE_FIXTURES, TAILED_FIXTURES, pipeline
-from treegibbs.chain import MarkovChain, build_chain, counterexample_chain
+from treegibbs import fixtures as fx
+from treegibbs.chain import MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
 from treegibbs.errors import NoGeometricDriftError
-from treegibbs.gibbs import compute_gibbs, spectral_radius
+from treegibbs.gibbs import compute_gibbs, potential_from_dict, spectral_radius
 from treegibbs.graph import graph_from_dict, propagate_orders, tail_edge_id
 from treegibbs.wsg import (
     VALUE_CAP,
     DriftCertificate,
+    DriftReport,
+    LemmaBoundReport,
     SearchOutcome,
     TailWeightForm,
     _cusp_weights,
     _geometric_best,
+    _symbolic_tail_check,
     degradation_probe,
     lemma_bound_check,
     search_certificate,
@@ -388,3 +394,211 @@ def test_search_matches_the_per_probe_reference(monkeypatch):
             continue
         assert got.certificate.rho == want.certificate.rho, name
         assert got.certificate.t_core == want.certificate.t_core, name
+
+
+# ---------------------------------------------------------------------------
+# verification and replay against their per-nonzero and list references
+
+
+def _reference_verify(mc, cert, tol=1e-10):
+    """Drift ratios by a loop over each row's nonzeros, reading a weight at
+    every use."""
+    Bset = set(cert.B)
+    ratios = {}
+    worst = ("", 0.0)
+    for i, s in enumerate(mc.states):
+        if s in Bset or not mc.interior[i]:
+            continue
+        ti = cert.weight(mc, s)
+        if ti <= 0:
+            return DriftReport(False, float("inf"), s, ratios, notes=(f"t({s}) <= 0",))
+        acc = 0.0
+        for j in np.nonzero(mc.p[i])[0]:
+            acc += mc.p[i, int(j)] * cert.weight(mc, mc.states[int(j)])
+        r = float(acc / ti)
+        ratios[s] = r
+        if r > worst[1]:
+            worst = (s, r)
+    symbolic_ok, notes = _symbolic_tail_check(mc, cert, tol)
+    ok = worst[1] <= cert.rho + tol and symbolic_ok
+    return DriftReport(ok, worst[1], worst[0], ratios, symbolic_ok, tuple(notes))
+
+
+def _reference_lemma(mc, cert, n_max):
+    """The taboo-bound replay over the full list of taboo matrix powers."""
+    Bset = set(cert.B)
+    weights = np.array([cert.weight(mc, s) for s in mc.states])
+    mats = taboo_matrix_powers(mc, cert.B, n_max)
+    rows = [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]]
+    bcols = [i for i, s in enumerate(mc.states) if s in Bset]
+    M = max(1.0 / weights[j] for j in bcols) if bcols else 0.0
+    viol = 0
+    max_slack = 0.0
+    ret_ok = True
+    for n in range(1, n_max + 1):
+        Pn = mats[n]
+        rho_n = cert.rho**n
+        bound = np.outer(weights[rows], 1.0 / weights) * rho_n
+        diff = Pn[rows] - bound
+        if (diff > 1e-12).any():
+            viol += int((diff > 1e-12).sum())
+        max_slack = max(max_slack, float(diff.max()) if diff.size else 0.0)
+        if bcols:
+            ret = Pn[np.ix_(rows, bcols)].sum(axis=1)
+            if (ret > M * weights[rows] * rho_n + 1e-12).any():
+                ret_ok = False
+    return LemmaBoundReport(n_max, viol, max_slack, ret_ok)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so == is bit
+    equality (signed zeros included); dicts become their item lists, so key
+    order counts."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return [(_bits(k), _bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return [(name, _bits(getattr(value, name))) for name in value.__dataclass_fields__]
+    return value
+
+
+@dataclass(frozen=True)
+class _RecordingCertificate(DriftCertificate):
+    """A certificate that records every weight it is asked for."""
+
+    reads: list = field(default_factory=list, compare=False)
+
+    def weight(self, mc, state):
+        self.reads.append(state)
+        return super().weight(mc, state)
+
+
+def _recording(cert):
+    return _RecordingCertificate(cert.t_core, cert.B, cert.rho, cert.tails, cert.provenance)
+
+
+def _certificate_cases():
+    """(name, chain, certificate): searched and analytic certificates."""
+    for name in FINITE_FIXTURES:
+        mc = pipeline(name)[3]
+        yield name, mc, search_certificate(mc).certificate
+        yield f"{name}-B2", mc, search_certificate(mc, tuple(mc.states[:2])).certificate
+    for seed in range(6):
+        mc = _random_unimodular_chain(seed)
+        yield f"unimodular-{seed}", mc, search_certificate(mc).certificate
+    gamma = lambda n: 1.0 - 1.0 / (1.0 + abs(n))
+    for N in range(2, 9):
+        mc = counterexample_chain(gamma, lambda n: 1.0, N)
+        yield f"star-{N}", mc, search_certificate(mc, ("inf",)).certificate
+    for name in TAILED_FIXTURES:
+        mc = pipeline(name)[3]
+        yield f"{name}-analytic", mc, tail_certificate(mc)
+        yield f"{name}-search", mc, search_certificate(mc).certificate
+
+
+def _assert_verify_matches(mc, cert, name):
+    want_cert, got_cert = _recording(cert), _recording(cert)
+    want = _reference_verify(mc, want_cert)
+    got = verify_certificate(mc, got_cert)
+    assert _bits(got) == _bits(want), name
+    # each weight is read once, in the order the loop first reads it
+    assert got_cert.reads == list(dict.fromkeys(want_cert.reads)), name
+
+
+def test_verify_matches_the_per_nonzero_reference():
+    for name, mc, cert in _certificate_cases():
+        assert cert is not None, name
+        _assert_verify_matches(mc, cert, name)
+        # a tighter rho moves only the verdict
+        _assert_verify_matches(mc, replace(cert, rho=0.5 * cert.rho), f"{name}-tight")
+
+
+def test_verify_stops_at_a_nonpositive_weight_like_the_reference():
+    mc = _random_unimodular_chain(3)
+    cert = search_certificate(mc).certificate
+    checked = [s for i, s in enumerate(mc.states) if s not in cert.B and mc.interior[i]]
+    assert len(checked) > 4
+    bad = checked[len(checked) // 2]
+    for value in (0.0, -1.0, -0.0):
+        t_core = dict(cert.t_core)
+        t_core[bad] = value
+        edited = _recording(replace(cert, t_core=t_core))
+        _reference_verify(mc, edited)
+        # the loop returns at ``bad``; drop a weight it never reads
+        unread = [s for s in t_core if s not in edited.reads]
+        assert unread
+        del t_core[unread[-1]]
+        edited = replace(cert, t_core=t_core)
+        _assert_verify_matches(mc, edited, f"t = {value}")
+        got = verify_certificate(mc, edited)
+        assert not got.ok and got.worst_state == bad and got.max_ratio == float("inf")
+        assert 0 < len(got.ratios) < len(checked)
+
+
+def test_verify_raises_the_reference_key_error_for_a_missing_weight():
+    mc = _random_unimodular_chain(3)
+    cert = search_certificate(mc).certificate
+    checked = [s for i, s in enumerate(mc.states) if s not in cert.B and mc.interior[i]]
+    for missing in (checked[:1], checked[-1:], checked[1:3], list(cert.B)):
+        t_core = {s: v for s, v in cert.t_core.items() if s not in missing}
+        edited = replace(cert, t_core=t_core)
+        with pytest.raises(KeyError) as want:
+            _reference_verify(mc, edited)
+        with pytest.raises(KeyError) as got:
+            verify_certificate(mc, edited)
+        assert str(got.value) == str(want.value), missing
+
+
+def test_lemma_replay_matches_the_list_reference():
+    slack_seen = violations_seen = return_failures_seen = False
+    for name, mc, cert in _certificate_cases():
+        n_max = 40
+        want = _reference_lemma(mc, cert, n_max)
+        assert _bits(lemma_bound_check(mc, cert, n_max)) == _bits(want), name
+        # shrink rho until the replay finds violations of both bounds
+        shrunk = cert
+        for _ in range(60):
+            shrunk = replace(shrunk, rho=0.5 * shrunk.rho)
+            want = _reference_lemma(mc, shrunk, n_max)
+            if want.violations and not want.return_bound_ok:
+                break
+        assert _bits(lemma_bound_check(mc, shrunk, n_max)) == _bits(want), name
+        violations_seen |= want.violations > 0
+        slack_seen |= want.max_slack > 0
+        return_failures_seen |= not want.return_bound_ok
+    assert violations_seen and slack_seen and return_failures_seen
+
+
+def _thick_ray_period2_chain():
+    g = fx.get("thick_ray_5")
+    F = potential_from_dict(
+        g, {"tail_values": [{"tail_index": 0, "period": [[0.1, -0.05], [-0.2, 0.03]]}]}
+    )
+    return build_chain(g, compute_gibbs(g, F), propagate_orders(g))
+
+
+def test_search_finds_each_geometric_profile_once(monkeypatch):
+    import treegibbs.wsg as wsg
+
+    calls = Counter()
+
+    def counted(mc, t, *args):
+        calls[t] += 1
+        return _geometric_best(mc, t, *args)
+
+    monkeypatch.setattr(wsg, "_geometric_best", counted)
+    chains = [(name, pipeline(name)[3]) for name in TAILED_FIXTURES]
+    chains.append(("thick_ray_5+period2", _thick_ray_period2_chain()))
+    for name, mc in chains:
+        core = [s for s in mc.states if not s.startswith("~")]
+        for B0 in [None] + [(s,) for s in core]:
+            calls.clear()
+            out = search_certificate(mc, B0)
+            assert out.feasible, (name, B0)
+            assert max(calls.values(), default=0) <= 1, (name, B0)
+            if name.startswith("thick_ray_5"):
+                # the thick ray is not cuspidal: every probe needs the profile
+                assert calls[0] == 1, (name, B0)
