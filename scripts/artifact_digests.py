@@ -5,7 +5,10 @@ plus probe with its default settings, then the same five commands on a few
 tailed fixtures with a tail potential (``POTENTIAL_RUNS``).  It prints one
 ``exit <code>  <run>`` line per run followed by one ``<sha256>  <run>/<file>``
 line per artifact, where ``<run>`` is ``<command>_<fixture>`` (or ``probe``,
-or ``<command>_<fixture>+<potential>``).  Each config names its graph and
+or ``<command>_<fixture>+<potential>``).  Then it prints one
+``<sha256>  census_<fixture>`` line per fixture: the digest of the sorted
+``label depth count`` rows of ``cover_census`` around the fixture's base
+vertex at radius ``CENSUS_RADIUS``.  Each config names its graph and
 potential by paths relative to the config file, so the input hash stamped
 into the artifacts does not depend on where the checkout lives.  Diffing the
 output of two checkouts lists the artifacts whose bytes differ.
@@ -24,9 +27,12 @@ import sys
 import tempfile
 
 from treegibbs.cli import main as cli_main
+from treegibbs.cover import cover_census
+from treegibbs.graph import graph_from_json
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 GRAPH_COMMANDS = ("analyze", "chain", "wsg", "mix", "count")
+CENSUS_RADIUS = 9
 
 # (fixture, name, potential): tail potentials whose prefix or period length
 # differs from the tail's own, so the chain and its tail blocks follow the
@@ -73,6 +79,15 @@ def digest_lines(work):
                 yield f"{hashlib.sha256(fh.read()).hexdigest()}  {run}/{fname}"
 
 
+def census_lines():
+    """Yield one digest line of the cover census of every shipped fixture."""
+    for fname in sorted(f for f in os.listdir(FIXTURE_DIR) if f.endswith(".json")):
+        g = graph_from_json(os.path.join(FIXTURE_DIR, fname))
+        census = cover_census(g, g.base_vertex, CENSUS_RADIUS)
+        rows = "".join(f"{lbl} {d} {n}\n" for (lbl, d), n in sorted(census.items()))
+        yield f"{hashlib.sha256(rows.encode()).hexdigest()}  census_{fname[:-5]}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -85,6 +100,8 @@ def main(argv=None):
         work = ns.work or stack.enter_context(tempfile.TemporaryDirectory())
         for line in digest_lines(work):
             print(line, flush=True)
+    for line in census_lines():
+        print(line, flush=True)
     return 0
 
 

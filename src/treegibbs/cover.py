@@ -4,6 +4,11 @@ Brute-force substrate for cross-checking the counting DP and the sphere-size
 formulas: every cover vertex is enumerated one by one, with child counts
 taken directly from the edge multiplicities.  Funnel interiors are expanded
 from their regular branching specs; tails are unrolled on demand.
+
+``build_cover_ball`` keeps one ``CoverNode`` per vertex; ``cover_census``
+only counts, walking the ball in blocks of vertices, one int array entry per
+vertex (memory about radius x block x max degree ids).  Neither sums a
+multiplicity, so both stay independent of the counting DP.
 """
 
 from __future__ import annotations
@@ -12,10 +17,13 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ResourceLimitError
 from .graph import IndexedGraph, materialize
 
 NODE_LIMIT = 2_000_000
+CENSUS_BLOCK = 4096  # cover vertices per block of the census walk
 
 
 @dataclass
@@ -121,33 +129,87 @@ def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LI
     return CoverBall(base, radius, nodes)
 
 
+def _state_table(g: IndexedGraph, base: str, radius: int):
+    """(label, ptr, flat, names): the quotient states met within ``radius``.
+
+    States are the (kind, payload) pairs of ``_expansion``, numbered breadth
+    first from ("root", base), so state 0 is the root.  ``label[s]`` indexes
+    ``names``, the vertex label of state s.  The children of state s are
+    ``flat[ptr[s]:ptr[s + 1]]``, one entry per child, so a multiplicity is a
+    repeated entry.  A state first met at depth ``radius`` is never expanded
+    by the walk and keeps an empty child range.
+    """
+    mat, children = _expansion(g, radius)
+    index = {("root", base): 0}
+    states = [("root", base)]
+    ptr, flat = [0], []
+    level = [("root", base)]
+    for _ in range(radius):
+        nxt = []
+        for state in level:
+            for child in children(*state):
+                s = index.get(child)
+                if s is None:
+                    s = index[child] = len(states)
+                    states.append(child)
+                    nxt.append(child)
+                flat.append(s)
+            ptr.append(len(flat))
+        level = nxt
+    ptr += [len(flat)] * (len(states) + 1 - len(ptr))
+    names, label = {}, []
+    for kind, payload in states:
+        if kind == "root":
+            name = payload
+        elif kind == "edge":
+            name = mat.term[payload]
+        else:
+            k, din = payload
+            name = f"~f{k}.d{din}"
+        label.append(names.setdefault(name, len(names)))
+    return (
+        np.array(label, dtype=np.intp),
+        np.array(ptr, dtype=np.intp),
+        np.array(flat, dtype=np.intp),
+        list(names),
+    )
+
+
 def cover_census(g: IndexedGraph, base: str, radius: int, node_limit=50_000_000):
     """Counter over (label, depth), enumerating every cover vertex individually.
 
-    Memory-light variant of build_cover_ball for large radii; still an
-    explicit one-iteration-per-vertex enumeration, not a weighted DP.
+    Memory-light variant of build_cover_ball for large radii, and still an
+    explicit enumeration, not a weighted DP.  Each stack entry is a block of
+    at most ``CENSUS_BLOCK`` cover vertices at one depth, one state id per
+    vertex.  A pop expands its block with one gather over the child table of
+    ``_state_table`` (one entry per child, multiplicities repeated) and adds
+    ``np.bincount`` of the children's labels to their depth's row; the stack
+    holds at most about radius x ``CENSUS_BLOCK`` x max degree ids.  Raises
+    ResourceLimitError when the ball has more than ``node_limit`` vertices.
     """
-    mat, children = _expansion(g, radius)
-    counts = Counter()
-    counts[(base, 0)] += 1
+    label, ptr, flat, names = _state_table(g, base, radius)
+    hist = np.zeros((radius + 1, len(names)), dtype=np.int64)
+    hist[0, label[0]] = 1
     total = 1
-    # DFS over (kind, payload, depth); each pop = one cover vertex
-    stack = []
-    if radius >= 1:
-        for kind, payload in children("root", base):
-            stack.append((kind, payload, 1))
+    # DFS over (block of state ids, depth); each block entry = one cover vertex
+    stack = [(np.zeros(1, dtype=np.intp), 0)] if radius >= 1 else []
     while stack:
-        kind, payload, depth = stack.pop()
-        total += 1
+        block, depth = stack.pop()
+        first = ptr[block]
+        deg = ptr[block + 1] - first
+        n = int(deg.sum())
+        if n == 0:
+            continue
+        total += n
         if total > node_limit:
             raise ResourceLimitError(f"cover census exceeds {node_limit} vertices")
-        if kind == "edge":
-            counts[(mat.term[payload], depth)] += 1
-        else:
-            k, din = payload
-            counts[(f"~f{k}.d{din}", depth)] += 1
-        if depth == radius:
-            continue
-        for ck, cp in children(kind, payload):
-            stack.append((ck, cp, depth + 1))
+        # child slot j of block entry i sits at flat[first[i] + j]
+        kids = flat[np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(n)]
+        hist[depth + 1] += np.bincount(label[kids], minlength=len(names))
+        if depth + 1 < radius:
+            for lo in range(0, n, CENSUS_BLOCK):
+                stack.append((kids[lo : lo + CENSUS_BLOCK], depth + 1))
+    counts = Counter()
+    for depth, lbl in zip(*np.nonzero(hist)):
+        counts[(names[lbl], int(depth))] = int(hist[depth, lbl])
     return counts

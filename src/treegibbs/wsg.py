@@ -18,7 +18,7 @@ Tail weights come in two analytic families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class TailWeightForm:
 
     form: str  # "geometric" | "cusp"
     params: dict
+    # cusp up-state tau unrolled past params["tau"], extended on demand
+    _unrolled: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def value(self, level, up):
         c = self.params.get("scale", 1.0)
@@ -58,17 +60,20 @@ class TailWeightForm:
         taus = self.params["tau"]  # values at levels 1..len(taus)
         if level <= len(taus):
             return taus[level - 1]
-        # unroll tau_{n+1} = tau_n/(p_n R^2) - (1 - p_n)/(p_n R) with periodic p
-        R = self.params["R"]
-        start, L = self.params["p_start"], self.params["period"]
-        p_per = self.params["p_period"]
-        val = taus[-1]
-        lev = len(taus)
-        while lev < level:
-            p = p_per[(lev - start) % L]
-            val = val / (p * R * R) - (1.0 - p) / (p * R)
-            lev += 1
-        return val
+        more = self._unrolled  # values at levels len(taus)+1..len(taus)+len(more)
+        lev = len(taus) + len(more)
+        if lev < level:
+            # unroll tau_{n+1} = tau_n/(p_n R^2) - (1 - p_n)/(p_n R) with periodic p
+            R = self.params["R"]
+            start, L = self.params["p_start"], self.params["period"]
+            p_per = self.params["p_period"]
+            val = more[-1] if more else taus[-1]
+            while lev < level:
+                p = p_per[(lev - start) % L]
+                val = val / (p * R * R) - (1.0 - p) / (p * R)
+                more.append(val)
+                lev += 1
+        return more[level - len(taus) - 1]
 
 
 @dataclass(frozen=True)

@@ -359,3 +359,82 @@ def test_renewal_exact_path_still_hits(name, exact, growth_sq):
     assert rc.method == "perron-exact"
     assert rc.exact == exact and rc.growth_sq == growth_sq
     assert rc.value == float(exact)
+
+
+def _reference_census(g, base, radius, node_limit=50_000_000):
+    """The census as a one-pop-per-vertex DFS over (kind, payload, depth)."""
+    from collections import Counter
+
+    from treegibbs.cover import _expansion
+    from treegibbs.errors import ResourceLimitError
+
+    mat, children = _expansion(g, radius)
+    counts = Counter()
+    counts[(base, 0)] += 1
+    total = 1
+    stack = []
+    if radius >= 1:
+        for kind, payload in children("root", base):
+            stack.append((kind, payload, 1))
+    while stack:
+        kind, payload, depth = stack.pop()
+        total += 1
+        if total > node_limit:
+            raise ResourceLimitError(f"cover census exceeds {node_limit} vertices")
+        if kind == "edge":
+            counts[(mat.term[payload], depth)] += 1
+        else:
+            k, din = payload
+            counts[(f"~f{k}.d{din}", depth)] += 1
+        if depth == radius:
+            continue
+        for ck, cp in children(kind, payload):
+            stack.append((ck, cp, depth + 1))
+    return counts
+
+
+# the two rays of type (2, 4) have 2.9 million vertices at radius 9
+_CENSUS_MAX_RADIUS = {"thick_ray_5": 7, "critical_ray_5": 7}
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_census_matches_the_one_pop_per_vertex_reference(name):
+    g = fx.get(name)
+    base = g.base_vertex
+    for radius in range(_CENSUS_MAX_RADIUS.get(name, 9) + 1):
+        got = cover_census(g, base, radius)
+        assert got == _reference_census(g, base, radius), (name, radius)
+        assert all(type(v) is int and v > 0 for v in got.values()), (name, radius)
+        assert all(type(d) is int for _, d in got), (name, radius)
+
+
+@pytest.mark.parametrize("name", ["single_edge_3", "funnel_loop", "cusp_24"])
+def test_census_node_limit_is_the_ball_size(name):
+    from treegibbs.errors import ResourceLimitError
+
+    g = fx.get(name)
+    base = g.base_vertex
+    size = sum(cover_census(g, base, 6).values())
+    with pytest.raises(ResourceLimitError) as got:
+        cover_census(g, base, 6, node_limit=size - 1)
+    with pytest.raises(ResourceLimitError) as want:
+        _reference_census(g, base, 6, node_limit=size - 1)
+    assert str(got.value) == str(want.value) == f"cover census exceeds {size - 1} vertices"
+    assert sum(cover_census(g, base, 6, node_limit=size).values()) == size
+    # a lone root is never checked against the limit, as in the reference
+    assert cover_census(g, base, 0, node_limit=0) == _reference_census(g, base, 0, node_limit=0)
+
+
+def test_census_walks_in_blocks_not_levels():
+    import tracemalloc
+
+    g = fx.get("thick_ray_5")
+    tracemalloc.start()
+    try:
+        census = cover_census(g, g.base_vertex, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(census.values()) == 2_929_687
+    # the 2,343,750 vertices at depth 9 as one int64 array would take 18.75 MB
+    assert peak < 8_000_000

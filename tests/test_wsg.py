@@ -602,3 +602,44 @@ def test_search_finds_each_geometric_profile_once(monkeypatch):
             if name.startswith("thick_ray_5"):
                 # the thick ray is not cuspidal: every probe needs the profile
                 assert calls[0] == 1, (name, B0)
+
+
+def _reference_tau(form, level):
+    """The cusp recursion unrolled afresh from the last stored level."""
+    taus = form.params["tau"]
+    if level <= len(taus):
+        return taus[level - 1]
+    R = form.params["R"]
+    start, L = form.params["p_start"], form.params["period"]
+    p_per = form.params["p_period"]
+    val = taus[-1]
+    lev = len(taus)
+    while lev < level:
+        p = p_per[(lev - start) % L]
+        val = val / (p * R * R) - (1.0 - p) / (p * R)
+        lev += 1
+    return val
+
+
+@pytest.mark.parametrize("name", ["cusp_22", "cusp_24", "cusp_44"])
+def test_cusp_up_weights_match_a_fresh_unroll(name):
+    _, _, _, mc = pipeline(name)
+    cert = tail_certificate(mc)
+    form = cert.tails[0]
+    assert form.form == "cusp"
+    before = cert.to_dict()
+    depth = mc.mat.depth
+    levels = list(range(1, depth + 1))
+    shuffled = random.Random(7).sample(levels, len(levels))
+    for f, order in ((form, levels), (form.scaled(0.37), shuffled), (form, shuffled)):
+        c = f.params.get("scale", 1.0)
+        R = f.params["R"]
+        for n in order:
+            want = c * _reference_tau(f, n) * R**n
+            assert f.value(n, True).hex() == want.hex(), (name, n)
+    # the unrolled values are a cache: not copied by scaled(), compared,
+    # printed or serialized
+    assert form._unrolled and form.scaled(2.0)._unrolled == []
+    assert form == TailWeightForm(form.form, dict(form.params))
+    assert repr(form) == f"TailWeightForm(form={form.form!r}, params={form.params!r})"
+    assert cert.to_dict() == before
