@@ -41,10 +41,6 @@ class TailBlock:
     p_dn: dict
     p_re: dict
 
-    def period_p_up(self):
-        """p_up over one period, taken one period past the periodic onset."""
-        return [self.p_up[self.start + self.period + off] for off in range(self.period)]
-
 
 @dataclass(frozen=True)
 class MarkovChain:

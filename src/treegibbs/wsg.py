@@ -5,20 +5,24 @@ set B and a contraction factor rho < 1 with sum_j p_ij t_j / t_i <= rho for
 every state outside B.  It forces the taboo decay p^{(n),B}_{ij} <= t_i rho^n
 / t_j, the engine behind exponential convergence to stationarity.
 
-Tail weights come in two analytic families:
-
-* ``cusp``: on rays whose downward indices are all 1, down-states get R^n and
-  up-states solve the drift equalities exactly with ratio 1/R; positivity of
-  the recursion needs R^{2L} * prod(p_up over a period) < 1.
-* ``geometric``: t(up_n) = xi^n, t(down_n) = xi^(n-1); the finitely many
-  distinct one-step drift constraints are convex in xi, so a ternary search
-  finds the best ratio.
+Tail weights have one analytic form.  On the periodic part of a tail (period
+L, first level ``start``) they are t(e_n) = c a_up[phi] z^n and
+t(r_n) = c a_dn[phi] z^n with phi = (n - start) mod L, where (a_up, a_dn) is
+the Perron vector of the tail's 2L x 2L quasi-birth-death characteristic
+matrix M(z) (for L = 1, [[p_up z, p_turn], [p_re, p_dn / z]]).  Every periodic
+drift ratio is then its Perron root chi(z).  log chi(e^x) is convex in x
+(Kingman 1961), so one golden-section search finds min_z chi(z): the tail's
+decay parameter e^{s_tail - delta}, below which no tail weights certify
+(Vere-Jones 1967).  Prefix levels are solved backward with the same ratio and
+the scale c is set by the level-1 exit row; a prefix that needs a larger ratio
+gets one by a bisection over a smaller z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,48 +36,35 @@ VALUE_CAP = 1e9
 
 @dataclass(frozen=True)
 class TailWeightForm:
-    """Analytic weight family on one tail."""
+    """Drift weights on one tail, with every drift ratio at most ``rho``.
 
-    form: str  # "geometric" | "cusp"
-    params: dict
-    # cusp up-state tau unrolled past params["tau"], extended on demand
-    _unrolled: list = field(default_factory=list, init=False, compare=False, repr=False)
+    ``a_up``/``a_dn`` hold one period of phases and ``prefix_up``/``prefix_dn``
+    the weights at the levels 1..start-1, all before the scale c.
+    """
+
+    form: ClassVar[str] = "qbd"
+    rho: float
+    z: float
+    start: int
+    a_up: tuple
+    a_dn: tuple
+    prefix_up: tuple = ()
+    prefix_dn: tuple = ()
+    scale: float = 1.0
 
     def value(self, level, up):
-        c = self.params.get("scale", 1.0)
-        if self.form == "geometric":
-            xi = self.params["xi"]
-            return c * xi**level if up else c * xi ** (level - 1)
-        if self.form == "cusp":
-            R = self.params["R"]
-            if up:
-                return c * self._tau(level) * R**level
-            return c * R**level
-        raise ValueError(self.form)
+        if level < self.start:
+            w = (self.prefix_up if up else self.prefix_dn)[level - 1]
+        else:
+            a = self.a_up if up else self.a_dn
+            w = a[(level - self.start) % len(a)] * self.z**level
+        return self.scale * w
 
     def scaled(self, factor):
-        params = dict(self.params)
-        params["scale"] = params.get("scale", 1.0) * factor
-        return TailWeightForm(self.form, params)
+        return replace(self, scale=self.scale * factor)
 
-    def _tau(self, level):
-        taus = self.params["tau"]  # values at levels 1..len(taus)
-        if level <= len(taus):
-            return taus[level - 1]
-        more = self._unrolled  # values at levels len(taus)+1..len(taus)+len(more)
-        lev = len(taus) + len(more)
-        if lev < level:
-            # unroll tau_{n+1} = tau_n/(p_n R^2) - (1 - p_n)/(p_n R) with periodic p
-            R = self.params["R"]
-            start, L = self.params["p_start"], self.params["period"]
-            p_per = self.params["p_period"]
-            val = more[-1] if more else taus[-1]
-            while lev < level:
-                p = p_per[(lev - start) % L]
-                val = val / (p * R * R) - (1.0 - p) / (p * R)
-                more.append(val)
-                lev += 1
-        return more[level - len(taus) - 1]
+    def to_dict(self):
+        return {"form": self.form, "params": asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -102,23 +93,10 @@ class DriftCertificate:
             "B": list(self.B),
             "t": {
                 "core": {k: float(v) for k, v in sorted(self.t_core.items())},
-                "tails": [
-                    None if tf is None else {"form": tf.form, "params": _jsonable(tf.params)}
-                    for tf in self.tails
-                ],
+                "tails": [None if tf is None else tf.to_dict() for tf in self.tails],
             },
             "provenance": self.provenance,
         }
-
-
-def _jsonable(params):
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (list, tuple)):
-            out[k] = [float(x) for x in v]
-        else:
-            out[k] = float(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -238,153 +216,147 @@ def _symbolic_tail_check(mc, cert, tol):
 # analytic tail certificates
 
 
-def _cusp_weights(mc, t, R):
-    """Exact drift-equality weights on a cuspidal tail, ratio 1/R everywhere.
-
-    tau_n = t(up_n)/R^n satisfies an expanding affine recursion; it stays
-    positive for every level iff it starts above the (repelling) critical
-    trajectory.  We estimate that trajectory by backward recursion, add a
-    margin, and then certify positivity by unrolling forward until the values
-    are period-over-period increasing (after which they grow without bound).
-    """
-    blk = mc.tails[t]
-    start, L = blk.start, blk.period
-    depth = mc.mat.depth
-    p_per = blk.period_p_up()
-    # a level that is never climbed (zero up-shadow) has no cusp profile
-    if not all(p_per + [blk.p_up[n] for n in range(1, start)]):
-        return None
-    if math.prod(p_per) * R ** (2 * L) >= 1.0:
-        return None
-
-    def p_at(n):
-        if n < start:
-            return blk.p_up[n]
-        return p_per[(n - start) % L]
-
-    # critical trajectory by contracting backward recursion
-    far = depth - 2
-    tau = 0.0
-    for n in range(far, 0, -1):
-        pn = p_at(n)
-        tau = (tau + (1.0 - pn) / (pn * R)) * pn * R * R
-    margin = max(1.0, abs(tau))
-    tau1 = tau + margin
-    # forward positivity certificate: all positive and eventually increasing
-    horizon = max(4 * depth, start + 10 * L)
-    taus_all = [tau1]
-    for n in range(1, horizon):
-        pn = p_at(n)
-        taus_all.append(taus_all[-1] / (pn * R * R) - (1.0 - pn) / (pn * R))
-    if any(v <= 0 for v in taus_all):
-        return None
-    if taus_all[-1] <= taus_all[-1 - L]:
-        return None
-    keep = start + 2 * L
-    return TailWeightForm(
-        "cusp",
-        {
-            "R": R,
-            "tau": taus_all[:keep],
-            "p_start": start,
-            "period": L,
-            "p_period": p_per,
-        },
-    )
-
-
-def _geometric_best(mc, t, xi_lo=1.0 + 1e-9, xi_hi=64.0):
-    """Best drift data (xi, scale, rho) for t(up_n) = c xi^n, t(dn_n) = c xi^(n-1).
-
-    Interior ratios do not see the scale c; the exit constraint at the level-1
-    down state (targets of weight 1 in B) does, so c is chosen last to push
-    the exit ratio down to the interior level.  Assumes the tail is the only
-    one at its attach vertex (cross-tail entries are caught by verification).
-    """
-    blk = mc.tails[t]
-    start, L = blk.start, blk.period
-    levels = sorted(set(range(1, start + L + 1)))
-    e1 = tail_edge_id(t, 1, True)
-    r1 = tail_edge_id(t, 1, False)
-    p_re1 = mc.p_of(r1, e1) if e1 in mc.states and r1 in mc.states else 0.0
-    p_exit = float(mc.p[mc.pos(r1)].sum()) - p_re1 if r1 in mc.states else 0.0
-
-    def interior(xi):
-        worst = 0.0
-        for n in levels:
-            pu, pt = blk.p_up.get(n), blk.p_turn.get(n, 0.0)
-            if pu is not None:
-                worst = max(worst, pu * xi + pt / xi)
-        for n in levels:
-            pd, pr = blk.p_dn.get(n), blk.p_re.get(n, 0.0)
-            if pd is not None:
-                worst = max(worst, pd / xi + pr * xi)
-        return worst
-
-    def ratio(xi):
-        # exit ratio tends to p_re1 * xi as the scale grows
-        return max(interior(xi), p_re1 * xi)
-
-    lo, hi = xi_lo, xi_hi
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if ratio(m1) <= ratio(m2):
-            hi = m2
+def _argmin_unimodal(f, lo, hi):
+    """Golden-section minimiser of a unimodal f on [lo, hi], run until the
+    bracket is 1e-10 wide relative to its ends."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-10 * max(1.0, abs(lo), abs(hi)):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
         else:
-            lo = m1
-    xi = 0.5 * (lo + hi)
-    rho = ratio(xi) * (1.0 + 1e-9) + 1e-12
-    head = rho - p_re1 * xi
-    scale = max(1.0, p_exit / head) if head > 0 else None
-    if scale is None:
-        return xi, None, float("inf")
-    return xi, scale, max(rho, p_exit / scale + p_re1 * xi)
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def _perron(m):
+    """(Perron root, Perron vector scaled to max 1) of a nonnegative matrix."""
+    vals, vecs = np.linalg.eig(m)
+    k = int(np.argmax(vals.real))
+    v = vecs[:, k].real
+    return float(vals[k].real), v / v[np.argmax(np.abs(v))]
+
+
+def _tail_form(mc, t):
+    """The ``TailWeightForm`` of tail t, or None when none has ratio < 1.
+
+    M(z) = z UP + FLAT + DN / z is read off one period of the tail block:
+    UP holds p(e_n -> e_{n+1}), FLAT p(e_n -> r_n) and p(r_n -> e_n), DN
+    p(r_n -> r_{n-1}).  chi(z) is at least z U and D / z, with U and D the
+    geometric means of p_up and p_dn over the period, so its minimiser lies in
+    [D / V, V / U] for V = chi(sqrt(D / U)).  z is then taken 1e-7 below the
+    minimiser: on a cuspidal tail (p_re = 0) M(z) is block triangular and past
+    the minimiser its Perron vector has a_dn = 0.  The form's ratio is the
+    Collatz-Wielandt bound max (M a / a) of the vector it uses.  When the
+    prefix levels or the level-1 exit row leave a weight <= 0 there, z moves
+    down by bisection, which raises the ratio, until every weight is
+    positive.
+    """
+    blk = mc.tails[t]
+    start, L = blk.start, blk.period
+    e1, r1 = tail_edge_id(t, 1, True), tail_edge_id(t, 1, False)
+    if r1 not in mc.states:
+        # the chain never climbs the tail, so no tail weight is ever read
+        ones, below = (1.0,) * L, (1.0,) * (start - 1)
+        return TailWeightForm(0.0, 1.0, start, ones, ones, below, below)
+    levels = range(start + L, start + 2 * L)  # level start + L + k has phase k
+    UP, FLAT, DN = (np.zeros((2 * L, 2 * L)) for _ in range(3))
+    for k, n in enumerate(levels):
+        UP[k, (k + 1) % L] = blk.p_up[n]
+        FLAT[k, L + k] = blk.p_turn[n]
+        FLAT[L + k, k] = blk.p_re[n]
+        DN[L + k, L + (k - 1) % L] = blk.p_dn[n]
+    U = math.prod(blk.p_up[n] for n in levels) ** (1.0 / L)
+    D = math.prod(blk.p_dn[n] for n in levels) ** (1.0 / L)
+    p_re1 = mc.p_of(r1, e1) if e1 in mc.states else 0.0
+    p_exit = float(mc.p[mc.pos(r1)].sum()) - p_re1
+
+    def form_at(rho, z, a):
+        """The form with ratio rho and phases a, its prefix weights solved
+        downward from the drift equalities at rho and its scale from the
+        level-1 exit row p_exit * 1 + p_re1 t(e_1) <= rho t(r_1); None if a
+        weight is <= 0."""
+        w_up, w_dn = a[0] * z**start, a[L] * z**start
+        pre_up, pre_dn = [], []
+        for n in range(start - 1, 0, -1):
+            # r_{n+1} is absent when it never steps down: t(r_n) is then free
+            if blk.p_dn[n + 1] > 0.0:
+                w_dn = (rho * w_dn - blk.p_re[n + 1] * w_up) / blk.p_dn[n + 1]
+            w_up = (blk.p_up[n] * w_up + blk.p_turn[n] * w_dn) / rho
+            if w_dn <= 0.0:
+                return None
+            pre_up.insert(0, w_up)
+            pre_dn.insert(0, w_dn)
+        form = TailWeightForm(rho, z, start, tuple(a[:L].tolist()), tuple(a[L:].tolist()),
+                              tuple(pre_up), tuple(pre_dn))
+        head = rho * form.value(1, False) - p_re1 * form.value(1, True)
+        if p_exit <= 0.0:
+            return form
+        return form.scaled(p_exit / head) if head > 0.0 else None
+
+    if U > 0.0 and D > 0.0:
+
+        def at(x):
+            z = math.exp(x)
+            m = z * UP + FLAT + DN / z
+            a = _perron(m)[1]
+            if a.min() <= 0.0:
+                return None
+            return form_at(float(((m @ a) / a).max()), z, a)  # Collatz-Wielandt ratio
+
+        def chi(x):
+            return _perron(math.exp(x) * UP + FLAT + math.exp(-x) * DN)[0]
+
+        V = chi(0.5 * math.log(D / U))
+        x = _argmin_unimodal(chi, math.log(D / V), math.log(V / U)) - math.log1p(1e-7)
+        form, good = at(x), math.log(D)  # chi(z) >= D / z = 1 at z = D
+    else:
+        # the chain turns back below the periodic part, which it never
+        # enters: the ratio itself is the free variable
+
+        def at(rho):
+            return form_at(rho, 1.0, np.ones(2 * L))
+
+        form, x, good = None, 0.0, 1.0
+    if form is None:
+        # bisect between x and ``good`` (a smaller z, hence a larger ratio)
+        # for the weights nearest x that are all positive
+        form = at(good)
+        while form is not None and abs(good - x) > 1e-10:
+            mid = 0.5 * (x + good)
+            got = at(mid)
+            if got is None:
+                x = mid
+            else:
+                good, form = mid, got
+    return form
 
 
 def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCertificate:
     """Analytic drift weights on every tail, B = core states.
 
-    Cuspidal tails use the exact-equality recursion with the largest feasible
-    R (bisection); other tails use the best geometric profile.  Raises
-    NoGeometricDriftError when no family yields rho < 1.
+    Each tail takes its ``TailWeightForm``; rho is the largest of their drift
+    ratios plus ``rho_tol``.  Raises NoGeometricDriftError when a tail has no
+    such form below 1 or the weights fail verification.
     """
     mat = mc.mat
     if mat is None or not mat.core.tails:
         raise NoGeometricDriftError("chain has no tails to certify")
     tails_idx = range(len(mat.core.tails)) if tail_index is None else [tail_index]
     forms = [None] * len(mat.core.tails)
-    rho = 0.0
     for t in tails_idx:
-        spec = mat.core.tails[t]
-        best = None
-        blk = mc.tails[t]
-        climb = math.prod(blk.period_p_up())
-        if spec.is_cuspidal() and climb > 0.0:
-            R_max = climb ** (-1.0 / (2 * blk.period))
-            lo, hi = 1.0 + 1e-12, R_max
-            feasible = None
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                w = _cusp_weights(mc, t, mid)
-                if w is not None:
-                    feasible = (mid, w)
-                    lo = mid
-                else:
-                    hi = mid
-            if feasible is not None:
-                best = (1.0 / feasible[0], feasible[1])
-        xi, scale, r_geo = _geometric_best(mc, t)
-        if scale is not None and r_geo < 1.0 and (best is None or r_geo < best[0]):
-            best = (r_geo, TailWeightForm("geometric", {"xi": xi, "scale": scale}))
-        if best is None or best[0] >= 1.0:
-            raise NoGeometricDriftError(f"tail {t}: no drift family with ratio < 1")
-        forms[t] = best[1]
-        rho = max(rho, best[0])
+        forms[t] = _tail_form(mc, t)
+        if forms[t] is None or forms[t].rho >= 1.0:
+            raise NoGeometricDriftError(f"tail {t}: no positive drift weights with ratio < 1")
+    rho = max(forms[t].rho for t in tails_idx)
     core_states = tuple(s for s in mc.states if mat.edge_meta[s][0] == "core")
-    t_core = {s: 1.0 for s in core_states}
     cert = DriftCertificate(
-        t_core=t_core,
+        t_core={s: 1.0 for s in core_states},
         B=core_states,
         rho=min(rho + rho_tol, 1.0 - 1e-12),
         tails=tuple(forms),
@@ -392,11 +364,9 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
     )
     rep = verify_certificate(mc, cert)
     if not rep.ok:
-        # numerical slack from the block detection; relax rho to the observed max
-        if rep.max_ratio < 1.0:
-            cert = DriftCertificate(t_core, core_states, rep.max_ratio + rho_tol, tuple(forms), "analytic-tail")
-        else:
-            raise NoGeometricDriftError(f"analytic weights verify at ratio {rep.max_ratio} >= 1")
+        raise NoGeometricDriftError(
+            f"analytic weights verify at ratio {rep.max_ratio} > rho {cert.rho}"
+        )
     return cert
 
 
@@ -482,12 +452,14 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     """Bisection on rho with a feasibility solve per candidate.
 
     Finite chains: minimal-supersolution solve with t = 1 on B.  Tailed
-    chains: analytic tail feasibility at the candidate ratio, a core solve for
-    any states left outside B, and a tail rescaling loop for the junctions.
-    The free states, their taboo block P_ff and its Perron value rho(P_ff),
-    each tail's best geometric profile and the junction rows do not depend on
-    the candidate, so they are computed at most once per search; a candidate
-    at or below rho(P_ff) is rejected without a linear solve.
+    chains: a candidate needs rho at or above every tail form's drift ratio,
+    then a core solve for any states left outside B, and a tail rescaling
+    loop for the junctions; the largest tail form ratio is tried first and,
+    when feasible, is the result, since nothing below it is.  The free states, their taboo block P_ff and its
+    Perron value rho(P_ff), each tail's ``TailWeightForm`` and the junction
+    rows do not depend on the candidate, so they are computed once per
+    search; a candidate at or below rho(P_ff) is rejected without a linear
+    solve.
     """
     mat = mc.mat
     has_tails = bool(mat is not None and mat.core.tails)
@@ -502,11 +474,11 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         s for s in mc.states if has_tails and mat.edge_meta[s][0] == "tail" and s not in Bset
     ]
     taboo = _taboo_block(mc, Bset, set(bounded))
-    geometric = {}  # tail -> _geometric_best, found when a probe first needs it
+    tail_forms = [_tail_form(mc, t) for t in range(len(mat.core.tails))] if has_tails else []
     # junctions: the level-1 down states outside B, whose drift the tail
     # rescaling loop pushes down to the candidate
     junctions = []
-    for t in range(len(mat.core.tails) if has_tails else 0):
+    for t in range(len(tail_forms)):
         r1 = tail_edge_id(t, 1, False)
         if r1 in mc.states and r1 not in Bset:
             junctions.append((t, mc.pos(r1)))
@@ -515,27 +487,9 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     j_nz = np.nonzero(j_rows)
 
     def tail_feasible(rho):
-        forms = [None] * len(mat.core.tails) if has_tails else []
-        if not has_tails:
-            return forms
-        for t, spec in enumerate(mat.core.tails):
-            got = None
-            if spec.is_cuspidal():
-                blk = mc.tails[t]
-                if rho > math.prod(blk.period_p_up()) ** (1.0 / (2 * blk.period)):
-                    w = _cusp_weights(mc, t, 1.0 / rho)
-                    if w is not None:
-                        got = w
-            if got is None:
-                if t not in geometric:
-                    geometric[t] = _geometric_best(mc, t)
-                xi, scale, r_geo = geometric[t]
-                if scale is not None and r_geo <= rho:
-                    got = TailWeightForm("geometric", {"xi": xi, "scale": scale})
-            if got is None:
-                return None
-            forms[t] = got
-        return forms
+        if any(tf is None or tf.rho > rho for tf in tail_forms):
+            return None
+        return list(tail_forms)
 
     def feasible(rho):
         forms = tail_feasible(rho)
@@ -584,7 +538,12 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     top = feasible(hi)
     if top is None:
         return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
-    lo = 0.0
+    # no candidate below the largest tail form ratio is feasible
+    lo = max((tf.rho for tf in tail_forms), default=0.0)
+    if lo > 0.0:
+        floor = feasible(lo)
+        if floor is not None:
+            return SearchOutcome(floor, True, lo, ())
     best = top
     while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)

@@ -111,7 +111,7 @@ def test_cli_wsg_on_tailed_fixture(tmp_path, fixture_dir):
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["rho"] < 1.0
     assert cert["lemma_violations"] == 0
-    assert cert["t"]["tails"][0]["form"] in ("cusp", "geometric")
+    assert cert["t"]["tails"][0]["form"] == "qbd"
 
 
 def test_cli_count_includes_normalization_record(tmp_path, fixture_dir):

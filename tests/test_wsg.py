@@ -5,23 +5,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import FINITE_FIXTURES, TAILED_FIXTURES, pipeline
+from conftest import FINITE_FIXTURES, TAILED_FIXTURES, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs.chain import MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
-from treegibbs.errors import NoGeometricDriftError
+from treegibbs.errors import NoGeometricDriftError, TreeGibbsError
 from treegibbs.gibbs import compute_gibbs, potential_from_dict, spectral_radius
-from treegibbs.graph import graph_from_dict, propagate_orders, tail_edge_id
+from treegibbs.graph import (
+    graph_from_dict,
+    graph_to_dict,
+    propagate_orders,
+    tail_edge_id,
+    validate_graph,
+)
 from treegibbs.wsg import (
     VALUE_CAP,
     DriftCertificate,
     DriftReport,
     LemmaBoundReport,
     SearchOutcome,
-    TailWeightForm,
-    _cusp_weights,
-    _geometric_best,
     _symbolic_tail_check,
+    _tail_form,
     degradation_probe,
     lemma_bound_check,
     search_certificate,
@@ -86,7 +91,7 @@ def test_tail_certificate_cuspidal():
     _, _, _, mc = pipeline("cusp_22")
     cert = tail_certificate(mc)
     assert cert.rho < 1.0
-    assert cert.tails[0].form == "cusp"
+    assert cert.tails[0].form == "qbd"
     # best cuspidal ratio approaches (prod p over a period)^(1/(2L))
     blk = mc.tails[0]
     start, L = blk.start, blk.period
@@ -94,7 +99,7 @@ def test_tail_certificate_cuspidal():
     for off in range(L):
         prod *= blk.p_up[start + L + off]
     assert cert.rho >= prod ** (1.0 / (2 * L)) - 1e-9
-    assert cert.rho <= prod ** (1.0 / (2 * L)) + 5e-2
+    assert cert.rho <= prod ** (1.0 / (2 * L)) * (1.0 + 1e-6)
     assert verify_certificate(mc, cert).ok
 
 
@@ -246,22 +251,9 @@ def _reference_search(mc, B0=None, rho_tol=1e-6):
         Bset = {mc.states[0]}
 
     def tail_feasible(rho):
-        forms = [None] * len(mat.core.tails) if has_tails else []
-        if not has_tails:
-            return forms
-        for t, spec in enumerate(mat.core.tails):
-            got = None
-            if spec.is_cuspidal():
-                blk = mc.tails[t]
-                if rho > math.prod(blk.period_p_up()) ** (1.0 / (2 * blk.period)):
-                    got = _cusp_weights(mc, t, 1.0 / rho)
-            if got is None:
-                xi, scale, r_geo = _geometric_best(mc, t)
-                if scale is not None and r_geo <= rho:
-                    got = TailWeightForm("geometric", {"xi": xi, "scale": scale})
-            if got is None:
-                return None
-            forms[t] = got
+        forms = [_tail_form(mc, t) for t in range(len(mat.core.tails))] if has_tails else []
+        if any(tf is None or tf.rho > rho for tf in forms):
+            return None
         return forms
 
     def feasible(rho):
@@ -311,7 +303,12 @@ def _reference_search(mc, B0=None, rho_tol=1e-6):
     top = feasible(hi)
     if top is None:
         return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
-    lo, best = 0.0, top
+    # the search starts at the largest tail form ratio
+    lo = max((tf.rho for tf in tail_feasible(hi)), default=0.0)
+    floor = feasible(lo) if lo > 0.0 else None
+    if floor is not None:
+        return SearchOutcome(floor, True, lo, ())
+    best = top
     while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)
         cand = feasible(mid)
@@ -585,11 +582,11 @@ def test_search_finds_each_geometric_profile_once(monkeypatch):
 
     calls = Counter()
 
-    def counted(mc, t, *args):
+    def counted(mc, t):
         calls[t] += 1
-        return _geometric_best(mc, t, *args)
+        return _tail_form(mc, t)
 
-    monkeypatch.setattr(wsg, "_geometric_best", counted)
+    monkeypatch.setattr(wsg, "_tail_form", counted)
     chains = [(name, pipeline(name)[3]) for name in TAILED_FIXTURES]
     chains.append(("thick_ray_5+period2", _thick_ray_period2_chain()))
     for name, mc in chains:
@@ -599,47 +596,127 @@ def test_search_finds_each_geometric_profile_once(monkeypatch):
             out = search_certificate(mc, B0)
             assert out.feasible, (name, B0)
             assert max(calls.values(), default=0) <= 1, (name, B0)
-            if name.startswith("thick_ray_5"):
-                # the thick ray is not cuspidal: every probe needs the profile
-                assert calls[0] == 1, (name, B0)
+            # every probe needs the form of every tail
+            assert calls[0] == 1, (name, B0)
 
 
-def _reference_tau(form, level):
-    """The cusp recursion unrolled afresh from the last stored level."""
-    taus = form.params["tau"]
-    if level <= len(taus):
-        return taus[level - 1]
-    R = form.params["R"]
-    start, L = form.params["p_start"], form.params["period"]
-    p_per = form.params["p_period"]
-    val = taus[-1]
-    lev = len(taus)
-    while lev < level:
-        p = p_per[(lev - start) % L]
-        val = val / (p * R * R) - (1.0 - p) / (p * R)
-        lev += 1
-    return val
+# ---------------------------------------------------------------------------
+# tail certificates at the weighted spectral gap
+
+# the tail potentials of the potential runs in scripts/artifact_digests.py
+_TAIL_POTENTIALS = {
+    "cusp_22+period2": ("cusp_22", {"period": [[0.1, -0.05], [0.02, 0.03]]}),
+    "cusp_22+prefix1": ("cusp_22", {"prefix": [[0.3, 0.1]], "period": [[0.1, 0.1]]}),
+    "thick_ray_5+period2": ("thick_ray_5", {"period": [[0.1, -0.05], [-0.2, 0.03]]}),
+}
 
 
-@pytest.mark.parametrize("name", ["cusp_22", "cusp_24", "cusp_44"])
-def test_cusp_up_weights_match_a_fresh_unroll(name):
-    _, _, _, mc = pipeline(name)
+def _tailed_run(name):
+    """(gibbs data, chain) of a tailed fixture or of a potential run."""
+    if name in TAILED_FIXTURES:
+        return pipeline(name)[2:]
+    fixture, tail_values = _TAIL_POTENTIALS[name]
+    g = fx.get(fixture)
+    F = potential_from_dict(g, {"tail_values": [dict(tail_index=0, **tail_values)]})
+    gd = compute_gibbs(g, F)
+    return gd, build_chain(g, gd, propagate_orders(g))
+
+
+@pytest.mark.parametrize("name", TAILED_FIXTURES + tuple(_TAIL_POTENTIALS))
+def test_tail_certificates_reach_the_weighted_spectral_gap(name):
+    gd, mc = _tailed_run(name)
+    # the tail's decay parameter; s_tail is a bisection value, so rho may
+    # sit a little below it
+    gap = math.exp(gd.method["s_tail"] - gd.delta)
     cert = tail_certificate(mc)
-    form = cert.tails[0]
-    assert form.form == "cusp"
-    before = cert.to_dict()
-    depth = mc.mat.depth
-    levels = list(range(1, depth + 1))
-    shuffled = random.Random(7).sample(levels, len(levels))
-    for f, order in ((form, levels), (form.scaled(0.37), shuffled), (form, shuffled)):
-        c = f.params.get("scale", 1.0)
-        R = f.params["R"]
-        for n in order:
-            want = c * _reference_tau(f, n) * R**n
-            assert f.value(n, True).hex() == want.hex(), (name, n)
-    # the unrolled values are a cache: not copied by scaled(), compared,
-    # printed or serialized
-    assert form._unrolled and form.scaled(2.0)._unrolled == []
-    assert form == TailWeightForm(form.form, dict(form.params))
-    assert repr(form) == f"TailWeightForm(form={form.form!r}, params={form.params!r})"
-    assert cert.to_dict() == before
+    out = search_certificate(mc)
+    assert out.feasible
+    for rho in (cert.rho, out.infimum_rho, out.certificate.rho):
+        assert abs(rho / gap - 1.0) <= 1e-6, (name, rho, gap)
+    for c in (cert, out.certificate):
+        assert verify_certificate(mc, c).ok
+        assert lemma_bound_check(mc, c, 60).violations == 0
+
+
+@pytest.mark.parametrize("name", ["cusp_22", "cusp_44", "thick_ray_5"])
+def test_period_one_tail_form_meets_its_closed_form(name):
+    mc = pipeline(name)[3]
+    blk = mc.tails[0]
+    assert blk.period == 1
+    n = blk.start + 1
+    pu, pt, pd, pr = blk.p_up[n], blk.p_turn[n], blk.p_dn[n], blk.p_re[n]
+    rho_star = math.sqrt(pu * pd) + math.sqrt(pt * pr)
+    form = _tail_form(mc, 0)
+    # the form sits 1e-7 below the minimiser z* = sqrt(p_dn / p_up) of chi
+    z = form.z * (1.0 + 1e-7)
+    assert abs(z / math.sqrt(pd / pu) - 1.0) <= 1e-6
+    chi = np.linalg.eigvals([[pu * z, pt], [pr, pd / z]]).real.max()
+    assert abs(chi - rho_star) <= 1e-9
+    assert rho_star - 1e-12 <= form.rho <= rho_star * (1.0 + 2e-7)
+
+
+def _two_cusp_chain(attach):
+    """``cusp_22`` with both core indices 2 and a second (2, 1) tail at
+    ``attach``."""
+    d = graph_to_dict(fx.get("cusp_22"))
+    for edge in d["edges"]:
+        edge["index"] = 2
+    d["tails"].append({"attach": attach, "prefix": [], "period": [[2, 1]]})
+    g = graph_from_dict(d)
+    return build_chain(g, compute_gibbs(g), propagate_orders(g))
+
+
+def test_two_cusp_quotient_is_certified_at_its_gap():
+    mc = _two_cusp_chain("b")
+    assert len(mc.tails) == 2
+    core = [s for s in mc.states if not s.startswith("~")]
+    cert = tail_certificate(mc)
+    found = [search_certificate(mc, B0).certificate for B0 in [None] + [(s,) for s in core]]
+    for c in [cert] + found:
+        assert verify_certificate(mc, c).ok
+        assert lemma_bound_check(mc, c, 60).violations == 0
+        assert abs(c.rho - 0.7071068) <= 1e-6
+
+
+def _prefixed_cusp_chain(prefix, period):
+    d = graph_to_dict(fx.get("cusp_22"))
+    d["tails"][0].update(prefix=prefix, period=period)
+    g = graph_from_dict(d)
+    gd = compute_gibbs(g)
+    return gd, build_chain(g, gd, propagate_orders(g))
+
+
+@pytest.mark.parametrize(
+    "prefix, period",
+    [
+        # a prefix level that re-ascends below a cuspidal period
+        ([[2, 2]], [[2, 1]]),
+        ([[2, 3], [3, 2]], [[2, 1]]),
+        # the chain turns back at levels 1 and 2 and never climbs past them
+        ([[4, 1], [4, 1]], [[1, 1]]),
+    ],
+)
+def test_prefix_levels_that_need_a_larger_ratio_are_certified(prefix, period):
+    gd, mc = _prefixed_cusp_chain(prefix, period)
+    cert = tail_certificate(mc)
+    assert math.exp(gd.method["s_tail"] - gd.delta) < cert.rho < 1.0
+    assert lemma_bound_check(mc, cert, 60).violations == 0
+    out = search_certificate(mc)
+    assert out.feasible and abs(out.infimum_rho - cert.rho) <= 1e-6
+    assert verify_certificate(mc, out.certificate).ok
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(tailed_graphs())
+def test_random_tailed_graphs_are_certified(drawn):
+    g, F = drawn
+    assume(validate_graph(g).ok)
+    try:
+        gd = compute_gibbs(g, F, depth=40)
+        mc = build_chain(g, gd, propagate_orders(g))
+    except TreeGibbsError:
+        return
+    cert = tail_certificate(mc)
+    # no tail certificate goes below the tail's decay parameter
+    assert cert.rho >= math.exp(gd.method["s_tail"] - gd.delta) * (1.0 - 1e-6)
+    assert lemma_bound_check(mc, cert, 30).violations == 0
