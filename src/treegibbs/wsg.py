@@ -337,7 +337,7 @@ def _tail_form(mc, t):
     return form
 
 
-def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCertificate:
+def tail_certificate(mc: MarkovChain, rho_tol=1e-9) -> DriftCertificate:
     """Analytic drift weights on every tail, B = core states.
 
     Each tail takes its ``TailWeightForm``; rho is the largest of their drift
@@ -347,13 +347,11 @@ def tail_certificate(mc: MarkovChain, tail_index=None, rho_tol=1e-9) -> DriftCer
     mat = mc.mat
     if mat is None or not mat.core.tails:
         raise NoGeometricDriftError("chain has no tails to certify")
-    tails_idx = range(len(mat.core.tails)) if tail_index is None else [tail_index]
-    forms = [None] * len(mat.core.tails)
-    for t in tails_idx:
-        forms[t] = _tail_form(mc, t)
-        if forms[t] is None or forms[t].rho >= 1.0:
+    forms = [_tail_form(mc, t) for t in range(len(mat.core.tails))]
+    for t, tf in enumerate(forms):
+        if tf is None or tf.rho >= 1.0:
             raise NoGeometricDriftError(f"tail {t}: no positive drift weights with ratio < 1")
-    rho = max(forms[t].rho for t in tails_idx)
+    rho = max(tf.rho for tf in forms)
     core_states = tuple(s for s in mc.states if mat.edge_meta[s][0] == "core")
     cert = DriftCertificate(
         t_core={s: 1.0 for s in core_states},
@@ -449,17 +447,17 @@ def _minimal_supersolution(mc, Bset, rho, t_boundary, taboo):
 
 
 def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
-    """Bisection on rho with a feasibility solve per candidate.
+    """The least feasible rho, to within ``rho_tol``, and its certificate.
 
-    Finite chains: minimal-supersolution solve with t = 1 on B.  Tailed
-    chains: a candidate needs rho at or above every tail form's drift ratio,
-    then a core solve for any states left outside B, and a tail rescaling
-    loop for the junctions; the largest tail form ratio is tried first and,
-    when feasible, is the result, since nothing below it is.  The free states, their taboo block P_ff and its
-    Perron value rho(P_ff), each tail's ``TailWeightForm`` and the junction
-    rows do not depend on the candidate, so they are computed once per
-    search; a candidate at or below rho(P_ff) is rejected without a linear
-    solve.
+    Nothing at or below rho(P_ff), the Perron value of the taboo block on
+    the free states (Collatz-Wielandt), or below the largest tail form ratio
+    is feasible.  So the floor max(largest tail ratio, rho(P_ff)(1 +
+    rho_tol)) is tried first and returned when feasible: one minimal-
+    supersolution solve (t = 1 on B, tail states from their forms, a tail
+    rescaling loop for the junctions) and one verification.  Otherwise, or
+    when the floor is 0, rho is bisected between the floor and 1 - 1e-9.
+    The free states, P_ff, rho(P_ff), the tail forms and the junction rows
+    are computed once per search.
     """
     mat = mc.mat
     has_tails = bool(mat is not None and mat.core.tails)
@@ -535,16 +533,16 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         return None
 
     hi = 1.0 - 1e-9
-    top = feasible(hi)
-    if top is None:
-        return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
-    # no candidate below the largest tail form ratio is feasible
-    lo = max((tf.rho for tf in tail_forms), default=0.0)
-    if lo > 0.0:
+    # nothing at or below rho(P_ff) or below a tail form's ratio is feasible
+    rho_ff = taboo.rho_ff if taboo is not None else 0.0
+    lo = max([rho_ff * (1.0 + rho_tol)] + [tf.rho for tf in tail_forms if tf is not None])
+    if 0.0 < lo < hi:
         floor = feasible(lo)
         if floor is not None:
             return SearchOutcome(floor, True, lo, ())
-    best = top
+    best = feasible(hi)
+    if best is None:
+        return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
     while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)
         cand = feasible(mid)
@@ -602,7 +600,8 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
 
 def degradation_probe(gammas, betas, truncations, B=("inf",), rho_tol=1e-6):
     """Best feasible rho per truncation of the star family, with the drift
-    lower bound sup gamma outside B."""
+    lower bound sup gamma outside B: one Perron value and one solve per
+    truncation whenever the search's floor is feasible."""
     from .chain import counterexample_chain
 
     rows = []

@@ -239,6 +239,20 @@ def _reference_minimal_supersolution(mc, Bset, rho, t_boundary):
     return t
 
 
+def _reference_free_radius(mc, Bset):
+    """rho(P_ff) on the states outside B, off the tails and interior; 0 when
+    there are none."""
+    mat = mc.mat
+    free = [
+        i
+        for i, s in enumerate(mc.states)
+        if s not in Bset
+        and not (mat is not None and mat.edge_meta[s][0] == "tail")
+        and mc.interior[i]
+    ]
+    return spectral_radius(mc.p[np.ix_(free, free)]) if free else 0.0
+
+
 def _reference_search(mc, B0=None, rho_tol=1e-6):
     """Bisection on rho with the free block's Perron value found per probe."""
     mat = mc.mat
@@ -300,14 +314,17 @@ def _reference_search(mc, B0=None, rho_tol=1e-6):
         return None
 
     hi = 1.0 - 1e-9
+    # the search starts at the largest tail form ratio or rho_tol above
+    # rho(P_ff), whichever is larger, and bisects only when that is rejected
+    forms = [_tail_form(mc, t) for t in range(len(mat.core.tails))] if has_tails else []
+    rho_ff = _reference_free_radius(mc, Bset)
+    lo = max([rho_ff * (1.0 + rho_tol)] + [tf.rho for tf in forms if tf is not None])
+    floor = feasible(lo) if 0.0 < lo < hi else None
+    if floor is not None:
+        return SearchOutcome(floor, True, lo, ())
     top = feasible(hi)
     if top is None:
         return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
-    # the search starts at the largest tail form ratio
-    lo = max((tf.rho for tf in tail_feasible(hi)), default=0.0)
-    floor = feasible(lo) if lo > 0.0 else None
-    if floor is not None:
-        return SearchOutcome(floor, True, lo, ())
     best = top
     while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)
@@ -391,6 +408,136 @@ def test_search_matches_the_per_probe_reference(monkeypatch):
             continue
         assert got.certificate.rho == want.certificate.rho, name
         assert got.certificate.t_core == want.certificate.t_core, name
+
+
+def _floor_cases():
+    """The finite search cases, and the star family for N = 2..48."""
+    for name, mc, B0 in _search_cases():
+        if mc.mat is None or not mc.mat.core.tails:
+            yield name, mc, B0
+    gamma = lambda n: 1.0 - 1.0 / (1.0 + abs(n))
+    for N in range(9, 49):
+        yield f"star-{N}", counterexample_chain(gamma, lambda n: 1.0, N), ("inf",)
+
+
+def _counting_solves(monkeypatch):
+    """Record (candidate, taboo block) of every ``_minimal_supersolution``
+    call."""
+    import treegibbs.wsg as wsg
+
+    solves = []
+    solve = wsg._minimal_supersolution
+
+    def counted(mc, Bset, rho, t_boundary, taboo):
+        solves.append((rho, taboo))
+        return solve(mc, Bset, rho, t_boundary, taboo)
+
+    monkeypatch.setattr(wsg, "_minimal_supersolution", counted)
+    return solves
+
+
+def test_finite_search_is_one_solve_at_the_floor(monkeypatch):
+    import treegibbs.wsg as wsg
+
+    solves = _counting_solves(monkeypatch)
+    verifies = []
+    verify = wsg.verify_certificate
+
+    def counted_verify(mc, cert, tol=1e-10):
+        verifies.append(cert.rho)
+        return verify(mc, cert, tol)
+
+    monkeypatch.setattr(wsg, "verify_certificate", counted_verify)
+    rho_tol, seen = 1e-6, 0
+    for name, mc, B0 in _floor_cases():
+        solves.clear()
+        verifies.clear()
+        out = search_certificate(mc, B0, rho_tol)
+        # no free states, or rho(P_ff) = 0: the search keeps the bisection
+        taboo = solves[0][1]
+        rho_ff = taboo.rho_ff if taboo is not None else 0.0
+        if name == "drifting-birth-death" or rho_ff == 0.0:
+            continue
+        seen += 1
+        assert len(solves) == 1 and len(verifies) == 1, name
+        assert out.feasible, name
+        assert rho_ff < out.infimum_rho <= rho_ff * (1.0 + rho_tol), name
+        cert = out.certificate
+        assert cert.rho == out.infimum_rho, name
+        assert verify_certificate(mc, cert).ok, name
+        assert lemma_bound_check(mc, cert, 60).violations == 0, name
+        # weights near rho(P_ff) grow like 1 / rho_tol; the cap does not bind,
+        # not even as rho climbs towards 1 on the star family
+        top = max(cert.t_core.values())
+        assert top <= VALUE_CAP / (1000.0 if name.startswith("star") else 50.0), name
+    assert seen >= 50
+
+
+def _fallback_cases():
+    for name in FINITE_FIXTURES:
+        mc = pipeline(name)[3]
+        yield name, mc, None
+    gamma = lambda n: 1.0 - 1.0 / (1.0 + abs(n))
+    for N in (2, 5, 8):
+        yield f"star-{N}", counterexample_chain(gamma, lambda n: 1.0, N), ("inf",)
+    for seed in range(3):
+        yield f"unimodular-{seed}", _random_unimodular_chain(seed), None
+    yield "birth-death", birth_death_chain(), ("0", "30")
+
+
+def test_a_rejected_floor_falls_back_to_the_reference_bisection(monkeypatch):
+    import sys
+
+    import treegibbs.wsg as wsg
+
+    seen = 0
+    for name, mc, B0 in _fallback_cases():
+        if _reference_free_radius(mc, set(B0 or mc.states[:1])) == 0.0:
+            continue  # no floor to reject
+        floor = search_certificate(mc, B0)
+        # a cap below the floor's largest weight rejects the floor
+        cap = max(floor.certificate.t_core.values()) / 10.0
+        with monkeypatch.context() as m:
+            m.setattr(wsg, "VALUE_CAP", cap)
+            m.setattr(sys.modules[__name__], "VALUE_CAP", cap)
+            want = _reference_search(mc, B0)
+            got = search_certificate(mc, B0)
+        seen += 1
+        assert got.feasible and want.feasible, name
+        assert got.infimum_rho == want.infimum_rho > floor.infimum_rho, name
+        assert got.certificate.rho == want.certificate.rho, name
+        assert got.certificate.t_core == want.certificate.t_core, name
+        assert max(got.certificate.t_core.values()) <= cap, name
+        assert verify_certificate(mc, got.certificate).ok, name
+    assert seen >= 8
+
+
+# ``search_certificate(mc).infimum_rho`` on these chains before the floor rule
+_BISECTED_RHO = float.fromhex("0x1.fffffff768fa1p-21")
+
+
+@pytest.mark.parametrize("name", ["single_edge_3", "biregular_24", "biregular_44"])
+def test_chains_without_a_taboo_perron_value_keep_the_bisection(name, monkeypatch):
+    mc = pipeline(name)[3]
+    assert _reference_free_radius(mc, {mc.states[0]}) == 0.0
+    solves = _counting_solves(monkeypatch)
+    out = search_certificate(mc)
+    # hi = 1 - 1e-9, then 20 halvings down to rho_tol
+    assert len(solves) == 21
+    assert out.infimum_rho == out.certificate.rho == _BISECTED_RHO
+    want = _reference_search(mc)
+    assert out.infimum_rho == want.infimum_rho
+    assert out.certificate.t_core == want.certificate.t_core
+    assert verify_certificate(mc, out.certificate).ok
+
+
+def test_tail_certificate_takes_no_tail_index():
+    import inspect
+
+    assert "tail_index" not in inspect.signature(tail_certificate).parameters
+    mc = _two_cusp_chain("b")
+    cert = tail_certificate(mc)
+    assert all(tf is not None for tf in cert.tails) and len(cert.tails) == 2
 
 
 # ---------------------------------------------------------------------------
