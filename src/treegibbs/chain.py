@@ -19,6 +19,7 @@ import numpy as np
 
 from .digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
 from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
+from .gibbs import perron_vector
 from .graph import materialize, orders_on, tail_edge_id
 
 PI_REMAINDER_TOL = 1e-13
@@ -79,17 +80,14 @@ class MarkovChain:
 
     @staticmethod
     def from_kernel(states, p, pi=None, interior=None):
-        """Wrap an explicit stochastic kernel (counterexample chains, tests)."""
+        """Wrap an explicit stochastic kernel (counterexample chains, tests).
+
+        Without ``pi`` the stationary law is ``perron_vector(p.T, 1.0)``,
+        which raises NoPositiveSolutionError when p has no positive one.
+        """
         p = np.asarray(p, dtype=float)
         states = tuple(states)
-        if pi is None:
-            evals, evecs = np.linalg.eig(p.T)
-            k = int(np.argmin(np.abs(evals - 1.0)))
-            v = np.real(evecs[:, k])
-            if v.sum() < 0:
-                v = -v
-            pi = v / v.sum()
-        pi = np.asarray(pi, dtype=float)
+        pi = perron_vector(p.T, 1.0) if pi is None else np.asarray(pi, dtype=float)
         period, classes = _period_and_classes(p > 0)
         if interior is None:
             interior = np.ones(len(states), dtype=bool)

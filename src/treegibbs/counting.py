@@ -23,7 +23,7 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
-from .gibbs import Potential, _is_zero as _potential_is_zero, spectral_radius
+from .gibbs import Potential, _is_zero as _potential_is_zero, perron_vector, spectral_radius
 from .graph import materialize, orders_on
 
 
@@ -300,7 +300,6 @@ class RenewalConstant:
     value: float
     exact: Fraction = None
     method: str = "perron"
-    spectral_gap: float = None
     growth_sq: Fraction = None  # exact e^{2 delta} when known
 
 
@@ -394,8 +393,8 @@ def _renewal_float(g, orders, F, base):
     k, classes = _period_and_classes(M > 0)
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
-    v = _perron_vector(M, lam)
-    w = _perron_vector(M.T, lam)
+    v = perron_vector(M, lam)
+    w = perron_vector(M.T, lam)
     denom = float(w @ v)
     c_plus = float(chi @ v) * float(w @ psi) / denom
     c_minus = 0.0
@@ -406,23 +405,7 @@ def _renewal_float(g, orders, F, base):
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
     cstar = float(ext.vertex(base)) * (c_plus / (lam - 1.0) - c_minus / (lam + 1.0))
-    ev = np.abs(np.linalg.eigvals(M))
-    ev.sort()
-    gap = float(ev[-3]) / lam if len(ev) > 2 else 0.0
-    return RenewalConstant(cstar, None, "perron-float", gap)
-
-
-def _perron_vector(M, lam):
-    n = M.shape[0]
-    A = M + lam * np.eye(n)
-    v = np.ones(n)
-    for _ in range(200000):
-        w = A @ v
-        w /= np.linalg.norm(w, 1)
-        if np.linalg.norm(w - v, 1) < 1e-15:
-            return w
-        v = w
-    raise NoPositiveSolutionError(f"Perron vector iteration did not settle at lambda {lam!r}")
+    return RenewalConstant(value=cstar, method="perron-float")
 
 
 def _renewal_exact(g, orders, base):
@@ -455,9 +438,11 @@ def _renewal_exact(g, orders, base):
         return None
     gdim = len(V)
     WV = [[sum(W[a][i] * V[b][i] for i in range(n)) for b in range(gdim)] for a in range(gdim)]
-    WVinv = _invert_fraction(WV)
-    if WVinv is None:
+    # the RREF of [WV | I] is [I | WV^-1] exactly when WV is invertible
+    R, piv = _rref_fraction([row + [Fraction(int(a == b)) for b in range(gdim)] for a, row in enumerate(WV)])
+    if piv != list(range(gdim)):
         return None
+    WVinv = [row[gdim:] for row in R]
     chi, psi = _chi_psi(g, mat, states, base, None, exact=True)
     Mpsi = [sum(M[i][j] * psi[j] for j in range(n)) for i in range(n)]
     w_proj = [sum(W[a][i] * Fraction(Mpsi[i]) for i in range(n)) for a in range(gdim)]
@@ -465,63 +450,43 @@ def _renewal_exact(g, orders, base):
     proj = [sum(coef[b] * V[b][i] for b in range(gdim)) for i in range(n)]
     total = sum(Fraction(chi[i]) * proj[i] for i in range(n))
     cstar = Fraction(ext.vertex(base)) * total / (mu - 1)
-    return RenewalConstant(float(cstar), cstar, "perron-exact", None, mu)
+    return RenewalConstant(value=float(cstar), exact=cstar, method="perron-exact", growth_sq=mu)
+
+
+def _rref_fraction(M):
+    """Reduced row echelon form of a rational matrix, and its pivot columns."""
+    R = [row[:] for row in M]
+    piv = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(piv)
+        p = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = Fraction(1) / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        piv.append(c)
+        if len(piv) == len(R):
+            break
+    return R, piv
 
 
 def _nullspace_fraction(A):
+    """Null-space basis of a square rational matrix, one vector per free column."""
     n = len(A)
-    M = [row[:] for row in A]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = None
-        for rr in range(r, n):
-            if M[rr][c] != 0:
-                p = rr
-                break
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = Fraction(1, 1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for rr in range(n):
-            if rr != r and M[rr][c] != 0:
-                f = M[rr][c]
-                M[rr] = [a - f * b for a, b in zip(M[rr], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
+    R, piv = _rref_fraction(A)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in piv):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for ri, c in enumerate(piv_cols):
-            vec[c] = -M[ri][fc]
+        for ri, c in enumerate(piv):
+            vec[c] = -R[ri][fc]
         basis.append(vec)
     return basis
-
-
-def _invert_fraction(A):
-    n = len(A)
-    M = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(A)]
-    for c in range(n):
-        p = None
-        for rr in range(c, n):
-            if M[rr][c] != 0:
-                p = rr
-                break
-        if p is None:
-            return None
-        M[c], M[p] = M[p], M[c]
-        inv = Fraction(1, 1) / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for rr in range(n):
-            if rr != c and M[rr][c] != 0:
-                f = M[rr][c]
-                M[rr] = [a - f * b for a, b in zip(M[rr], M[c])]
-    return [row[n:] for row in M]
 
 
 def _renewal_extrapolated(g, orders, F, base, delta, n_max=40, tol=1e-8):
@@ -542,7 +507,7 @@ def _renewal_extrapolated(g, orders, F, base, delta, n_max=40, tol=1e-8):
     acc = aitken(aitken(vals))
     if len(acc) < 4 or abs(acc[-1] - acc[-3]) > tol * max(1.0, abs(acc[-1])):
         raise NoPositiveSolutionError("renewal extrapolation did not converge")
-    return RenewalConstant(float(acc[-1]), None, "extrapolated", None)
+    return RenewalConstant(value=float(acc[-1]), method="extrapolated")
 
 
 # ---------------------------------------------------------------------------

@@ -172,17 +172,24 @@ def potential_from_json(g: IndexedGraph, path) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# spectral radius
+# Perron kernel
 
 
-def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
+_POWER_STEPS = 20000
+_RHO_TOL = 1e-14
+
+
+def spectral_radius(T: np.ndarray):
     """Perron value of a nonnegative matrix.
 
-    Power iteration on T + I from the all-ones vector (the shift makes the
-    peripheral spectrum unique).  It stops once two successive estimates
-    agree and the eigen-residual ||A v - est v||_1 is below 1e-10 ||A v||_1;
-    it falls back to dense eigenvalues when the gap is too small for
-    iteration to settle.
+    Power iteration on A = T + I from the all-ones vector (the shift makes
+    the peripheral spectrum unique).  It stops once two successive estimates
+    agree and the eigen-residual ||A v - est v||_1 is below 1e-10 ||A v||_1.
+    Every 100 steps it reads the Collatz-Wielandt bracket
+    min_i (A v)_i / v_i <= rho(A) <= max_i (A v)_i / v_i and hands off to
+    dense eigenvalues when the bracket stops shrinking, when its contraction
+    rate projects it past the step budget before it is 1e-14 wide, or when
+    an entry of v underflows to 0 (a reducible block).
     """
     n = T.shape[0]
     if n == 0:
@@ -190,7 +197,8 @@ def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
     A = T + np.eye(n)
     v = np.ones(n)
     prev = -1.0
-    for _ in range(maxit):
+    width = math.inf
+    for step in range(_POWER_STEPS):
         w = A @ v
         est = w.sum() / v.sum()
         # 1-norms summed as np.linalg.norm(x, 1) sums them, without its dispatch
@@ -200,13 +208,46 @@ def spectral_radius(T: np.ndarray, tol=1e-14, maxit=20000):
         # successive estimates can agree by an accident of the start vector
         # (3.6 twice on a bipartite core whose Perron value is 2.5747), so the
         # eigen-residual must be small too
-        if abs(est - prev) < tol * max(1.0, abs(est)) and (
+        if abs(est - prev) < _RHO_TOL * max(1.0, abs(est)) and (
             np.add.reduce(np.abs(w - est * v)) < 1e-10 * nw
         ):
             return float(est - 1.0)
+        if step and step % 100 == 0:
+            if v.min() <= 0.0:
+                break
+            q = w / v
+            last, width = width, q.max() - q.min()
+            target = _RHO_TOL * q.max()
+            if width > target and last < math.inf and (
+                width >= last
+                or step + 100 * math.log(target / width) / math.log(width / last) > _POWER_STEPS
+            ):
+                break
         v = w / nw
         prev = est
     return float(max(abs(np.linalg.eigvals(T))))
+
+
+def perron_vector(A: np.ndarray, lam: float):
+    """Positive v with A v = lam v, summing to 1.
+
+    The least-squares null vector of A - lam I under a sum-1 row, its sign
+    fixed.  Raises NoPositiveSolutionError when lam is not an eigenvalue
+    (||A v - lam v||_1 > 1e-10 ||A v||_1) or when v is not positive.
+    """
+    k = A.shape[0]
+    M = np.vstack([A - lam * np.eye(k), np.ones((1, k))])
+    b = np.zeros(k + 1)
+    b[k] = 1.0
+    v, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if v.sum() < 0:
+        v = -v
+    Av = A @ v
+    if np.add.reduce(np.abs(Av - lam * v)) > 1e-10 * np.add.reduce(np.abs(Av)):
+        raise NoPositiveSolutionError(f"{lam!r} is not an eigenvalue")
+    if v.min() <= 0:
+        raise NoPositiveSolutionError(f"eigenvector at {lam!r} is not positive")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +604,10 @@ def _is_zero(F):
 # shadow vectors
 
 
-def _positive_fixed_vector(states, T, tol=5e-8):
+def _positive_fixed_vector(T):
     """Positive u with T u = u, supported on states that reach the dominant class."""
-    n = len(states)
+    tol = 5e-8
+    n = T.shape[0]
     succ = from_matrix(T > 0.0)
     dominant = []
     for comp in sccs(succ):
@@ -585,19 +627,7 @@ def _positive_fixed_vector(states, T, tol=5e-8):
     dom = sorted(dominant[0])
     trans = sorted(reachable(reverse(succ), dom) - set(dom))
     u = np.zeros(n)
-    D = T[np.ix_(dom, dom)]
-    k = len(dom)
-    # least-squares null vector of (D - I) with sum normalization
-    A = np.vstack([D - np.eye(k), np.ones((1, k))])
-    b = np.zeros(k + 1)
-    b[k] = 1.0
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if sol.sum() < 0:
-        sol = -sol
-    if sol.min() <= 0:
-        raise NoPositiveSolutionError("fixed vector not positive on the dominant class")
-    for i, v in enumerate(dom):
-        u[v] = sol[i]
+    u[dom] = perron_vector(T[np.ix_(dom, dom)], 1.0)
     if trans:
         Ttt = T[np.ix_(trans, trans)]
         tset = set(trans)
@@ -606,8 +636,7 @@ def _positive_fixed_vector(states, T, tol=5e-8):
         sol_t = np.linalg.solve(np.eye(len(trans)) - Ttt, rhs)
         if sol_t.min() <= 0:
             raise NoPositiveSolutionError("fixed vector not positive upstream")
-        for i, v in enumerate(trans):
-            u[v] = sol_t[i]
+        u[trans] = sol_t
     return u
 
 
@@ -640,7 +669,7 @@ def shadow_vector(
         jstates, A = junction_matrix(g, F, delta, greens)
     else:
         jstates, A = _transfer_on(mat, fvals, delta)
-    uj = _positive_fixed_vector(jstates, A)
+    uj = _positive_fixed_vector(A)
     u = {e: 0.0 for e in mat.edges}
     for e, val in zip(jstates, uj):
         u[e] = float(val)

@@ -235,7 +235,11 @@ def _argmin_unimodal(f, lo, hi):
 
 
 def _perron(m):
-    """(Perron root, Perron vector scaled to max 1) of a nonnegative matrix."""
+    """(Perron root, Perron vector scaled to max 1) of a nonnegative matrix.
+
+    Dense ``eig``, not ``gibbs.spectral_radius``: the QBD characteristic
+    matrix is defective at a cusp's minimiser, where power iteration crawls.
+    """
     vals, vecs = np.linalg.eig(m)
     k = int(np.argmax(vals.real))
     v = vecs[:, k].real
