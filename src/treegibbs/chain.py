@@ -125,16 +125,14 @@ def build_chain(g, gd, orders, depth=None):
         raise ValueError(f"chain depth {depth} exceeds shadow depth {gd.depth}")
     mat = materialize(g, depth)
     ext = orders_on(mat, orders)
-    funnel = mat.funnel_edge_ids()
+    arc_states, arcs = mat.arcs()
     delta = gd.delta
     fvals = gd.fvals
     up, um = gd.u_plus, gd.u_minus
 
     support = _structural_support(mat)
     lam = {}
-    for e in mat.edges:
-        if e in funnel:
-            continue
+    for e in arc_states:
         val = um[mat.rev[e]] * up[e] * math.exp(fvals[e] - delta) / float(ext.edge(e))
         if e in support:
             if val <= 0.0:
@@ -146,10 +144,12 @@ def build_chain(g, gd, orders, depth=None):
     pos = {s: i for i, s in enumerate(states)}
     n = len(states)
     P = np.zeros((n, n))
-    for e in states:
-        for f, m in mat.continuations(e):
-            if f in pos:
-                P[pos[e], pos[f]] = m * math.exp(fvals[f] - delta) * up[f] / up[e]
+    for e, row in zip(arc_states, arcs):
+        if e in pos:
+            for j, m in row:
+                f = arc_states[j]
+                if f in pos:
+                    P[pos[e], pos[f]] = m * math.exp(fvals[f] - delta) * up[f] / up[e]
     lamvec = np.array([lam[s] for s in states])
     remainder = _tail_mass_beyond(mat, lam, gd.tail_periods)
     m_mass = float(lamvec.sum() + remainder)
@@ -196,14 +196,10 @@ def _state_sort_key(mat):
 
 def _structural_support(mat):
     """Edges lying on a bi-infinite geodesic: both e and rev(e) reach a cycle."""
-    funnel = mat.funnel_edge_ids()
-    states = [e for e in mat.edges if e not in funnel]
+    states, arcs = mat.arcs()
     pos = {e: i for i, e in enumerate(states)}
-    succ = [[] for _ in states]
+    succ = [[j for j, _ in row] for row in arcs]
     for e in states:
-        for f, _ in mat.continuations(e):
-            if f not in funnel:
-                succ[pos[e]].append(pos[f])
         meta = mat.edge_meta[e]
         if meta[0] == "tail" and meta[3] and meta[2] == mat.depth:
             # frontier up-state: the ray continues upward forever; the walk can

@@ -3,10 +3,12 @@
 The weighted counting function N_x(n) sums exp(potential integral) over the
 orbit points within distance n; combinatorially it is an order factor times a
 dynamic program over non-backtracking quotient paths from the base back to
-itself.  The renewal constant C* = lim N_x(2n) exp(-2 n delta) comes from the
-Perron data of the counting matrix, exactly (rational arithmetic) for
-bipartite zero-potential quotients, and the closed ball/bisector measure
-formulas provide the literal main terms to compare against.
+itself, stepping along ``MaterializedGraph.arcs``.  Its counting matrix is the
+transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).  The renewal
+constant C* = lim N_x(2n) exp(-2 n delta) comes from the Perron data of that
+matrix, exactly (rational arithmetic on the integer m(e, f)) for bipartite
+zero-potential quotients, and the closed ball/bisector measure formulas
+provide the literal main terms to compare against.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
-from .gibbs import Potential, _is_zero as _potential_is_zero, perron_vector, spectral_radius
-from .graph import materialize, orders_on
+from .digraph import period
+from .gibbs import Potential, _transfer_on, entry_weights, perron_vector, spectral_radius
+from .gibbs import _is_zero as _potential_is_zero
+from .graph import materialize, orders_on, vertex_successors
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +160,10 @@ def orbit_oracle(
     ext = orders_on(mat, orders)
     exact = _potential_is_zero(F)
     fvals = None if exact else F.on(mat)
-    funnel = mat.funnel_edge_ids()
-    states = [e for e in mat.edges if e not in funnel]
+    states, succ = mat.arcs()
     pos = {e: i for i, e in enumerate(states)}
-    succ = []
-    for e in states:
-        row = []
-        for f, m in mat.continuations(e):
-            if f in funnel:
-                continue
-            row.append((pos[f], m if exact else m * math.exp(fvals[f])))
-        succ.append(row)
+    if not exact:
+        succ = [[(j, m * math.exp(fvals[states[j]])) for j, m in row] for row in succ]
     ends_at_base = [mat.term[e] == base for e in states]
     zero = 0 if exact else 0.0
     vec = [zero] * len(states)
@@ -185,18 +182,15 @@ def orbit_oracle(
             if m <= 0:
                 raise GraphError(f"constraint path not admissible at {a}->{b}")
             w = w * m if exact else w * m * math.exp(fvals[b])
-        if path[-1] in funnel or any(e in funnel for e in path):
+        if any(e not in pos for e in path):
             raise GraphError("constraint path enters a funnel")
         vec[pos[path[-1]]] = w
         start_len = len(path)
         if start_len > n_max:
             raise ValueError("constraint longer than the horizon")
     else:
-        for e in mat.out_edges(base):
-            if e in funnel:
-                continue
-            w = mat.index[mat.rev[e]]
-            vec[pos[e]] = w if exact else w * math.exp(fvals[e])
+        for e, w in entry_weights(mat, base, fvals):
+            vec[pos[e]] = w
         start_len = 1
     if include_identity:
         per[0] = order_base * (1 if exact else 1.0)
@@ -224,13 +218,9 @@ def orbit_oracle(
 
 def nu_mass_at(gd, g, x):
     """Total boundary mass seen from x (1 at the normalization base vertex)."""
-    mat = materialize(g, gd.depth)
-    funnel = mat.funnel_edge_ids()
     tot = 0.0
-    for e in mat.out_edges(x):
-        if e in funnel:
-            continue
-        tot += mat.index[mat.rev[e]] * math.exp(gd.fvals[e] - gd.delta) * gd.u_plus[e]
+    for e, w in entry_weights(materialize(g, gd.depth), x, gd.fvals, gd.delta):
+        tot += w * gd.u_plus[e]
     return tot
 
 
@@ -303,38 +293,17 @@ class RenewalConstant:
     growth_sq: Fraction = None  # exact e^{2 delta} when known
 
 
-def _counting_matrix(g, F, exact):
-    mat = materialize(g, 0)
-    funnel = mat.funnel_edge_ids()
-    states = [e for e in mat.edges if e not in funnel]
+def _chi_psi(mat, states, base, fvals):
+    """Entry weights at ``base`` and the indicator of states ending there;
+    integers without ``fvals`` (the exact path), floats with them."""
     pos = {e: i for i, e in enumerate(states)}
-    n = len(states)
-    if exact:
-        M = [[0] * n for _ in range(n)]
-    else:
-        M = np.zeros((n, n))
-        fvals = F.on(mat)
-    for e in states:
-        for f, m in mat.continuations(e):
-            if f in funnel:
-                continue
-            if exact:
-                M[pos[e]][pos[f]] = m
-            else:
-                M[pos[e], pos[f]] = m * math.exp(fvals[f])
-    return mat, states, pos, M
-
-
-def _chi_psi(g, mat, states, base, F, exact):
-    chi = [0] * len(states) if exact else np.zeros(len(states))
-    psi = [0] * len(states) if exact else np.zeros(len(states))
-    fvals = None if exact else F.on(mat)
-    for i, e in enumerate(states):
-        if mat.orig[e] == base:
-            chi[i] = mat.index[mat.rev[e]] if exact else mat.index[mat.rev[e]] * math.exp(fvals[e])
-        if mat.term[e] == base:
-            psi[i] = 1 if exact else 1.0
-    return chi, psi
+    chi = [0] * len(states)
+    for e, w in entry_weights(mat, base, fvals):
+        chi[pos[e]] = w
+    psi = [int(mat.term[e] == base) for e in states]
+    if fvals is None:
+        return chi, psi
+    return np.array(chi, dtype=float), np.array(psi, dtype=float)
 
 
 def renewal_constant(
@@ -363,31 +332,24 @@ def renewal_constant(
 
 
 def _is_bipartite(g):
-    color = {}
-    for v0 in g.vertices:
-        if v0 in color:
-            continue
-        color[v0] = 0
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for e in g.out_edges(v):
-                w = g.term[e]
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Whether the connected core is bipartite.
+
+    The core is closed under reversal, so the gcd of its closed walks divides
+    2, and is 2 (or 0, without edges) exactly when no cycle is odd.
+    """
+    return period(vertex_successors(g), 0)[0] % 2 == 0
 
 
 def _renewal_float(g, orders, F, base):
-    mat, states, _, M = _counting_matrix(g, F, exact=False)
+    mat = materialize(g, 0)
+    fvals = F.on(mat)
+    # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
+    states, M = _transfer_on(mat, fvals, 0.0)
     ext = orders_on(mat, orders)
     lam = spectral_radius(M)
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
-    chi, psi = _chi_psi(g, mat, states, base, F, exact=False)
+    chi, psi = _chi_psi(mat, states, base, fvals)
     from .chain import _period_and_classes
 
     k, classes = _period_and_classes(M > 0)
@@ -420,13 +382,15 @@ def _renewal_exact(g, orders, base):
     there is nothing to resum, so None is returned before any rational
     elimination.
     """
-    mat, states, _, M = _counting_matrix(g, Potential.zero(g), exact=True)
+    mat = materialize(g, 0)
+    states, arcs = mat.arcs()
+    n = len(states)
+    M = [[m.get(j, 0) for j in range(n)] for m in map(dict, arcs)]
     Mf = np.array([[float(x) for x in row] for row in M])
     mu = Fraction(spectral_radius(Mf) ** 2).limit_denominator(10**9)
     if mu.denominator != 1:
         return None
     ext = orders_on(mat, orders)
-    n = len(states)
     M2 = [[sum(M[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     A = [[Fraction(M2[i][j]) - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     V = _nullspace_fraction(A)
@@ -443,7 +407,7 @@ def _renewal_exact(g, orders, base):
     if piv != list(range(gdim)):
         return None
     WVinv = [row[gdim:] for row in R]
-    chi, psi = _chi_psi(g, mat, states, base, None, exact=True)
+    chi, psi = _chi_psi(mat, states, base, None)
     Mpsi = [sum(M[i][j] * psi[j] for j in range(n)) for i in range(n)]
     w_proj = [sum(W[a][i] * Fraction(Mpsi[i]) for i in range(n)) for a in range(gdim)]
     coef = [sum(WVinv[b][a] * w_proj[a] for a in range(gdim)) for b in range(gdim)]

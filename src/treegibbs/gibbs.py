@@ -1,14 +1,17 @@
 """Thermodynamic layer: potentials, critical exponents, shadow vectors.
 
 The weighted non-backtracking transfer operator T(s)[e, f] = m(e, f) exp(F(f) - s)
-drives everything here.  For a finite quotient the critical exponent is the log
-of its spectral radius.  Ray tails are resummed through first-return Green
-values g_n(s): the total weight of excursions that enter a ray at level n and
-first come back down, a minimal fixed point of one Moebius map per level.  The
-shadow vector u(e) (boundary mass of the set of directions through e, seen
-from the head of e) is the positive fixed vector of T(delta); on tails it is
-recovered level by level from the identity u(e_n) = g_n * u(rev(e_n)), which
-keeps the decaying solution branch without any unstable subtraction.
+drives everything here; its arcs come from ``MaterializedGraph.arcs``.  For a
+finite quotient the critical exponent is the log of its spectral radius.  Ray
+tails are resummed through first-return Green values g_n(s): the total weight
+of excursions that enter a ray at level n and first come back down, a minimal
+fixed point of one Moebius map per level.  The junction operator is T(s) on
+the first tail level with each entry row resummed into g_1.  The shadow
+vector u(e) (boundary mass of the set of directions through e, seen from the
+head of e) is the positive fixed vector of the junction operator at delta; on
+tails it is recovered level by level from the identity
+u(e_n) = g_n * u(rev(e_n)), which keeps the decaying solution branch without
+any unstable subtraction.
 
 Orientation convention: every function here computes the forward quantity
 for the potential it is given.  The backward quantities (``delta_minus``,
@@ -267,16 +270,27 @@ def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int |
 
 
 def _transfer_on(mat: MaterializedGraph, fvals: dict, s: float):
-    states = mat.nonfunnel_states()
-    pos = {e: i for i, e in enumerate(states)}
+    states, arcs = mat.arcs()
     T = np.zeros((len(states), len(states)))
-    funnel = mat.funnel_edge_ids()
-    for e in states:
-        for f, m in mat.continuations(e):
-            if f in funnel:
-                continue
-            T[pos[e], pos[f]] = m * math.exp(fvals[f] - s)
+    for i, row in enumerate(arcs):
+        for j, m in row:
+            T[i, j] = m * math.exp(fvals[states[j]] - s)
     return states, T
+
+
+def entry_weights(mat: MaterializedGraph, x, fvals=None, s=0.0):
+    """(e, i(rev e) exp(F(e) - s)) over the non-funnel out-edges e of x.
+
+    The weight of leaving a lift of x along all lifts of e at once; without
+    ``fvals`` it is the integer i(rev e).
+    """
+    funnel = mat.funnel_edge_ids()
+    out = []
+    for e in mat.out_edges(x):
+        if e not in funnel:
+            w = mat.index[mat.rev[e]]
+            out.append((e, w if fvals is None else w * math.exp(fvals[e] - s)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,72 +452,38 @@ def tail_critical_value(spec, tpot=None, lo=-50.0, hi=None, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# junction operator (core states + one entry/exit pair per tail)
+# junction operator: T(s) on the first tail level, entry rows resummed
 
 
-def junction_states(g: IndexedGraph):
-    funnel = g.funnel_edge_ids()
-    states = [e for e in g.edges if e not in funnel]
-    for t in range(len(g.tails)):
-        states.append(tail_edge_id(t, 1, True))
-        states.append(tail_edge_id(t, 1, False))
-    return states
-
-
-def junction_matrix(g: IndexedGraph, F: Potential, s, greens):
-    """Finite operator equivalent to T(s) with tail excursions resummed.
-
-    ``greens[t]`` is the TailGreen of tail t under F at s.  Deep levels only
-    enter through the resummed first-return weight on the entry state.
-    """
-    f_up1 = [F.tail(t).pair(1)[0] for t in range(len(g.tails))]
-    states = junction_states(g)
-    pos = {e: i for i, e in enumerate(states)}
-    n = len(states)
-    T = np.zeros((n, n))
-    funnel = g.funnel_edge_ids()
-    tails_at = {}
-    for t, spec in enumerate(g.tails):
-        tails_at.setdefault(spec.attach, []).append(t)
-    for e in g.edges:
-        if e in funnel:
-            continue
-        v = g.term[e]
-        for f in g.out_edges(v):
-            if f in funnel:
-                continue
-            m = g.index[e] - 1 if f == g.rev[e] else g.index[g.rev[f]]
-            if m > 0:
-                T[pos[e], pos[f]] = m * math.exp(F.values.get(f, 0.0) - s)
-        for t in tails_at.get(v, []):
-            iu, idn = g.tails[t].pair(1)
-            T[pos[e], pos[tail_edge_id(t, 1, True)]] = idn * math.exp(f_up1[t] - s)
-    for t, spec in enumerate(g.tails):
-        e1 = tail_edge_id(t, 1, True)
-        r1 = tail_edge_id(t, 1, False)
-        T[pos[e1], pos[r1]] = greens[t].g(1)
-        v = spec.attach
-        for f in g.out_edges(v):
-            if f in funnel:
-                continue
-            T[pos[r1], pos[f]] = g.index[g.rev[f]] * math.exp(F.values.get(f, 0.0) - s)
-        for t2 in tails_at.get(v, []):
-            iu2, idn2 = g.tails[t2].pair(1)
-            m = idn2 - 1 if t2 == t else idn2
-            if m > 0:
-                T[pos[r1], pos[tail_edge_id(t2, 1, True)]] = m * math.exp(f_up1[t2] - s)
-    return states, T
-
-
-def _junction_sr(g, F, s):
+def _greens(g: IndexedGraph, F: Potential, s):
+    """The TailGreen of every tail of g under F at s, or None once one diverges."""
     greens = []
     for t, spec in enumerate(g.tails):
         tg = TailGreen(spec, F.tail(t), s)
         if not tg.converged:
             return None
         greens.append(tg)
-    _, T = junction_matrix(g, F, s, greens)
-    return spectral_radius(T)
+    return greens
+
+
+def _junction(mat1: MaterializedGraph, fvals1: dict, s, greens):
+    """Finite operator equivalent to T(s) with tail excursions resummed.
+
+    T(s) on ``mat1 = materialize(g, 1)``, with the row of each entry state
+    ~t<k>.e1 replaced by the single entry g_1 of ``greens[k]`` at ~t<k>.r1:
+    deep levels only enter through that first-return weight.  At depth 1
+    that row holds only the backtrack to ~t<k>.r1, so one entry is set.
+    """
+    states, T = _transfer_on(mat1, fvals1, s)
+    for t, tg in enumerate(greens):
+        e1, r1 = (states.index(tail_edge_id(t, 1, up)) for up in (True, False))
+        T[e1, r1] = tg.g(1)
+    return states, T
+
+
+def _junction_sr(mat1, fvals1, F, s):
+    greens = _greens(mat1.core, F, s)
+    return None if greens is None else spectral_radius(_junction(mat1, fvals1, s, greens)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +509,8 @@ def _critical_one(g, F, tol=1e-14):
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
         return math.log(sr), None
+    mat1 = materialize(g, 1)
+    fvals1 = F.on(mat1)
     s_tail = max(
         tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails)
     )
@@ -540,14 +522,14 @@ def _critical_one(g, F, tol=1e-14):
     fmax = max((abs(F.values.get(e, 0.0)) for e in g.edges), default=0.0)
     hi = math.log(imax + 1) + fmax + 2.0
     while True:
-        sr = _junction_sr(g, F, hi)
+        sr = _junction_sr(mat1, fvals1, F, hi)
         if sr is not None and sr < 1.0:
             break
         hi += 2.0
         if hi > 300:
             raise DivergenceError("no upper bracket for the critical exponent")
     lo = (s_tail if math.isfinite(s_tail) else hi - 60.0) + 1e-9
-    sr_lo = _junction_sr(g, F, lo)
+    sr_lo = _junction_sr(mat1, fvals1, F, lo)
     if sr_lo is None or sr_lo <= 1.0:
         raise DivergenceError(
             "growth dominated by a tail; no convergent resummation regime",
@@ -556,7 +538,7 @@ def _critical_one(g, F, tol=1e-14):
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
-        sr_mid = _junction_sr(g, F, mid)
+        sr_mid = _junction_sr(mat1, fvals1, F, mid)
         if sr_mid is None or sr_mid > 1.0:
             a = mid
         else:
@@ -606,7 +588,9 @@ def _is_zero(F):
 
 def _positive_fixed_vector(T):
     """Positive u with T u = u, supported on states that reach the dominant class."""
-    tol = 5e-8
+    # perron_vector's residual gate: an exponent off by more is named by the
+    # class's spectral radius instead of failing inside perron_vector
+    tol = 1e-10
     n = T.shape[0]
     succ = from_matrix(T > 0.0)
     dominant = []
@@ -659,16 +643,12 @@ def shadow_vector(
         raise ValueError("tailed graphs need depth >= 2")
     mat = materialize(g, depth if g.tails else 0)
     fvals = F.on(mat)
-    greens = []
-    for t, spec in enumerate(g.tails):
-        tg = TailGreen(spec, F.tail(t), delta)
-        if not tg.converged:
-            raise DivergenceError("tail resummation diverges at the given exponent")
-        greens.append(tg)
-    if g.tails:
-        jstates, A = junction_matrix(g, F, delta, greens)
-    else:
-        jstates, A = _transfer_on(mat, fvals, delta)
+    greens = _greens(g, F, delta)
+    if greens is None:
+        raise DivergenceError("tail resummation diverges at the given exponent")
+    # without tails the junction operator is T(delta) itself
+    mat1 = materialize(g, 1) if g.tails else mat
+    jstates, A = _junction(mat1, F.on(mat1), delta, greens)
     uj = _positive_fixed_vector(A)
     u = {e: 0.0 for e in mat.edges}
     for e, val in zip(jstates, uj):
@@ -693,12 +673,9 @@ def shadow_vector(
             u[tail_edge_id(t, n + 1, True)] = up_next
             u[tail_edge_id(t, n + 1, False)] = I * psi * dn + (J1 - 1) * phi1 * up_next
     # normalization: unit boundary mass at the base vertex
-    funnel = mat.funnel_edge_ids()
     mass = 0.0
-    for e in mat.out_edges(base):
-        if e in funnel:
-            continue
-        mass += mat.index[mat.rev[e]] * math.exp(fvals[e] - delta) * u[e]
+    for e, w in entry_weights(mat, base, fvals, delta):
+        mass += w * u[e]
     if mass <= 0:
         raise NoPositiveSolutionError(f"zero boundary mass at base vertex {base!r}")
     return {e: val / mass for e, val in u.items()}
@@ -709,15 +686,14 @@ def shadow_residual(g, F, delta, u, mat=None):
     F = F or Potential.zero(g)
     mat = mat or materialize(g, DEFAULT_DEPTH if g.tails else 0)
     fvals = F.on(mat)
-    funnel = mat.funnel_edge_ids()
+    states, arcs = mat.arcs()
     worst = 0.0
-    for e in mat.edges:
-        if e in funnel or not mat.is_interior(e):
+    for e, row in zip(states, arcs):
+        if not mat.is_interior(e):
             continue
         acc = 0.0
-        for f, m in mat.continuations(e):
-            if f in funnel:
-                continue
+        for j, m in row:
+            f = states[j]
             acc += m * math.exp(fvals[f] - delta) * u[f]
         worst = max(worst, abs(acc - u[e]))
     return worst

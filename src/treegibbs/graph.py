@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digraph import has_cycle, period, sccs
+from .digraph import has_cycle, period, reachable, sccs
 from .errors import ConfigError, GraphError, NoClosedGeodesicError, NonUnimodularError
 
 RESERVED_PREFIX = "~"
@@ -179,15 +179,7 @@ def validate_graph(g: IndexedGraph) -> ValidationReport:
             bad.append(Violation("bad-index", f"index of {e} must be a positive integer, got {idx!r}"))
     # core connectivity over undirected edges
     if g.vertices:
-        seen = {g.vertices[0]}
-        stack = [g.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for e in g.out_edges(v):
-                w = g.term.get(e)
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        seen = {g.vertices[i] for i in reachable(vertex_successors(g), [0])}
         if seen != vset:
             missing = sorted(vset - seen)
             bad.append(Violation("core-disconnected", f"core not connected (unreached: {missing})"))
@@ -212,6 +204,13 @@ def validate_graph(g: IndexedGraph) -> ValidationReport:
             elif d == 1:
                 warn.append(Violation("lift-degree-one", f"vertex {v} has lift degree 1; no geodesic passes"))
     return ValidationReport(tuple(bad), tuple(warn))
+
+
+def vertex_successors(g):
+    """Successor lists of the core's vertices in ``g.vertices`` order, one arc
+    per edge whose head lies in the vertex set."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return [[pos[g.term[e]] for e in g.out_edges(v) if g.term.get(e) in pos] for v in g.vertices]
 
 
 def edge_multiplicity(g, e, f):
@@ -318,25 +317,36 @@ class MaterializedGraph:
     index: dict
     edge_meta: dict
     _out: dict = field(repr=False, compare=False, default=None)
+    _arcs: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def out_edges(self, v):
         return self._out[v]
 
     def multiplicity(self, e, f):
-        if self.term[e] != self.orig[f]:
-            raise GraphError(f"edges not composable: term({e}) != orig({f})")
-        if f == self.rev[e]:
-            return self.index[e] - 1
-        return self.index[self.rev[f]]
+        return edge_multiplicity(self, e, f)
 
     def continuations(self, e):
         """(f, m(e, f)) over positive-multiplicity continuations of e."""
-        out = []
-        for f in self._out[self.term[e]]:
-            m = self.index[e] - 1 if f == self.rev[e] else self.index[self.rev[f]]
-            if m > 0:
-                out.append((f, m))
-        return out
+        steps = ((f, edge_multiplicity(self, e, f)) for f in self._out[self.term[e]])
+        return [(f, m) for f, m in steps if m > 0]
+
+    def arcs(self):
+        """(states, arcs): the non-backtracking operator's structure, built once.
+
+        ``states`` are the non-funnel edges in edge order; ``arcs[i]`` is the
+        tuple of (j, m(states[i], states[j])) over the non-funnel
+        continuations of states[i], j ascending (the order of
+        ``continuations``).
+        """
+        if self._arcs is None:
+            funnel = self.funnel_edge_ids()
+            states = tuple(e for e in self.edges if e not in funnel)
+            pos = {e: i for i, e in enumerate(states)}
+            arcs = tuple(
+                tuple((pos[f], m) for f, m in self.continuations(e) if f in pos) for e in states
+            )
+            object.__setattr__(self, "_arcs", (states, arcs))
+        return self._arcs
 
     def funnel_edge_ids(self):
         return self.core.funnel_edge_ids()
@@ -344,10 +354,6 @@ class MaterializedGraph:
     def is_interior(self, e):
         meta = self.edge_meta[e]
         return meta[0] == "core" or meta[2] < self.depth
-
-    def nonfunnel_states(self):
-        funnel = self.funnel_edge_ids()
-        return tuple(e for e in self.edges if e not in funnel)
 
 
 def materialize(g: IndexedGraph, depth: int) -> MaterializedGraph:
@@ -419,11 +425,7 @@ def length_spectrum_period(g: IndexedGraph) -> int:
     horizon = 1
     for spec in g.tails:
         horizon = max(horizon, len(spec.prefix) + 2 * len(spec.period) + 1)
-    mat = materialize(g, horizon)
-    funnel = mat.funnel_edge_ids()
-    states = [e for e in mat.edges if e not in funnel]
-    pos = {e: i for i, e in enumerate(states)}
-    succ = [[pos[f] for f, _ in mat.continuations(e) if f not in funnel] for e in states]
+    succ = [[j for j, _ in row] for row in materialize(g, horizon).arcs()[1]]
     k = 0
     for comp in sccs(succ):
         if has_cycle(succ, comp):

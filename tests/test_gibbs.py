@@ -1,25 +1,40 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, TAILED_FIXTURES, pipeline
+from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, TAILED_FIXTURES, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
-from treegibbs.errors import DivergenceError, GraphError
+from treegibbs.errors import DivergenceError, GraphError, NoPositiveSolutionError, TreeGibbsError
 from treegibbs.gibbs import (
     Potential,
     TailPotential,
+    _critical_one,
+    _greens,
+    _junction,
     compute_gibbs,
     critical_exponent,
     cusp_exponent_bound,
     gibbs_cocycle,
     poincare_partial_sum,
+    potential_from_dict,
     shadow_residual,
     shadow_vector,
     spectral_radius,
+    tail_critical_value,
     transfer_matrix,
 )
-from treegibbs.graph import materialize, propagate_orders, tail_edge_id
+from treegibbs.graph import (
+    IndexedGraph,
+    graph_from_dict,
+    graph_to_dict,
+    materialize,
+    propagate_orders,
+    tail_edge_id,
+)
 
 
 def test_transfer_matrix_single_edge():
@@ -301,3 +316,160 @@ def test_tailed_constant_shift_leaves_chain_invariant():
     mcc = build_chain(g, gdc, orders)
     assert mc0.states == mcc.states
     assert np.abs(mc0.p - mcc.p).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ("single_edge_3", "two_loops", "cusp_22"))
+def test_shadow_names_an_exponent_off_by_more_than_the_perron_gate(name):
+    # an exponent 1e-9 off fails on the dominant class's spectral radius, not
+    # inside perron_vector's 1e-10 residual gate ("1.0 is not an eigenvalue")
+    g = fx.get(name)
+    delta = critical_exponent(g).delta
+    with pytest.raises(NoPositiveSolutionError, match="component spectral radius .* exceeds 1"):
+        shadow_vector(g, None, delta - 1e-9)
+    with pytest.raises(NoPositiveSolutionError, match="no component with unit spectral radius"):
+        shadow_vector(g, None, delta + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the junction operator against the explicit construction it replaced
+
+
+def _reference_junction_states(g: IndexedGraph):
+    funnel = g.funnel_edge_ids()
+    states = [e for e in g.edges if e not in funnel]
+    for t in range(len(g.tails)):
+        states.append(tail_edge_id(t, 1, True))
+        states.append(tail_edge_id(t, 1, False))
+    return states
+
+
+def _reference_junction(g: IndexedGraph, F: Potential, s, greens):
+    """Finite operator equivalent to T(s) with tail excursions resummed.
+
+    ``greens[t]`` is the TailGreen of tail t under F at s.  Deep levels only
+    enter through the resummed first-return weight on the entry state.
+    """
+    f_up1 = [F.tail(t).pair(1)[0] for t in range(len(g.tails))]
+    states = _reference_junction_states(g)
+    pos = {e: i for i, e in enumerate(states)}
+    n = len(states)
+    T = np.zeros((n, n))
+    funnel = g.funnel_edge_ids()
+    tails_at = {}
+    for t, spec in enumerate(g.tails):
+        tails_at.setdefault(spec.attach, []).append(t)
+    for e in g.edges:
+        if e in funnel:
+            continue
+        v = g.term[e]
+        for f in g.out_edges(v):
+            if f in funnel:
+                continue
+            m = g.index[e] - 1 if f == g.rev[e] else g.index[g.rev[f]]
+            if m > 0:
+                T[pos[e], pos[f]] = m * math.exp(F.values.get(f, 0.0) - s)
+        for t in tails_at.get(v, []):
+            iu, idn = g.tails[t].pair(1)
+            T[pos[e], pos[tail_edge_id(t, 1, True)]] = idn * math.exp(f_up1[t] - s)
+    for t, spec in enumerate(g.tails):
+        e1 = tail_edge_id(t, 1, True)
+        r1 = tail_edge_id(t, 1, False)
+        T[pos[e1], pos[r1]] = greens[t].g(1)
+        v = spec.attach
+        for f in g.out_edges(v):
+            if f in funnel:
+                continue
+            T[pos[r1], pos[f]] = g.index[g.rev[f]] * math.exp(F.values.get(f, 0.0) - s)
+        for t2 in tails_at.get(v, []):
+            iu2, idn2 = g.tails[t2].pair(1)
+            m = idn2 - 1 if t2 == t else idn2
+            if m > 0:
+                T[pos[r1], pos[tail_edge_id(t2, 1, True)]] = m * math.exp(f_up1[t2] - s)
+    return states, T
+
+
+def _junction_probes(g, F):
+    """delta when it exists, s_tail + 1e-3 when s_tail is finite, and the
+    first upper bracket of the exponent bisection."""
+    imax = max(g.index[e] for e in g.edges)
+    for spec in g.tails:
+        imax = max(imax, max(max(a, b) for a, b in spec.prefix + spec.period))
+    fmax = max(abs(F.values.get(e, 0.0)) for e in g.edges)
+    probes = [math.log(imax + 1) + fmax + 2.0]
+    s_tail = max(tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails))
+    if math.isfinite(s_tail):
+        probes.append(s_tail + 1e-3)
+    try:
+        probes.append(_critical_one(g, F)[0])
+    except TreeGibbsError:
+        pass
+    return probes
+
+
+def _assert_junction_is_the_reference(g, F):
+    """The junction operator equals the explicit construction entry for entry.
+
+    Both list the core states, then ~t<k>.e1 and ~t<k>.r1 per tail k: the
+    depth-1 edges in edge order.  From 11 tails on that order would differ
+    (~t1 < ~t10 < ~t2); no shipped or tested graph has that many.  Returns
+    the number of probes where every tail converged.
+    """
+    checked = 0
+    mat1 = materialize(g, 1)
+    for s in _junction_probes(g, F):
+        greens = _greens(g, F, s)
+        if greens is None:
+            continue
+        states, T = _junction(mat1, F.on(mat1), s, greens)
+        ref_states, R = _reference_junction(g, F, s, greens)
+        pos = {e: i for i, e in enumerate(states)}
+        assert sorted(pos) == sorted(ref_states)
+        for a, ea in enumerate(ref_states):
+            for b, eb in enumerate(ref_states):
+                assert T[pos[ea], pos[eb]] == R[a, b], (s, ea, eb)
+        # the same order too, so spectral_radius sees the same matrix
+        assert list(states) == ref_states
+        checked += 1
+    return checked
+
+
+def _with_second_tail(name, attach):
+    d = graph_to_dict(fx.get(name))
+    d["tails"].append({"attach": attach, "period": [[2, 1]]})
+    return graph_from_dict(d)
+
+
+def _digest_potential_runs():
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.POTENTIAL_RUNS
+
+
+def _junction_cases():
+    for name in sorted(fx.FIXTURES):
+        g = fx.get(name)
+        if g.tails:
+            yield name, g, Potential.zero(g)
+    for name, pot, tail_values in _digest_potential_runs():
+        g = fx.get(name)
+        yield f"{name}+{pot}", g, potential_from_dict(g, {"tail_values": [dict(tail_index=0, **tail_values)]})
+    for attach in ("b", "a0"):
+        g = _with_second_tail("cusp_22", attach)
+        yield f"cusp_22+tail@{attach}", g, Potential.zero(g)
+
+
+@pytest.mark.parametrize("case", list(_junction_cases()), ids=lambda case: case[0])
+def test_junction_is_the_explicit_junction_matrix(case):
+    name, g, F = case
+    # every probe converges; the critical ray has no delta to probe
+    assert _assert_junction_is_the_reference(g, F) == (2 if name == "critical_ray_5" else 3)
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(tailed_graphs())
+def test_junction_is_the_explicit_junction_matrix_on_random_tails(drawn):
+    g, F = drawn
+    _assert_junction_is_the_reference(g, F)
+

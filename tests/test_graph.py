@@ -1,11 +1,15 @@
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegibbs
 from treegibbs import fixtures as fx
+from treegibbs.counting import _is_bipartite
 from treegibbs.cover import build_cover_ball
 from treegibbs.errors import GraphError, NoClosedGeodesicError, NonUnimodularError
 from treegibbs.graph import (
@@ -236,3 +240,81 @@ def test_random_graph_invariants(g):
     for e in g.edges:
         assert og.edge(e) == og.edge(g.rev[e])
         assert og.vertex(g.term[e]) == g.index[e] * og.edge(e)
+
+
+def _reference_validate_reach(g):
+    # the hand-written connectivity walk validate_graph used to run
+    vset = set(g.vertices)
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for e in g.out_edges(v):
+            w = g.term.get(e)
+            if w in vset and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vset
+
+
+def _reference_is_bipartite(g):
+    # the two-colouring counting._is_bipartite used to run
+    color = {}
+    for v0 in g.vertices:
+        if v0 in color:
+            continue
+        color[v0] = 0
+        stack = [v0]
+        while stack:
+            v = stack.pop()
+            for e in g.out_edges(v):
+                w = g.term[e]
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_digraph_walks_match_the_hand_written_ones(g):
+    connected = _reference_validate_reach(g)
+    codes = {v.code for v in validate_graph(g).violations}
+    assert ("core-disconnected" not in codes) == connected
+    if connected:
+        assert _is_bipartite(g) == _reference_is_bipartite(g)
+
+
+def test_arcs_are_the_nonfunnel_continuations_built_once():
+    for name in sorted(fx.FIXTURES):
+        mat = materialize(fx.get(name), 3)
+        funnel = mat.funnel_edge_ids()
+        states, arcs = mat.arcs()
+        assert states == tuple(e for e in mat.edges if e not in funnel)
+        for e, row in zip(states, arcs):
+            want = [(f, m) for f, m in mat.continuations(e) if f not in funnel]
+            assert [(states[j], m) for j, m in row] == want
+            assert [j for j, _ in row] == sorted(j for j, _ in row)
+        assert mat.arcs() is mat.arcs()
+
+
+# modules that walk continuations themselves: graph builds the arcs, and the
+# cover walk needs edge ids and funnel edges
+_CONTINUATIONS_ALLOWED = {"graph", "cover"}
+
+
+def test_continuations_are_walked_only_by_graph_and_cover():
+    callers = set()
+    for path in sorted(pathlib.Path(treegibbs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "continuations":
+                    callers.add(path.stem)
+    assert "graph" in callers
+    assert callers <= _CONTINUATIONS_ALLOWED, sorted(callers - _CONTINUATIONS_ALLOWED)
+

@@ -69,8 +69,9 @@ def test_renewal_constant_matches_the_orbit_counts():
 
 
 def test_perron_vector_raises_when_iteration_does_not_settle():
-    # from the all-ones start the iterates of this weighted 2-cycle alternate
-    # between (2, 1)/3 and (1, 1)/2 forever
+    # the eigenvalues of this weighted 2-cycle are +-sqrt(2), so the
+    # least-squares null vector of M - 0 I leaves a residual far above the
+    # 1e-10 gate and 0.0 is rejected as an eigenvalue
     M = np.array([[0.0, 2.0], [1.0, 0.0]])
     with pytest.raises(NoPositiveSolutionError):
         perron_vector(M, 0.0)
