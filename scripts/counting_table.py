@@ -1,5 +1,5 @@
-"""Orbit-count table for a finite biregular fixture: brute-force DP counts
-against the literal main terms and the geometric renewal term.
+"""Orbit-count table for a fixture: brute-force DP counts against the main
+terms of the counting formula and the geometric term C* e^(2 delta n).
 
 Usage:
     python scripts/counting_table.py [--fixture single_edge_3] [--nlo 5] [--nhi 20]
@@ -10,7 +10,7 @@ import sys
 
 from treegibbs import fixtures as fx
 from treegibbs.chain import build_chain
-from treegibbs.counting import biregular_params, error_decay_report
+from treegibbs.counting import error_decay_report
 from treegibbs.gibbs import compute_gibbs
 from treegibbs.graph import propagate_orders
 
@@ -25,19 +25,19 @@ def main(argv=None):
     orders = propagate_orders(g)
     gd = compute_gibbs(g)
     mc = build_chain(g, gd, orders)
-    params = biregular_params(g)
-    rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, ns.nlo, ns.nhi)
+    rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, ns.nlo, ns.nhi)
     print(f"fixture {ns.fixture}: delta={gd.delta!r}, C*={rep.cstar!r} "
-          f"({rep.cstar_exact if rep.cstar_exact is not None else 'float'}), "
+          f"({rep.cstar_exact if rep.cstar_exact is not None else rep.renewal_method}), "
           f"kappa_hat={rep.kappa_hat!r}")
-    print(f"constants: cone {rep.cone_constant!r}, full {rep.full_constant!r}, "
-          f"ratio {rep.ratio_constants!r}")
-    hdr = f"{'n':>4} {'oracle N(2n)':>18} {'C* e^(2dn)':>18} {'residual':>14} {'full/oracle':>14}"
+    print(f"constants: cone {rep.cone_constant!r} through {rep.cone_edge}, "
+          f"full {rep.full_constant!r}, ratio {rep.ratio_constants!r}")
+    hdr = (f"{'n':>4} {'oracle N(2n)':>18} {'C* e^(2dn)':>18} {'residual':>14} "
+           f"{'full/oracle':>14} {'cone/oracle':>14}")
     print(hdr)
     for row in rep.rows():
         print(
             f"{row['n']:>4} {row['oracle']:>18.6f} {row['cstar_geom']:>18.6f} "
-            f"{row['residual']:>14.6e} {row['ratio_full']:>14.10f}"
+            f"{row['residual']:>14.6e} {row['ratio_full']:>14.10f} {row['ratio_cone']:>14.10f}"
         )
     return 0
 

@@ -1,5 +1,7 @@
 """Run the full pipeline over every shipped fixture and tabulate the headline
-numbers (exponent, period, chain residuals, certificate rho, renewal constant).
+numbers (exponent, period, chain residuals, certificate rho, counting
+constant C*: the Perron value on finite quotients, the main term on tailed
+ones).
 
 Usage:
     python scripts/run_all_fixtures.py [--depth 90] [--out out/fixtures.csv]
@@ -13,7 +15,7 @@ import sys
 
 from treegibbs import fixtures as fx
 from treegibbs.chain import build_chain, check_markov_property
-from treegibbs.counting import biregular_params, renewal_constant
+from treegibbs.counting import biregular_params, main_term, nu_mass_at, renewal_constant
 from treegibbs.errors import DivergenceError, TreeGibbsError
 from treegibbs.gibbs import compute_gibbs
 from treegibbs.graph import length_spectrum_period, propagate_orders
@@ -42,11 +44,12 @@ def run_one(name, depth):
         row["biregular"] = f"({params.qd + 1},{params.qdp + 1})"
     except TreeGibbsError:
         row["biregular"] = "n/a"
-    try:
+    if g.tails:
+        nu = nu_mass_at(gd, g, g.base_vertex)
+        row["cstar"] = f"{main_term(gd, mc.m_mass, 0, row['k'], nu, nu).full_constant:.9f}"
+    else:
         rc = renewal_constant(g, orders)
         row["cstar"] = str(rc.exact) if rc.exact is not None else f"{rc.value:.9f}"
-    except TreeGibbsError:
-        row["cstar"] = "n/a"
     return row
 
 

@@ -417,40 +417,44 @@ def _cmd_mix(cfg):
 
 def _cmd_count(cfg):
     g, F, report, orders, gd, mc = _pipeline(cfg)
-    params = biregular_params(g)
+    try:
+        params = biregular_params(g)
+    except GraphError:
+        params = None
     _progress(f"counting DP to 2n = {2 * min(cfg.n_max, 25)}")
     n_hi = min(cfg.n_max, 25)
     n_lo = min(10, max(1, n_hi - 5))
     crep = error_decay_report(g, orders, F, gd, mc.m_mass, params, n_lo, n_hi)
     rows = crep.rows()
     payload = {
-        "biregular": {"qd": params.qd, "qdp": params.qdp},
+        "biregular": None if params is None else {"qd": params.qd, "qdp": params.qdp},
         "cstar": crep.cstar,
         "cstar_exact": str(crep.cstar_exact) if crep.cstar_exact is not None else None,
+        "cstar_method": crep.renewal_method,
+        "cone_edge": crep.cone_edge,
         "cone_constant": crep.cone_constant,
         "full_constant": crep.full_constant,
         "constant_ratio": crep.ratio_constants,
         "kappa_hat": crep.kappa_hat,
         "delta": gd.delta,
         "m_mass": mc.m_mass,
-        "sphere_sizes": [sphere_size(params, j) for j in range(0, 7)],
-        "ball_measure_R3": mgamma_ball_measure(params, gd.delta, 3, mc.m_mass),
+        "sphere_sizes": None if params is None else [sphere_size(params, j) for j in range(0, 7)],
+        "ball_measure_R3": None if params is None else mgamma_ball_measure(params, gd.delta, 3, mc.m_mass),
         "normalization": gd.normalization,
     }
+    cover = "not biregular" if params is None else f"biregular ({params.qd + 1}, {params.qdp + 1})"
     summary = [
-        f"biregular ({params.qd + 1}, {params.qdp + 1}); delta = {gd.delta!r}",
+        f"{cover}; delta = {gd.delta!r}",
         f"renewal constant C* = {crep.cstar!r}"
-        + (f" (exact {crep.cstar_exact})" if crep.cstar_exact is not None else ""),
-        f"main-term constants: cone {crep.cone_constant!r}, full {crep.full_constant!r} "
-        f"(ratio {crep.ratio_constants!r})",
+        + (f" (exact {crep.cstar_exact})" if crep.cstar_exact is not None else "")
+        + f" [{crep.renewal_method}]",
+        f"main-term constants: cone {crep.cone_constant!r} through {crep.cone_edge}, "
+        f"full {crep.full_constant!r} (ratio {crep.ratio_constants!r})",
         f"fitted error exponent kappa = {crep.kappa_hat!r}",
     ]
     return {
         "count.json": payload,
-        "count.csv": {
-            "header": ["n", "oracle", "main_cone", "main_full", "cstar_geom", "residual", "ratio_full"],
-            "rows": rows,
-        },
+        "count.csv": {"header": list(rows[0]), "rows": rows},
         "summary": summary,
     }
 

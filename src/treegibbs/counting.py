@@ -1,14 +1,21 @@
-"""Effective orbit counting in biregular covers.
+"""Effective orbit counting in the cover of an edge-indexed graph.
 
 The weighted counting function N_x(n) sums exp(potential integral) over the
 orbit points within distance n; combinatorially it is an order factor times a
 dynamic program over non-backtracking quotient paths from the base back to
 itself, stepping along ``MaterializedGraph.arcs``.  Its counting matrix is the
-transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).  The renewal
-constant C* = lim N_x(2n) exp(-2 n delta) comes from the Perron data of that
-matrix, exactly (rational arithmetic on the integer m(e, f)) for bipartite
-zero-potential quotients, and the closed ball/bisector measure formulas
-provide the literal main terms to compare against.
+transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).
+
+The counting constant C* = lim N_x(2n) exp(-2 n delta) has one formula, the
+main term of Roblin's counting asymptotics in discrete time,
+
+    C*(x) = k ||nu_x||^2 / ||m|| * e^{k delta} / (e^{k delta} - 1),
+
+with k the length-spectrum period, ||nu_x|| the boundary mass seen from x
+and ||m|| the total mass of the chain (``main_term``).  On a finite quotient
+the Perron data of the counting matrix give C* independently
+(``renewal_constant``), in rational arithmetic at zero potential when the
+Perron value to the k is an integer.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,10 +33,11 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
+from .chain import _period_and_classes
 from .digraph import period
 from .gibbs import Potential, _transfer_on, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
-from .graph import materialize, orders_on, vertex_successors
+from .graph import length_spectrum_period, materialize, orders_on, vertex_successors
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +56,7 @@ def biregular_params(g, base=None) -> BiregularParams:
 
     base = base or g.base_vertex
     deg = {v: lift_degree(g, v) for v in g.vertices}
-    horizon = 1
-    for spec in g.tails:
-        horizon = max(horizon, len(spec.prefix) + 2 * len(spec.period))
-    tail_degs = {}
-    for t, spec in enumerate(g.tails):
-        for n in range(1, horizon + 1):
-            iu, _ = spec.pair(n)
-            _, jd = spec.pair(n + 1)
-            tail_degs[(t, n)] = iu + jd
+    horizon = max([1] + [len(spec.prefix) + 2 * len(spec.period) for spec in g.tails])
     d0 = deg[base]
     # 2-coloring by parity over the core
     color = {base: 0}
@@ -70,15 +71,14 @@ def biregular_params(g, base=None) -> BiregularParams:
                 if color[w] != cw:
                     if deg[w] != d0 or len({deg[x] for x in deg}) != 1:
                         raise GraphError("cover is not biregular (odd cycle with distinct degrees)")
-                    color[w] = color[w]
                 continue
             color[w] = cw
             classes[cw].add(deg[w])
             stack.append(w)
-    for t, spec in enumerate(g.tails):
+    for spec in g.tails:
         c = 1 - color[spec.attach]
         for n in range(1, horizon + 1):
-            classes[c].add(tail_degs[(t, n)])
+            classes[c].add(spec.pair(n)[0] + spec.pair(n + 1)[1])
             c = 1 - c
     froots = g.funnel_root_vertices()
     for v, f in froots.items():
@@ -129,12 +129,7 @@ class OracleCounts:
         return sum(self.per_distance[: n + 1])
 
     def series(self):
-        out = []
-        acc = 0
-        for w in self.per_distance:
-            acc = acc + w
-            out.append(acc)
-        return out
+        return list(accumulate(self.per_distance))
 
 
 def orbit_oracle(
@@ -218,10 +213,8 @@ def orbit_oracle(
 
 def nu_mass_at(gd, g, x):
     """Total boundary mass seen from x (1 at the normalization base vertex)."""
-    tot = 0.0
-    for e, w in entry_weights(materialize(g, gd.depth), x, gd.fvals, gd.delta):
-        tot += w * gd.u_plus[e]
-    return tot
+    mat = materialize(g, gd.depth)
+    return sum(w * gd.u_plus[e] for e, w in entry_weights(mat, x, gd.fvals, gd.delta))
 
 
 def shadow_measure(gd, g, base, edge_path, per_lift=False):
@@ -246,39 +239,43 @@ def shadow_measure(gd, g, base, edge_path, per_lift=False):
             raise GraphError(f"inadmissible path step {a}->{b}")
         mult *= m
     weight = math.exp(sum(gd.fvals[e] - gd.delta for e in edge_path))
-    if per_lift:
-        return weight * gd.u_plus[edge_path[-1]]
-    return mult * weight * gd.u_plus[edge_path[-1]]
+    return (1 if per_lift else mult) * weight * gd.u_plus[edge_path[-1]]
 
 
 @dataclass(frozen=True)
 class MainTerms:
     n: int
-    cone_term: float  # cone-restricted count, (e^{2 delta n} - 1) profile
-    full_term: float  # full-count main term, e^{2 delta n} profile
+    cone_term: float  # main term of the count through one cone, e^{2 delta n} profile
+    full_term: float  # main term of the full count, e^{2 delta n} profile
     cone_constant: float
     full_constant: float
 
 
-def main_term(params, gd, orders, m_mass, n, omega_mass=None, norm_record=None):
-    """Literal main terms of the two counting asymptotics at horizon 2n."""
+def main_term(gd, m_mass, n, period, nu_x, cone_mass, norm_record=None):
+    """Main terms of the orbit count at x at horizon 2n.
+
+    With k = ``period`` (``length_spectrum_period``), ||m|| = ``m_mass``,
+    ||nu_x|| = ``nu_x`` (``nu_mass_at``) and nu(Omega) = ``cone_mass`` (the
+    ``shadow_measure`` of a first edge at x), the constants are
+
+        full:  k ||nu_x||^2 / ||m|| * e^{k delta} / (e^{k delta} - 1)
+        cone:  k ||nu_x|| nu(Omega) / ||m|| * e^{k delta} / (e^{k delta} - 1)
+
+    and each term is its constant times e^{2 delta n}.  The full constant is
+    C*.  Both were checked against the counting DP at the normalization
+    vertex, with and without potentials, and away from it only at zero
+    potential.
+    """
     if norm_record is not None and norm_record != gd.normalization:
         raise NormalizationMismatchError(
             f"mass record {norm_record} differs from shadow record {gd.normalization}"
         )
-    delta = gd.delta
-    e2 = math.exp(2.0 * delta)
-    stab = float(orders.vertex(gd.base_vertex))
-    nu_om = 1.0 if omega_mass is None else omega_mass
-    cone_c = e2 * (params.qd + 1) * stab * nu_om / (params.qd * (e2 - 1.0) * m_mass)
-    full_c = e2 * 1.0 * 1.0 * stab / ((e2 - 1.0) * m_mass)
-    return MainTerms(
-        n=n,
-        cone_term=cone_c * (math.exp(2.0 * delta * n) - 1.0),
-        full_term=full_c * math.exp(2.0 * delta * n),
-        cone_constant=cone_c,
-        full_constant=full_c,
-    )
+    ek = math.exp(period * gd.delta)
+    scale = period * nu_x / m_mass * ek / (ek - 1.0)
+    cone_c = scale * cone_mass
+    full_c = scale * nu_x
+    growth = math.exp(2.0 * gd.delta * n)
+    return MainTerms(n, cone_c * growth, full_c * growth, cone_c, full_c)
 
 
 # ---------------------------------------------------------------------------
@@ -295,36 +292,27 @@ class RenewalConstant:
 
 def _chi_psi(mat, states, base, fvals):
     """Entry weights at ``base`` and the indicator of states ending there;
-    integers without ``fvals`` (the exact path), floats with them."""
+    integers without ``fvals`` (the exact path)."""
     pos = {e: i for i, e in enumerate(states)}
     chi = [0] * len(states)
     for e, w in entry_weights(mat, base, fvals):
         chi[pos[e]] = w
-    psi = [int(mat.term[e] == base) for e in states]
-    if fvals is None:
-        return chi, psi
-    return np.array(chi, dtype=float), np.array(psi, dtype=float)
+    return chi, [int(mat.term[e] == base) for e in states]
 
 
-def renewal_constant(
-    g, orders, F=None, base=None, prefer_exact=True, delta=None
-) -> RenewalConstant:
+def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> RenewalConstant:
     """C* = lim N_x(2n) exp(-2 n delta) for a finite quotient.
 
-    Perron decomposition of the counting matrix; for bipartite quotients with
-    zero potential the whole computation runs in rational arithmetic.  A
-    tailed quotient extrapolates the counts, with ``delta`` the exponent of
-    (g, F) when the caller has it and a fresh solve otherwise.
+    Perron decomposition of the counting matrix; with zero potential the
+    whole computation runs in rational arithmetic when it can (see
+    ``_renewal_exact``).  This is the independent route to C*; on a tailed
+    quotient C* is ``main_term``'s full constant.
     """
     if g.tails:
-        if delta is None:
-            from .gibbs import critical_exponent
-
-            delta = critical_exponent(g, F).delta
-        return _renewal_extrapolated(g, orders, F, base, delta)
+        raise GraphError("C* of a tailed quotient is main_term's full constant")
     F = F or Potential.zero(g)
     base = base or g.base_vertex
-    if prefer_exact and _potential_is_zero(F) and _is_bipartite(g):
+    if prefer_exact and _potential_is_zero(F):
         res = _renewal_exact(g, orders, base)
         if res is not None:
             return res
@@ -349,9 +337,7 @@ def _renewal_float(g, orders, F, base):
     lam = spectral_radius(M)
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
-    chi, psi = _chi_psi(mat, states, base, fvals)
-    from .chain import _period_and_classes
-
+    chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, fvals))
     k, classes = _period_and_classes(M > 0)
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
@@ -371,28 +357,36 @@ def _renewal_float(g, orders, F, base):
 
 
 def _renewal_exact(g, orders, base):
-    """Rational-arithmetic Perron resummation (bipartite, zero potential).
+    """Rational-arithmetic Perron resummation at zero potential.
 
-    The guess mu for lambda^2 is the float Perron value squared, rounded to
+    With k the counting period (1 or 2), closed paths at the base have
+    lengths jk, so N_x(2n) resums chi (M^k)^{j-1} M^{k-1} psi over j, whose
+    limit is the projection of M^{k-1} psi onto the eigenvalue mu = lambda^k
+    of M^k.  The guess for mu is the float Perron value to the k, rounded to
     the nearest fraction with denominator at most 10^9.  The exact path runs
-    only when mu is an integer: M^2 has integer entries, so its
-    characteristic polynomial is monic with integer coefficients, and by the
-    rational root theorem a non-integer rational mu is never one of its
-    eigenvalues.  M^2 - mu I is then nonsingular, its null space is empty and
-    there is nothing to resum, so None is returned before any rational
-    elimination.
+    only when mu is an integer: M^k has integer entries, so by the rational
+    root theorem a non-integer rational mu is never one of its eigenvalues,
+    M^k - mu I is nonsingular and there is nothing to resum, so None is
+    returned before any rational elimination.
     """
     mat = materialize(g, 0)
     states, arcs = mat.arcs()
     n = len(states)
     M = [[m.get(j, 0) for j in range(n)] for m in map(dict, arcs)]
     Mf = np.array([[float(x) for x in row] for row in M])
-    mu = Fraction(spectral_radius(Mf) ** 2).limit_denominator(10**9)
+    k, _ = _period_and_classes(Mf > 0)
+    if k not in (1, 2):
+        return None
+    mu = Fraction(spectral_radius(Mf) ** k).limit_denominator(10**9)
     if mu.denominator != 1:
         return None
     ext = orders_on(mat, orders)
-    M2 = [[sum(M[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    A = [[Fraction(M2[i][j]) - (mu if i == j else 0) for j in range(n)] for i in range(n)]
+    chi, psi = _chi_psi(mat, states, base, None)
+    Mk = M
+    for _ in range(k - 1):
+        Mk = [[sum(Mk[i][l] * M[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        psi = [sum(M[i][j] * psi[j] for j in range(n)) for i in range(n)]
+    A = [[Fraction(Mk[i][j]) - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     V = _nullspace_fraction(A)
     if not V:
         return None
@@ -407,14 +401,13 @@ def _renewal_exact(g, orders, base):
     if piv != list(range(gdim)):
         return None
     WVinv = [row[gdim:] for row in R]
-    chi, psi = _chi_psi(mat, states, base, None)
-    Mpsi = [sum(M[i][j] * psi[j] for j in range(n)) for i in range(n)]
-    w_proj = [sum(W[a][i] * Fraction(Mpsi[i]) for i in range(n)) for a in range(gdim)]
+    w_proj = [sum(W[a][i] * Fraction(psi[i]) for i in range(n)) for a in range(gdim)]
     coef = [sum(WVinv[b][a] * w_proj[a] for a in range(gdim)) for b in range(gdim)]
     proj = [sum(coef[b] * V[b][i] for b in range(gdim)) for i in range(n)]
     total = sum(Fraction(chi[i]) * proj[i] for i in range(n))
     cstar = Fraction(ext.vertex(base)) * total / (mu - 1)
-    return RenewalConstant(value=float(cstar), exact=cstar, method="perron-exact", growth_sq=mu)
+    # e^{2 delta} = lambda^2 = mu^(2/k)
+    return RenewalConstant(value=float(cstar), exact=cstar, method="perron-exact", growth_sq=mu ** (2 // k))
 
 
 def _rref_fraction(M):
@@ -451,27 +444,6 @@ def _nullspace_fraction(A):
             vec[c] = -R[ri][fc]
         basis.append(vec)
     return basis
-
-
-def _renewal_extrapolated(g, orders, F, base, delta, n_max=40, tol=1e-8):
-    """Aitken-accelerated limit of N_x(2n) exp(-2 n delta) (geometric residuals)."""
-    base = base or g.base_vertex
-    F = F or Potential.zero(g)
-    rep = orbit_oracle(g, orders, F, base, 2 * n_max)
-    series = rep.series()
-    vals = [float(series[2 * n]) * math.exp(-2.0 * n * delta) for n in range(1, n_max + 1)]
-
-    def aitken(seq):
-        out = []
-        for k in range(2, len(seq)):
-            d2 = seq[k] - 2.0 * seq[k - 1] + seq[k - 2]
-            out.append(seq[k] if d2 == 0.0 else seq[k] - (seq[k] - seq[k - 1]) ** 2 / d2)
-        return out
-
-    acc = aitken(aitken(vals))
-    if len(acc) < 4 or abs(acc[-1] - acc[-3]) > tol * max(1.0, abs(acc[-1])):
-        raise NoPositiveSolutionError("renewal extrapolation did not converge")
-    return RenewalConstant(value=float(acc[-1]), method="extrapolated")
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +507,10 @@ class CountReport:
     ratio_full: tuple  # full main term / oracle
     ratio_constants: float  # cone constant / full constant
     delta: float
-    renewal_method: str  # how cstar was obtained (RenewalConstant.method)
+    renewal_method: str  # how cstar was obtained (RenewalConstant.method, or "main-term")
+    cone_edge: str  # the first edge of the cone
+    oracle_cone: tuple  # counts through the cone
+    ratio_cone: tuple  # cone main term / cone counts
 
     def rows(self):
         out = []
@@ -550,27 +525,45 @@ class CountReport:
                     "cstar_geom": geom,
                     "residual": self.oracle[idx] - geom,
                     "ratio_full": self.ratio_full[idx],
+                    "oracle_cone": self.oracle_cone[idx],
+                    "ratio_cone": self.ratio_cone[idx],
                 }
             )
         return out
 
 
 def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) -> CountReport:
-    """Oracle counts vs literal main terms vs geometric renewal term.
+    """Oracle counts vs main terms vs the geometric term C* e^{2 delta n}.
 
-    Fits the error exponent from log |N_x(2n) - C* e^{2 delta n}| and logs the
-    (constant) normalization ratio between the literal main term and C*.
+    The main terms come from ``main_term`` at ``base``; the cone is the one
+    through the first entry edge e at the base, checked against
+    ``orbit_oracle(..., first_edge_constraint=(e,))``.  On a finite quotient
+    C* is ``renewal_constant``'s Perron value, on a tailed one the full
+    constant.  The main-term formula was checked at the normalization vertex
+    with and without potentials, and away from it only at zero potential.
+    Fits the error exponent from log |N_x(2n) - C* e^{2 delta n}|.
     """
+    # ``params`` is unused; it keeps the positional signature that the bench
+    # harness calls with biregular_params(g)
     base = base or g.base_vertex
     F = F or Potential.zero(g)
     rep = orbit_oracle(g, orders, F, base, 2 * n_hi)
     series = rep.series()
-    rc = renewal_constant(g, orders, F, base, delta=gd.delta)
+    cone_edge = entry_weights(materialize(g, gd.depth), base)[0][0]
+    cone = orbit_oracle(g, orders, F, base, 2 * n_hi, (cone_edge,), include_identity=False)
+    cone_series = cone.series()
+    nu_x = nu_mass_at(gd, g, base)
+    cone_mass = shadow_measure(gd, g, base, [cone_edge])
+    k = length_spectrum_period(g)
     ns = tuple(range(n_lo, n_hi + 1))
     oracle = tuple(float(series[2 * n]) for n in ns)
-    terms = [main_term(params, gd, orders, m_mass, n) for n in ns]
-    cone = tuple(t.cone_term for t in terms)
-    full = tuple(t.full_term for t in terms)
+    oracle_cone = tuple(float(cone_series[2 * n]) for n in ns)
+    terms = [main_term(gd, m_mass, n, k, nu_x, cone_mass) for n in ns]
+    full_c = terms[0].full_constant
+    if g.tails:
+        rc = RenewalConstant(value=full_c, method="main-term")
+    else:
+        rc = renewal_constant(g, orders, F, base)
     delta = gd.delta
     if rc.exact is not None and rc.growth_sq is not None and rep.exact:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]
@@ -584,20 +577,22 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
         kappa = 2.0 * delta - slope
     else:
         kappa = float("inf")
-    ratio_full = tuple(f / o for f, o in zip(full, oracle))
     return CountReport(
         base=base,
         ns=ns,
         oracle=oracle,
-        cone_terms=cone,
-        full_terms=full,
+        cone_terms=tuple(t.cone_term for t in terms),
+        full_terms=tuple(t.full_term for t in terms),
         cstar=rc.value,
         cstar_exact=rc.exact,
         cone_constant=terms[0].cone_constant,
-        full_constant=terms[0].full_constant,
+        full_constant=full_c,
         kappa_hat=kappa,
-        ratio_full=ratio_full,
-        ratio_constants=terms[0].cone_constant / terms[0].full_constant,
+        ratio_full=tuple(t.full_term / o for t, o in zip(terms, oracle)),
+        ratio_constants=terms[0].cone_constant / full_c,
         delta=delta,
         renewal_method=rc.method,
+        cone_edge=cone_edge,
+        oracle_cone=oracle_cone,
+        ratio_cone=tuple(t.cone_term / o for t, o in zip(terms, oracle_cone)),
     )

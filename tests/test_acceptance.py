@@ -25,6 +25,7 @@ from treegibbs.counting import (
     error_decay_report,
     orbit_oracle,
     renewal_constant,
+    shadow_measure,
     sphere_size,
 )
 from treegibbs.cover import build_cover_ball, cover_census
@@ -214,11 +215,15 @@ def test_criterion_9_main_term_consistency():
         params = biregular_params(g)
         rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
         spread = max(rep.ratio_full) - min(rep.ratio_full)
-        want = (params.qd + 1) / params.qd
+        want = shadow_measure(gd, g, g.base_vertex, [rep.cone_edge])
         const_err = abs(rep.ratio_constants - want)
-        good = spread <= 1e-6 and const_err <= 1e-9
+        cstar_err = abs(rep.full_constant / rep.cstar - 1.0)
+        good = spread <= 1e-6 and const_err <= 1e-12 and cstar_err <= 1e-12
         ok = ok and good
-        details.append(f"{name}: ratio spread {spread:.2e}, constant-ratio err {const_err:.2e}")
+        details.append(
+            f"{name}: ratio spread {spread:.2e}, constant-ratio err {const_err:.2e}, "
+            f"|full constant / C* - 1| {cstar_err:.2e}"
+        )
     _report(9, ok, "; ".join(details))
 
 

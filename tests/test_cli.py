@@ -124,6 +124,30 @@ def test_cli_count_includes_normalization_record(tmp_path, fixture_dir):
     assert payload["cstar_exact"] == "6"
 
 
+def test_cli_count_on_a_cover_that_is_not_biregular(tmp_path, fixture_dir):
+    cfg_path = _write_cfg(tmp_path, "funnel", graph=fixture_dir["funnel_loop"])
+    out = str(tmp_path / "out_funnel")
+    assert main(["count", "--config", cfg_path, "--out", out]) == 0
+    payload = json.load(open(os.path.join(out, "count.json")))
+    assert payload["cstar_exact"] == "2" and payload["cstar"] == 2.0
+    assert abs(payload["full_constant"] / 2.0 - 1.0) <= 1e-12
+    assert payload["biregular"] is None and payload["sphere_sizes"] is None
+    assert payload["ball_measure_R3"] is None
+    assert "not biregular" in open(os.path.join(out, "summary.txt")).read()
+
+
+@pytest.mark.parametrize(
+    "name, limit", [("cusp_22", 1.5), ("cusp_24", 1.25), ("cusp_44", 1.25), ("thick_ray_5", 0.9375)]
+)
+def test_cli_count_prints_the_tailed_limits(tmp_path, fixture_dir, name, limit):
+    cfg_path = _write_cfg(tmp_path, name, graph=fixture_dir[name])
+    out = str(tmp_path / f"out_{name}")
+    assert main(["count", "--config", cfg_path, "--out", out]) == 0
+    payload = json.load(open(os.path.join(out, "count.json")))
+    assert abs(payload["cstar"] / limit - 1.0) <= 1e-12
+    assert payload["cstar_method"] == "main-term"
+
+
 def test_emit_report_empty_results(tmp_path, fixture_dir):
     from treegibbs.cli import emit_report, parse_config
 

@@ -12,6 +12,7 @@ from treegibbs.counting import (
     error_decay_report,
     main_term,
     mgamma_ball_measure,
+    nu_mass_at,
     orbit_oracle,
     renewal_constant,
     shadow_measure,
@@ -20,7 +21,7 @@ from treegibbs.counting import (
 from treegibbs.cover import build_cover_ball, cover_census
 from treegibbs.errors import GraphError, NormalizationMismatchError
 from treegibbs.gibbs import Potential
-from treegibbs.graph import graph_from_dict, materialize, propagate_orders
+from treegibbs.graph import graph_from_dict, length_spectrum_period, materialize, propagate_orders
 
 
 def test_sphere_sizes_formula():
@@ -124,12 +125,11 @@ def test_shadow_measures(single_edge_pipeline):
 
 def test_main_term_scaling(single_edge_pipeline):
     g, orders, gd, mc = single_edge_pipeline
-    params = biregular_params(g)
-    t5 = main_term(params, gd, orders, mc.m_mass, 5)
-    t6 = main_term(params, gd, orders, mc.m_mass, 6)
+    t5 = main_term(gd, mc.m_mass, 5, 2, 1.0, 1.0)
+    t6 = main_term(gd, mc.m_mass, 6, 2, 1.0, 1.0)
     assert abs(t6.full_term / t5.full_term - math.exp(2 * gd.delta)) < 1e-12
     with pytest.raises(NormalizationMismatchError):
-        main_term(params, gd, orders, mc.m_mass, 5, norm_record={"other": 1})
+        main_term(gd, mc.m_mass, 5, 2, 1.0, 1.0, norm_record={"other": 1})
 
 
 def test_renewal_constant_exact_three_regular(single_edge_pipeline):
@@ -182,11 +182,47 @@ def test_renewal_constant_under_shift_matches_dp_limit():
     assert abs(rc.value - want) < 1e-10
 
 
-def test_renewal_extrapolated_for_tails():
-    g, orders, gd, mc = pipeline("cusp_22")
-    rc = renewal_constant(g, orders)
-    assert rc.method == "extrapolated"
-    assert rc.value > 0
+@pytest.mark.parametrize(
+    "name, limit", [("cusp_22", 1.5), ("cusp_24", 1.25), ("cusp_44", 1.25), ("thick_ray_5", 0.9375)]
+)
+def test_tailed_cstar_is_the_main_term_limit(name, limit):
+    # the DP counts are (3/2) 4^n, (5/4) 8^n and (5/4) 16^n on the cusps, and
+    # tend to 15/16 e^{2 delta n} on the thick ray
+    g, orders, gd, mc = pipeline(name)
+    rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, 10, 25)
+    assert rep.renewal_method == "main-term"
+    assert rep.cstar == rep.full_constant
+    assert abs(rep.cstar / limit - 1.0) <= 1e-12
+    with pytest.raises(GraphError, match="main_term"):
+        renewal_constant(g, orders)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("funnel_loop",))
+def test_full_constant_equals_the_perron_cstar(name):
+    g, orders, gd, mc = pipeline(name)
+    rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, 10, 25)
+    assert abs(rep.full_constant / renewal_constant(g, orders).value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", PIPELINE_FIXTURES)
+def test_main_terms_match_the_counts_at_n25(name):
+    g, orders, gd, mc = pipeline(name)
+    rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, 10, 25)
+    tol = 1e-3 if name == "thick_ray_5" else 1e-12  # the thick ray converges slowly
+    assert abs(rep.ratio_full[-1] - 1.0) <= tol
+    assert abs(rep.ratio_cone[-1] - 1.0) <= tol
+
+
+@pytest.mark.parametrize("name, cstar", [("biregular_24", 50 / 21), ("cusp_24", 9 / 10)])
+def test_main_term_off_the_normalization_vertex(name, cstar):
+    # at zero potential the ||nu_b||^2 factor carries the constant to b
+    g, orders, gd, mc = pipeline(name)
+    nu_b = nu_mass_at(gd, g, "b")
+    t = main_term(gd, mc.m_mass, 0, length_spectrum_period(g), nu_b, nu_b)
+    assert abs(t.full_constant / cstar - 1.0) <= 1e-12
+    rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, 20, 25, base="b")
+    assert abs(rep.full_constant / cstar - 1.0) <= 1e-12
+    assert abs(rep.ratio_full[-1] - 1.0) <= 1e-10
 
 
 def test_boundary_ratios():
@@ -213,7 +249,8 @@ def test_error_decay_report_single_edge(single_edge_pipeline):
     rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
     assert abs(rep.kappa_hat - 2 * gd.delta) < 1e-12
     assert max(rep.ratio_full) - min(rep.ratio_full) < 1e-6
-    assert abs(rep.ratio_constants - 1.5) < 1e-9
+    assert abs(rep.ratio_constants - shadow_measure(gd, g, "a", [rep.cone_edge])) < 1e-12
+    assert abs(rep.full_constant / rep.cstar - 1.0) <= 1e-12
 
 
 def test_error_decay_constant_ratio_all_finite_fixtures():
@@ -222,8 +259,9 @@ def test_error_decay_constant_ratio_all_finite_fixtures():
         params = biregular_params(g)
         rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
         assert max(rep.ratio_full) - min(rep.ratio_full) < 1e-6, name
-        want = (params.qd + 1) / params.qd
-        assert abs(rep.ratio_constants - want) < 1e-9, name
+        want = shadow_measure(gd, g, g.base_vertex, [rep.cone_edge])
+        assert abs(rep.ratio_constants - want) < 1e-12, name
+        assert abs(rep.full_constant / rep.cstar - 1.0) <= 1e-12, name
 
 
 def test_constraint_cone_ratio_matches_shadow_mass():
@@ -351,6 +389,7 @@ def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkey
         ("single_edge_3", Fraction(6), Fraction(4)),
         ("biregular_24", Fraction(12, 7), Fraction(8)),
         ("biregular_44", Fraction(4, 3), Fraction(16)),
+        ("two_loops", Fraction(2), Fraction(9)),
     ],
 )
 def test_renewal_exact_path_still_hits(name, exact, growth_sq):
@@ -438,3 +477,50 @@ def test_census_walks_in_blocks_not_levels():
     assert sum(census.values()) == 2_929_687
     # the 2,343,750 vertices at depth 9 as one int64 array would take 18.75 MB
     assert peak < 8_000_000
+
+
+def _coboundary(g, seed):
+    """F(e) = h(term e) - h(orig e) for a seeded random h: on the core
+    vertices, and along each tail a period-2 h from level 1 on, so each tail
+    potential is a one-level prefix and a period of two pairs."""
+    import random
+
+    from treegibbs.gibbs import TailPotential
+
+    rng = random.Random(seed)
+    h = {v: rng.uniform(-0.5, 0.5) for v in g.vertices}
+    tails = []
+    for spec in g.tails:
+        a, b = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        first = a - h[spec.attach]
+        tails.append(TailPotential(prefix=((first, -first),), period=((b - a, a - b), (a - b, b - a))))
+    return Potential({e: h[g.term[e]] - h[g.orig[e]] for e in g.edges}, tuple(tails))
+
+
+@pytest.mark.parametrize("name", ("parallel_edges", "biregular_24", "cusp_22", "cusp_24", "thick_ray_5"))
+def test_a_coboundary_leaves_the_pipeline_unchanged(name):
+    import numpy as np
+
+    from treegibbs.chain import build_chain
+    from treegibbs.gibbs import compute_gibbs
+
+    g, orders, gd0, mc0 = pipeline(name)
+    F = _coboundary(g, seed=len(name))
+    gd = compute_gibbs(g, F, depth=gd0.depth)
+    mc = build_chain(g, gd, orders)
+
+    def rel(a, b):
+        return abs(a - b) / abs(b)
+
+    assert rel(gd.delta, gd0.delta) <= 1e-12
+    assert mc.states == mc0.states
+    assert np.max(np.abs(mc.p - mc0.p)) <= 1e-12 * np.max(np.abs(mc0.p))
+    assert np.max(np.abs(mc.pi - mc0.pi)) <= 1e-12 * np.max(np.abs(mc0.pi))
+    assert rel(mc.m_mass, mc0.m_mass) <= 1e-12
+    counts = orbit_oracle(g, orders, F, g.base_vertex, 20).per_distance
+    counts0 = orbit_oracle(g, orders, None, g.base_vertex, 20).per_distance
+    assert all(rel(c, float(c0)) <= 1e-12 for c, c0 in zip(counts, counts0) if c0)
+    assert all(c == 0.0 for c, c0 in zip(counts, counts0) if not c0)
+    rep = error_decay_report(g, orders, F, gd, mc.m_mass, None, 5, 10)
+    rep0 = error_decay_report(g, orders, None, gd0, mc0.m_mass, None, 5, 10)
+    assert rel(rep.cstar, rep0.cstar) <= 1e-12
