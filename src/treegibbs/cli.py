@@ -435,7 +435,7 @@ def _cmd_count(cfg):
         "cone_constant": crep.cone_constant,
         "full_constant": crep.full_constant,
         "constant_ratio": crep.ratio_constants,
-        "kappa_hat": crep.kappa_hat,
+        "kappa_hat": None if crep.kappa_hat == float("inf") else crep.kappa_hat,
         "delta": gd.delta,
         "m_mass": mc.m_mass,
         "sphere_sizes": None if params is None else [sphere_size(params, j) for j in range(0, 7)],

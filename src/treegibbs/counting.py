@@ -33,7 +33,6 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
-from .chain import _period_and_classes
 from .digraph import period
 from .gibbs import Potential, _transfer_on, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
@@ -312,11 +311,14 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
         raise GraphError("C* of a tailed quotient is main_term's full constant")
     F = F or Potential.zero(g)
     base = base or g.base_vertex
+    k = length_spectrum_period(g)  # the counting period, main_term's k too
+    if k not in (1, 2):
+        raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
     if prefer_exact and _potential_is_zero(F):
-        res = _renewal_exact(g, orders, base)
+        res = _renewal_exact(g, orders, base, k)
         if res is not None:
             return res
-    return _renewal_float(g, orders, F, base)
+    return _renewal_float(g, orders, F, base, k)
 
 
 def _is_bipartite(g):
@@ -328,7 +330,7 @@ def _is_bipartite(g):
     return period(vertex_successors(g), 0)[0] % 2 == 0
 
 
-def _renewal_float(g, orders, F, base):
+def _renewal_float(g, orders, F, base, k):
     mat = materialize(g, 0)
     fvals = F.on(mat)
     # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
@@ -338,25 +340,22 @@ def _renewal_float(g, orders, F, base):
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
     chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, fvals))
-    k, classes = _period_and_classes(M > 0)
-    if k not in (1, 2):
-        raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
     v = perron_vector(M, lam)
     w = perron_vector(M.T, lam)
     denom = float(w @ v)
     c_plus = float(chi @ v) * float(w @ psi) / denom
     c_minus = 0.0
     if k == 2:
-        sgn = np.ones(len(states))
-        for i in classes[1]:
-            sgn[i] = -1.0
+        # BFS level parity splits a period-2 counting matrix's cyclic classes
+        levels = period([[j for j, _ in row] for row in mat.arcs()[1]], 0)[1]
+        sgn = np.array([-1.0 if levels.get(i, 0) % 2 else 1.0 for i in range(len(states))])
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
     cstar = float(ext.vertex(base)) * (c_plus / (lam - 1.0) - c_minus / (lam + 1.0))
     return RenewalConstant(value=cstar, method="perron-float")
 
 
-def _renewal_exact(g, orders, base):
+def _renewal_exact(g, orders, base, k):
     """Rational-arithmetic Perron resummation at zero potential.
 
     With k the counting period (1 or 2), closed paths at the base have
@@ -374,9 +373,6 @@ def _renewal_exact(g, orders, base):
     n = len(states)
     M = [[m.get(j, 0) for j in range(n)] for m in map(dict, arcs)]
     Mf = np.array([[float(x) for x in row] for row in M])
-    k, _ = _period_and_classes(Mf > 0)
-    if k not in (1, 2):
-        return None
     mu = Fraction(spectral_radius(Mf) ** k).limit_denominator(10**9)
     if mu.denominator != 1:
         return None
@@ -541,7 +537,8 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     C* is ``renewal_constant``'s Perron value, on a tailed one the full
     constant.  The main-term formula was checked at the normalization vertex
     with and without potentials, and away from it only at zero potential.
-    Fits the error exponent from log |N_x(2n) - C* e^{2 delta n}|.
+    Fits the error exponent from log |N_x(2n) - C* e^{2 delta n}| on exact
+    residuals or those above 1e-13 n of the count (inf below three points).
     """
     # ``params`` is unused; it keeps the positional signature that the bench
     # harness calls with biregular_params(g)
@@ -567,16 +564,15 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     delta = gd.delta
     if rc.exact is not None and rc.growth_sq is not None and rep.exact:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]
+        tol = 0.0
     else:
         resid = [o - rc.value * math.exp(2.0 * delta * n) for n, o in zip(ns, oracle)]
-    pts = [(n, abs(r)) for n, r in zip(ns, resid) if abs(r) > 1e-13 * max(1.0, abs(oracle[0]))]
+        tol = 1e-13  # rounding: e^{2 delta n} carries n times the rounding of delta
+    pts = [(n, abs(r)) for n, r, o in zip(ns, resid, oracle) if abs(r) > tol * n * abs(o)]
+    kappa = float("inf")
     if len(pts) >= 3:
-        xs = np.array([p[0] for p in pts], dtype=float)
-        ys = np.log(np.array([p[1] for p in pts]))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        kappa = 2.0 * delta - slope
-    else:
-        kappa = float("inf")
+        xs, ys = zip(*pts)
+        kappa = 2.0 * delta - float(np.polyfit(xs, np.log(ys), 1)[0])
     return CountReport(
         base=base,
         ns=ns,

@@ -146,6 +146,8 @@ def test_cli_count_prints_the_tailed_limits(tmp_path, fixture_dir, name, limit):
     payload = json.load(open(os.path.join(out, "count.json")))
     assert abs(payload["cstar"] / limit - 1.0) <= 1e-12
     assert payload["cstar_method"] == "main-term"
+    # the cusp counts equal C* e^{2 delta n}: no error exponent to print
+    assert (payload["kappa_hat"] is None) == (name != "thick_ray_5")
 
 
 def test_emit_report_empty_results(tmp_path, fixture_dir):

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, pipeline
+from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs.counting import (
     BiregularParams,
@@ -193,8 +194,62 @@ def test_tailed_cstar_is_the_main_term_limit(name, limit):
     assert rep.renewal_method == "main-term"
     assert rep.cstar == rep.full_constant
     assert abs(rep.cstar / limit - 1.0) <= 1e-12
+    # the cusp counts equal C* e^{2 delta n}, so their float residuals are
+    # rounding and resolve no error exponent; the thick ray's error is real
+    assert rep.kappa_hat > 0.0 and (rep.kappa_hat == math.inf) == (name != "thick_ray_5")
     with pytest.raises(GraphError, match="main_term"):
         renewal_constant(g, orders)
+
+
+def test_kappa_fit_stops_at_the_rounding_plateau():
+    # with this tail potential the relative residual on cusp_22 falls by about
+    # 4.7 per step to 3e-13 at n = 16, then sits on a rounding plateau that
+    # grows like n; fitting the plateau would pull kappa down to about 0.6
+    from treegibbs.chain import build_chain
+    from treegibbs.gibbs import TailPotential, compute_gibbs
+
+    g, orders, gd0, _ = pipeline("cusp_22")
+    F = Potential({e: 0.0 for e in g.edges}, (TailPotential(prefix=((0.3, 0.1),), period=((0.1, 0.1),)),))
+    gd = compute_gibbs(g, F, depth=gd0.depth)
+    mc = build_chain(g, gd, orders)
+    rep = error_decay_report(g, orders, F, gd, mc.m_mass, None, 10, 25)
+    assert abs(rep.kappa_hat - math.log(4.7)) < 0.05
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(tailed_graphs())
+def test_one_counting_period_for_both_constants(drawn):
+    # on the core of each draw: length_spectrum_period, the k of main_term
+    # and of the Perron route, is the period of an irreducible counting
+    # matrix, and the main-term constant with it is the Perron C*
+    import dataclasses
+
+    import numpy as np
+
+    from treegibbs.chain import _period_and_classes, build_chain
+    from treegibbs.digraph import sccs
+    from treegibbs.errors import TreeGibbsError
+    from treegibbs.gibbs import compute_gibbs
+    from treegibbs.graph import validate_graph
+
+    core = dataclasses.replace(drawn[0], tails=())
+    assume(validate_graph(core).ok)
+    try:
+        orders = propagate_orders(core)
+    except TreeGibbsError:
+        return
+    states, arcs = materialize(core, 0).arcs()
+    if not states or len(sccs([[j for j, _ in row] for row in arcs])) != 1:
+        return
+    M = np.zeros((len(states), len(states)))
+    for i, row in enumerate(arcs):
+        for j, m in row:
+            M[i, j] = m
+    assert length_spectrum_period(core) == _period_and_classes(M > 0)[0]
+    gd = compute_gibbs(core)
+    mc = build_chain(core, gd, orders)
+    rep = error_decay_report(core, orders, None, gd, mc.m_mass, None, 5, 8)
+    assert abs(rep.full_constant / renewal_constant(core, orders).value - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("funnel_loop",))
@@ -372,7 +427,7 @@ def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkey
 
     g = graph_from_dict(CORE_4_3)
     orders = propagate_orders(g)
-    want = counting._renewal_float(g, orders, Potential.zero(g), g.base_vertex)
+    want = counting._renewal_float(g, orders, Potential.zero(g), g.base_vertex, length_spectrum_period(g))
 
     def forbidden(A):
         raise AssertionError("rational elimination at a non-integer lambda^2")
