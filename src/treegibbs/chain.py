@@ -23,6 +23,8 @@ from .gibbs import perron_vector
 from .graph import materialize, orders_on, tail_edge_id
 
 PI_REMAINDER_TOL = 1e-13
+# a distance at scale x carries about n roundings of x after n steps
+ROUNDING_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -337,7 +339,7 @@ class TabooTable:
 
 
 def _taboo_row(P, avoid_mask, i_idx, n_max):
-    """rows[n] = vector of n-step probabilities avoiding ``avoid`` at interior times."""
+    """rows[n] = n-step probabilities avoiding masked states at interior times (none: P^n[i])."""
     S = P.shape[0]
     rows = np.zeros((n_max + 1, S))
     rows[0, i_idx] = 1.0
@@ -443,14 +445,17 @@ class MeanReturn:
 
 
 def mean_return_time(mc: MarkovChain, j, n_max, cert_rho=None) -> MeanReturn:
-    """sum n f^{(n)}_{jj} with a geometric tail bound from the observed envelope."""
+    """sum n f^{(n)}_{jj} plus a geometric tail bound; the bound's rate is the
+    largest (f^{(n+k)} / f^{(n)})^{1/k} over the last ten steps (else ``cert_rho``),
+    k the period, since first returns come only at multiples of k."""
+    k = mc.period
     f = first_passage(mc, (), j, j, n_max).f[(j, j)]
     est = float(sum(n * f[n] for n in range(1, n_max + 1)))
     total = float(f[1:].sum())
     ratios = []
-    for n in range(max(2, n_max - 10), n_max):
-        if f[n] > 1e-300 and f[n + 1] > 0:
-            ratios.append(f[n + 1] / f[n])
+    for n in range(max(2, n_max - 10), n_max - k + 1):
+        if f[n] > 1e-300 and f[n + k] > 0:
+            ratios.append((f[n + k] / f[n]) ** (1 / k))
     theta = max(ratios) if ratios else (cert_rho or 0.0)
     if 0.0 < theta < 1.0:
         C = max((f[n] / theta**n) for n in range(1, n_max + 1) if f[n] > 0)
@@ -472,41 +477,48 @@ class MixingFit:
     p_kn: tuple = ()  # p^{(kn)}_{ij} for n = 1..n_max // k
 
 
-def mixing_rate_estimate(mc: MarkovChain, i, j, n_max, skip=5, floor=1e-14) -> MixingFit:
-    """Least-squares rate of |p^{(kn)}_{ij} - k pi_j| on the aperiodic subsequence."""
-    k = mc.period
-    ci, cj = mc.class_of(i), mc.class_of(j)
-    if ci != cj:
-        raise ValueError(f"states {i} and {j} lie in different cyclic classes")
-    target = k * mc.pi_of(j)
-    v = np.zeros(len(mc.states))
-    v[mc.pos(i)] = 1.0
-    p_kn = []
-    for _ in range(n_max // k):
-        for _ in range(k):
-            v = v @ mc.p
-        p_kn.append(float(v[mc.pos(j)]))
-    p_kn = tuple(p_kn)
-    pts = [(n, abs(p - target)) for n, p in enumerate(p_kn, start=1)]
-    pts = [(n, d) for n, d in pts if n > skip and d > floor]
-    if not pts:
-        return MixingFit(0.0, 0.0, 1.0, 0, True, p_kn)
+def decay_fit(ns, dists, scales):
+    """Least-squares line through log |d| against n, above a per-point rounding floor.
+
+    A point (n, d) is kept when |d| > ``ROUNDING_FLOOR`` n |scale|, with the
+    scale the quantity whose rounding d carries (0 keeps every non-zero d).
+    Returns (slope, intercept, r2, n_points), or None with fewer than three
+    points left.
+    """
+    pts = [(n, abs(d)) for n, d, s in zip(ns, dists, scales) if abs(d) > ROUNDING_FLOOR * n * abs(s)]
     if len(pts) < 3:
-        # too short for a least-squares fit; fall back to the last ratio
-        if len(pts) == 2 and pts[0][1] > 0:
-            th = pts[1][1] / pts[0][1]
-        else:
-            th = 0.0
-        c = pts[-1][1] / th ** pts[-1][0] if 0 < th < 1 else pts[-1][1]
-        return MixingFit(float(th), float(c), 1.0, len(pts), False, p_kn)
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.log(np.array([p[1] for p in pts]))
+        return None
+    xs, ds = zip(*pts)
+    ys = np.log(ds)
     slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(((ys - pred) ** 2).sum())
+    ss_res = float(((ys - (slope * np.array(xs) + intercept)) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return MixingFit(float(math.exp(slope)), float(math.exp(intercept)), r2, len(pts), False, p_kn)
+    return float(slope), float(intercept), r2, len(pts)
+
+
+def mixing_rate_estimate(mc: MarkovChain, i, j, n_max) -> MixingFit:
+    """Rate of |p^{(kn)}_{ij} - k pi_j| on the aperiodic subsequence, k the period.
+
+    ``decay_fit`` fits the distances from n = 6 on, each above its rounding
+    floor at scale k pi_j.  Fewer than three such points mean the distance sits
+    at the floor: theta 0 and ``exact``.  A fit that does not decay (slope >= 0)
+    gives theta 0 with ``exact`` false.
+    """
+    k = mc.period
+    if mc.class_of(i) != mc.class_of(j):
+        raise ValueError(f"states {i} and {j} lie in different cyclic classes")
+    target = k * mc.pi_of(j)
+    rows = _taboo_row(mc.p, np.ones(len(mc.states)), mc.pos(i), k * (n_max // k))
+    p_kn = tuple(float(p) for p in rows[k::k, mc.pos(j)])
+    ns = range(6, len(p_kn) + 1)
+    fit = decay_fit(ns, [p_kn[n - 1] - target for n in ns], [target] * len(ns))
+    if fit is None:
+        return MixingFit(0.0, 0.0, 1.0, 0, True, p_kn)
+    slope, intercept, r2, n_points = fit
+    if slope >= 0.0:
+        return MixingFit(0.0, 0.0, r2, n_points, False, p_kn)
+    return MixingFit(math.exp(slope), math.exp(intercept), r2, n_points, False, p_kn)
 
 
 def second_eigenvalue_modulus(mc: MarkovChain, class_index=0):
@@ -555,13 +567,9 @@ def correlation_decay(mc: MarkovChain, word_a, word_b, n_max, fit: MixingFit = N
         return CovarianceSeries(ns, tuple(0.0 for _ in ns), tuple(0.0 for _ in ns), True)
     a_last, b0 = word_a[-1], word_b[0]
     pib = mc.pi_of(b0)
-    v = np.zeros(len(mc.states))
-    v[mc.pos(a_last)] = 1.0
+    rows = _taboo_row(mc.p, np.ones(len(mc.states)), mc.pos(a_last), max(n_max - k + 1, 0))
+    p_n = [float(p) for p in rows[:, mc.pos(b0)]]
     ns, covs = [], []
-    p_n = {0: 1.0 if a_last == b0 else 0.0}
-    for m in range(1, n_max - k + 2):
-        v = v @ mc.p
-        p_n[m] = float(v[mc.pos(b0)])
     for n in range(k, n_max + 1):
         ns.append(n)
         covs.append(la * lb * (p_n[n - k + 1] - pib) / pib)

@@ -1,7 +1,7 @@
 """Batch front door.
 
     treegibbs <analyze|chain|wsg|mix|count|probe> --config cfg.json
-              [--out DIR] [--nmax N] [--tol X]
+              [--out DIR] [--nmax N]
 
 Runs the pipeline stages on a graph config and emits deterministic CSV/JSON
 artifacts plus a human-readable summary.  Exit codes: 0 ok, 2 config error,
@@ -70,8 +70,6 @@ class RunConfig:
     graph_path: str = None
     potential_path: str = None
     n_max: int = 40
-    radius: int = 4
-    tol: float = 1e-10
     depth: int = 80
     truncations: tuple = (10, 20, 40, 80)
     out: str = "out"
@@ -88,8 +86,6 @@ _CONFIG_FIELDS = {
     "graph",
     "potential",
     "n_max",
-    "radius",
-    "tol",
     "depth",
     "truncations",
     "out",
@@ -103,7 +99,6 @@ def parse_config(argv=None):
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     ap.add_argument("--nmax", type=int, default=None)
-    ap.add_argument("--tol", type=float, default=None)
     ns = ap.parse_args(argv)
     if not os.path.exists(ns.config):
         raise ConfigError(f"config file not found: {ns.config}")
@@ -130,9 +125,6 @@ def parse_config(argv=None):
             raise ConfigError(f"{name}: must be a nonnegative integer, got {val!r}")
         return val
 
-    tol = raw.get("tol", 1e-10) if ns.tol is None else ns.tol
-    if not _is_number(tol) or tol <= 0:
-        raise ConfigError(f"tol: must be a positive number, got {tol!r}")
     n_max = nonneg_int("n_max", 40) if ns.nmax is None else ns.nmax
     if n_max < 0 or n_max > 10_000:
         raise ConfigError("n_max: outside the resource guard")
@@ -169,8 +161,6 @@ def parse_config(argv=None):
         graph_path=resolve(raw.get("graph")),
         potential_path=resolve(raw.get("potential")),
         n_max=n_max,
-        radius=nonneg_int("radius", 4),
-        tol=float(tol),
         depth=depth,
         truncations=tuple(truncations),
         out=ns.out or raw.get("out", "out"),
@@ -402,8 +392,12 @@ def _cmd_mix(cfg):
         "p": {f"{a}->{b}": [float(x) for x in ser] for (a, b), ser in sorted(tab.p.items())},
         "f": {f"{a}->{b}": [float(x) for x in ser] for (a, b), ser in sorted(tab.f.items())},
     }
+    fit_line = f"mixing fit theta = {fit.theta!r} (R^2 {fit.r2!r}, {fit.n_points} points)"
+    if fit.theta == 0.0:
+        fit_line = "mixing fit theta = 0: " + ("exact, at" if fit.exact else "no decay above")
+        fit_line += " the rounding floor"
     summary = [
-        f"mixing fit theta = {fit.theta!r} (R^2 {fit.r2!r})",
+        fit_line,
         f"second eigenvalue modulus = {payload['second_eigenvalue']!r}",
         f"mean return at {j}: {mr.estimate!r} (tail bound {mr.tail_bound!r})",
     ]

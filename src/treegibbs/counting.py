@@ -27,6 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .chain import decay_fit
 from .errors import (
     GraphError,
     NoPositiveSolutionError,
@@ -537,8 +538,10 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     C* is ``renewal_constant``'s Perron value, on a tailed one the full
     constant.  The main-term formula was checked at the normalization vertex
     with and without potentials, and away from it only at zero potential.
-    Fits the error exponent from log |N_x(2n) - C* e^{2 delta n}| on exact
-    residuals or those above 1e-13 n of the count (inf below three points).
+    The error exponent kappa is 2 delta minus the slope that ``decay_fit``
+    (the mixing rate's fit too) takes through log |N_x(2n) - C* e^{2 delta n}|:
+    every non-zero exact residual, or float residuals above their rounding
+    floor at the scale of the count; inf below three points.
     """
     # ``params`` is unused; it keeps the positional signature that the bench
     # harness calls with biregular_params(g)
@@ -564,15 +567,12 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     delta = gd.delta
     if rc.exact is not None and rc.growth_sq is not None and rep.exact:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]
-        tol = 0.0
+        scales = [0.0] * len(ns)
     else:
         resid = [o - rc.value * math.exp(2.0 * delta * n) for n, o in zip(ns, oracle)]
-        tol = 1e-13  # rounding: e^{2 delta n} carries n times the rounding of delta
-    pts = [(n, abs(r)) for n, r, o in zip(ns, resid, oracle) if abs(r) > tol * n * abs(o)]
-    kappa = float("inf")
-    if len(pts) >= 3:
-        xs, ys = zip(*pts)
-        kappa = 2.0 * delta - float(np.polyfit(xs, np.log(ys), 1)[0])
+        scales = oracle
+    fit = decay_fit(ns, resid, scales)
+    kappa = float("inf") if fit is None else 2.0 * delta - fit[0]
     return CountReport(
         base=base,
         ns=ns,

@@ -654,16 +654,10 @@ def shadow_vector(
     for e, val in zip(jstates, uj):
         u[e] = float(val)
     # march up each tail on the decaying branch
-    for t, spec in enumerate(g.tails):
-        tg = greens[t]
-        tpot = F.tail(t)
+    for t, tg in enumerate(greens):
         for n in range(1, mat.depth):
-            I, J = spec.pair(n)
-            I1, J1 = spec.pair(n + 1)
-            fu, fd = tpot.pair(n)
-            fu1, fd1 = tpot.pair(n + 1)
-            psi = math.exp(fd - delta)
-            phi1 = math.exp(fu1 - delta)
+            I, _, _, psi = tg._level(n)
+            _, J1, phi1, _ = tg._level(n + 1)
             dn = u[tail_edge_id(t, n, False)]
             g_next = tg.g(n + 1)
             den = 1.0 - (J1 - 1) * phi1 * g_next

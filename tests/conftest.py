@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 from treegibbs import fixtures as fx
@@ -36,6 +39,15 @@ def pipeline(name, depth=90):
         mc = build_chain(g, gd, orders)
         _CACHE[key] = (g, orders, gd, mc)
     return _CACHE[key]
+
+
+def potential_runs():
+    """``POTENTIAL_RUNS`` of scripts/artifact_digests.py: (fixture, name, tail values)."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.POTENTIAL_RUNS
 
 
 @pytest.fixture(scope="session")

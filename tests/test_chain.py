@@ -18,6 +18,7 @@ from treegibbs.chain import (
     counterexample_chain,
     cyclic_classes,
     cylinder_mass,
+    decay_fit,
     first_passage,
     mean_return_time,
     mixing_rate_estimate,
@@ -212,6 +213,22 @@ def test_mixing_rates_match_second_eigenvalue():
         assert fit.r2 >= 0.99
         assert abs(fit.theta - sec) / sec < 0.02
         assert abs(sec - expected) < 1e-12
+
+
+def test_decay_fit_drops_points_at_their_rounding_floor():
+    # the floor is 1e-13 n |scale|: n = 1 sits on it, n = 5 below it
+    ns = (1, 2, 3, 4, 5)
+    dists = (1e-13 * 1 * 2.0, 0.5, -0.25, 0.125, 1e-13)
+    slope, intercept, r2, n_points = decay_fit(ns, dists, (2.0,) * 5)
+    assert n_points == 3
+    # d = 2^(1 - n) on the three points left
+    assert abs(slope - math.log(0.5)) < 1e-12 and abs(intercept - math.log(2.0)) < 1e-12
+    assert abs(r2 - 1.0) < 1e-12
+    # scale 0 keeps every non-zero distance
+    assert decay_fit(ns, dists, (0.0,) * 5)[3] == 5
+    # fewer than three points above the floor give no fit
+    assert decay_fit(ns, dists, (1e12,) * 5) is None
+    assert decay_fit(ns[:2], dists[1:3], (0.0, 0.0)) is None
 
 
 def test_mixing_requires_same_class(single_edge_pipeline):

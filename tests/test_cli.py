@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import tempfile
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PIPELINE_FIXTURES, potential_runs
 from treegibbs import fixtures as fx
 from treegibbs.cli import main, parse_config
 from treegibbs.errors import ConfigError
@@ -29,7 +31,6 @@ def test_parse_defaults(tmp_path, fixture_dir):
     cfg_path = _write_cfg(tmp_path, "c", graph=fixture_dir["single_edge_3"])
     cfg = parse_config(["analyze", "--config", cfg_path])
     assert cfg.n_max == 40
-    assert cfg.tol == 1e-10
     assert cfg.potential_path is None
     assert len(cfg.input_hash) == 64
 
@@ -167,6 +168,39 @@ def test_cli_mix_on_tailed_fixture(tmp_path, fixture_dir):
     assert main(["mix", "--config", cfg_path, "--out", out]) == 0
     tab = json.load(open(os.path.join(out, "taboo.json")))
     assert tab["horizon"] == 30 and tab["B"]
+
+
+MIX_RUNS = [(name, None, None) for name in PIPELINE_FIXTURES] + list(potential_runs())
+# the fixtures whose |p^(kn) - k pi| sits at the rounding floor, and the exact
+# rates of the others' second eigenvalue
+MIX_EXACT = ("biregular_24", "biregular_44", "single_edge_3", "cusp_22")
+MIX_RATES = {"parallel_edges": 1.0 / 9.0, "two_loops": 1.0 / 3.0, "funnel_loop": 1.0 / 3.0}
+
+
+@pytest.mark.parametrize(
+    "name, pot, tail_values", MIX_RUNS, ids=[f"{n}+{p}" if p else n for n, p, _ in MIX_RUNS]
+)
+def test_cli_mix_rate_and_mean_return(tmp_path, fixture_dir, name, pot, tail_values):
+    cfg = {"graph": fixture_dir[name]}
+    if pot:
+        pot_path = tmp_path / "pot.json"
+        pot_path.write_text(json.dumps({"tail_values": [dict(tail_index=0, **tail_values)]}))
+        cfg["potential"] = str(pot_path)
+    out = tmp_path / "out"
+    assert main(["mix", "--config", _write_cfg(tmp_path, "mix", **cfg), "--out", str(out)]) == 0
+    mix = json.loads((out / "mixing.json").read_text())
+    assert 0.0 <= mix["theta"] < 1.0
+    if not pot and name in MIX_EXACT:
+        assert mix["exact"] and mix["theta"] == 0.0
+    if not pot and name in MIX_RATES:
+        assert abs(mix["theta"] - MIX_RATES[name]) <= 1e-4
+    # Kac: the mean return time is 1 / pi_j = k / pi_k, inside the tail bound
+    # (plus rounding: a finite return series has bound 0)
+    header, first = (out / "mixing.csv").read_text().splitlines()[:2]
+    pi_k = float(first.split(",")[header.split(",").index("pi_k")])
+    bound = mix["mean_return_tail_bound"]
+    assert math.isfinite(bound)
+    assert abs(mix["period"] / pi_k - mix["mean_return"]) <= bound + 1e-12
 
 
 def test_cli_with_potential_file(tmp_path, fixture_dir):

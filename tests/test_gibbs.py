@@ -1,12 +1,17 @@
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, TAILED_FIXTURES, pipeline, tailed_graphs
+from conftest import (
+    FINITE_FIXTURES,
+    PIPELINE_FIXTURES,
+    TAILED_FIXTURES,
+    pipeline,
+    potential_runs,
+    tailed_graphs,
+)
 from treegibbs import fixtures as fx
 from treegibbs.errors import DivergenceError, GraphError, NoPositiveSolutionError, TreeGibbsError
 from treegibbs.gibbs import (
@@ -439,20 +444,12 @@ def _with_second_tail(name, attach):
     return graph_from_dict(d)
 
 
-def _digest_potential_runs():
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
-    spec = importlib.util.spec_from_file_location("artifact_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.POTENTIAL_RUNS
-
-
 def _junction_cases():
     for name in sorted(fx.FIXTURES):
         g = fx.get(name)
         if g.tails:
             yield name, g, Potential.zero(g)
-    for name, pot, tail_values in _digest_potential_runs():
+    for name, pot, tail_values in potential_runs():
         g = fx.get(name)
         yield f"{name}+{pot}", g, potential_from_dict(g, {"tail_values": [dict(tail_index=0, **tail_values)]})
     for attach in ("b", "a0"):
