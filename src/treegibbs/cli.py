@@ -47,6 +47,7 @@ from .graph import (
     graph_from_json,
     length_spectrum_period,
     propagate_orders,
+    read_json,
     validate_graph,
 )
 from .wsg import lemma_bound_check, search_certificate, tail_certificate, verify_certificate
@@ -100,13 +101,7 @@ def parse_config(argv=None):
     ap.add_argument("--out", default=None)
     ap.add_argument("--nmax", type=int, default=None)
     ns = ap.parse_args(argv)
-    if not os.path.exists(ns.config):
-        raise ConfigError(f"config file not found: {ns.config}")
-    with open(ns.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{ns.config}: invalid JSON ({exc})") from exc
+    raw = read_json(ns.config, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{ns.config}: must be a JSON object")
     unknown = set(raw) - _CONFIG_FIELDS
@@ -152,7 +147,7 @@ def parse_config(argv=None):
             raise ConfigError(f"probe.{name}.value: must be a number, got {prof['value']!r}")
     pieces = [json.dumps(raw, sort_keys=True).encode()]
     for p in (resolve(raw.get("graph")), resolve(raw.get("potential"))):
-        if p and os.path.exists(p):
+        if p and os.path.isfile(p):
             with open(p, "rb") as fh:
                 pieces.append(fh.read())
     digest = hashlib.sha256(b"\x00".join(pieces)).hexdigest()

@@ -22,7 +22,6 @@ only place an orientation is flipped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +42,7 @@ from .graph import (
     _is_number,
     _pairs,
     materialize,
+    read_json,
     tail_edge_id,
 )
 
@@ -166,12 +166,7 @@ def potential_from_dict(g: IndexedGraph, d: dict) -> Potential:
 
 
 def potential_from_json(g: IndexedGraph, path) -> Potential:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return potential_from_dict(g, d)
+    return potential_from_dict(g, read_json(path, "potential"))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +175,12 @@ def potential_from_json(g: IndexedGraph, path) -> Potential:
 
 _POWER_STEPS = 20000
 _RHO_TOL = 1e-14
+# relative margin by which a bracket end must clear versus + 1: about 1e4
+# times the rounding in (A v)_i / v_i on the few-state junction operators
+_SIDE_MARGIN = 1e-12
 
 
-def spectral_radius(T: np.ndarray):
+def spectral_radius(T: np.ndarray, versus=None):
     """Perron value of a nonnegative matrix.
 
     Power iteration on A = T + I from the all-ones vector (the shift makes
@@ -193,6 +191,14 @@ def spectral_radius(T: np.ndarray):
     dense eigenvalues when the bracket stops shrinking, when its contraction
     rate projects it past the step budget before it is 1e-14 wide, or when
     an entry of v underflows to 0 (a reducible block).
+
+    With ``versus`` = x the bracket is read at every step, and the iteration
+    stops once a bracket end clears x + 1 by a relative 1e-12.  The value
+    returned is then that end minus 1: a certified bound on the same side
+    of x as rho(T), not rho(T) itself.  For A >= 0 and v > 0 the brackets
+    of successive iterates nest, and the full run's estimate (or the dense
+    rho) lies in each of them, so the full run would end on the same side.
+    A bracket that never clears x runs to the full run's bits.
     """
     n = T.shape[0]
     if n == 0:
@@ -201,6 +207,9 @@ def spectral_radius(T: np.ndarray):
     v = np.ones(n)
     prev = -1.0
     width = math.inf
+    if versus is not None:
+        above = (versus + 1.0) * (1.0 + _SIDE_MARGIN)
+        below = (versus + 1.0) * (1.0 - _SIDE_MARGIN)
     for step in range(_POWER_STEPS):
         w = A @ v
         est = w.sum() / v.sum()
@@ -208,6 +217,12 @@ def spectral_radius(T: np.ndarray):
         nw = np.add.reduce(np.abs(w))
         if nw == 0.0:
             return 0.0
+        if versus is not None and v.min() > 0.0:
+            q = w / v
+            if q.min() > above:
+                return float(q.min() - 1.0)
+            if q.max() < below:
+                return float(q.max() - 1.0)
         # successive estimates can agree by an accident of the start vector
         # (3.6 twice on a bipartite core whose Perron value is 2.5747), so the
         # eigen-residual must be small too
@@ -482,8 +497,11 @@ def _junction(mat1: MaterializedGraph, fvals1: dict, s, greens):
 
 
 def _junction_sr(mat1, fvals1, F, s):
+    """rho of the junction operator at s, or a bound on its side of 1."""
     greens = _greens(mat1.core, F, s)
-    return None if greens is None else spectral_radius(_junction(mat1, fvals1, s, greens)[1])
+    if greens is None:
+        return None
+    return spectral_radius(_junction(mat1, fvals1, s, greens)[1], versus=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +550,7 @@ def _critical_one(g, F, tol=1e-14):
     sr_lo = _junction_sr(mat1, fvals1, F, lo)
     if sr_lo is None or sr_lo <= 1.0:
         raise DivergenceError(
-            "growth dominated by a tail; no convergent resummation regime",
+            f"no weighted spectral gap: delta <= s_tail = {s_tail!r}",
             tail_critical=s_tail,
         )
     a, b = lo, hi

@@ -580,10 +580,18 @@ def graph_to_dict(g: IndexedGraph) -> dict:
     }
 
 
+def read_json(path, field):
+    """The JSON value in ``path``; a ConfigError naming ``field`` when the
+    file cannot be read, or naming ``path`` when it is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else str(exc.strerror or exc).lower()
+        raise ConfigError(f"{field}: {reason}: {path}") from exc
+
+
 def graph_from_json(path) -> IndexedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return graph_from_dict(d)
+    return graph_from_dict(read_json(path, "graph"))

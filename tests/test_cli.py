@@ -226,6 +226,43 @@ def test_cli_rejects_bad_potential(tmp_path, fixture_dir):
     assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "ob")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, missing, message",
+    [
+        ("graph", "nope.json", "graph: file not found: "),
+        ("potential", "nope.json", "potential: file not found: "),
+        ("graph", "", "graph: is a directory: "),
+        ("potential", "", "potential: is a directory: "),
+    ],
+    ids=["graph-missing", "potential-missing", "graph-directory", "potential-directory"],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, fixture_dir, field, missing, message):
+    paths = {"graph": fixture_dir["single_edge_3"], field: str(tmp_path / missing)}
+    cfg_path = _write_cfg(tmp_path, "unreadable", **paths)
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config error: {message}{tmp_path / missing}" in err
+
+
+def test_unreadable_config_or_non_utf8_graph_exits_2(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path)]) == 2
+    assert f"config error: config: is a directory: {tmp_path}" in capsys.readouterr().err
+    graph_path = tmp_path / "latin1_graph.json"
+    graph_path.write_bytes(b'{"vertices": ["\xe9"]}')
+    cfg_path = _write_cfg(tmp_path, "latin1", graph=str(graph_path))
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {graph_path}: invalid JSON" in capsys.readouterr().err
+
+
+def test_critical_ray_names_the_missing_spectral_gap(tmp_path, capsys, fixture_dir):
+    cfg_path = _write_cfg(tmp_path, "crit", graph=fixture_dir["critical_ray_5"])
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "no weighted spectral gap: delta <= s_tail = 1.609437912" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _analyze_mutated_thick_ray(tmp_path, capsys, mutate):
     """Exit code and stderr of ``analyze`` on thick_ray_5 after ``mutate``."""
     d = graph_to_dict(fx.thick_ray(5))

@@ -13,6 +13,7 @@ from conftest import (
     tailed_graphs,
 )
 from treegibbs import fixtures as fx
+from treegibbs import gibbs
 from treegibbs.errors import DivergenceError, GraphError, NoPositiveSolutionError, TreeGibbsError
 from treegibbs.gibbs import (
     Potential,
@@ -470,3 +471,89 @@ def test_junction_is_the_explicit_junction_matrix_on_random_tails(drawn):
     g, F = drawn
     _assert_junction_is_the_reference(g, F)
 
+
+# ---------------------------------------------------------------------------
+# the exponent bisection against a copy that reads every probe's full rho
+
+
+def _reference_critical_one(g, F, tol=1e-14):
+    """``_critical_one``'s tailed bisection with every junction rho run to
+    convergence (``spectral_radius`` without ``versus``)."""
+    mat1 = materialize(g, 1)
+    fvals1 = F.on(mat1)
+
+    def sr(s):
+        greens = _greens(g, F, s)
+        return None if greens is None else spectral_radius(_junction(mat1, fvals1, s, greens)[1])
+
+    s_tail = max(tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails))
+    imax = max(g.index[e] for e in g.edges)
+    for spec in g.tails:
+        imax = max(imax, max(max(a, b) for a, b in spec.prefix + spec.period))
+    fmax = max((abs(F.values.get(e, 0.0)) for e in g.edges), default=0.0)
+    hi = math.log(imax + 1) + fmax + 2.0
+    while True:
+        r = sr(hi)
+        if r is not None and r < 1.0:
+            break
+        hi += 2.0
+    lo = (s_tail if math.isfinite(s_tail) else hi - 60.0) + 1e-9
+    r = sr(lo)
+    if r is None or r <= 1.0:
+        raise DivergenceError("no gap", tail_critical=s_tail)
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        r = sr(mid)
+        if r is None or r > 1.0:
+            a = mid
+        else:
+            b = mid
+        if b - a < tol * max(1.0, abs(b)):
+            break
+    return 0.5 * (a + b)
+
+
+_BISECTION_POTENTIALS = (
+    ("zero", None),
+    ("period2", {"period": [[0.1, -0.05], [-0.2, 0.03]]}),
+    ("prefix1", {"prefix": [[0.3, 0.1]], "period": [[0.1, 0.1]]}),
+)
+
+
+@pytest.mark.parametrize("pot", _BISECTION_POTENTIALS, ids=lambda pot: pot[0])
+@pytest.mark.parametrize("name", TAILED_FIXTURES)
+def test_exponent_bisection_walks_the_full_rho_path(monkeypatch, name, pot):
+    # the early side decision may stop a probe's power iteration, never turn
+    # a midpoint: delta, delta_minus and every TailGreen solve on the way match
+    g = fx.get(name)
+    F = Potential.zero(g)
+    tail_values = pot[1]
+    if tail_values is not None:
+        F = potential_from_dict(g, {"tail_values": [dict(tail_index=0, **tail_values)]})
+    ce = critical_exponent(g, F)
+    built = [0]
+
+    class CountingTailGreen(gibbs.TailGreen):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(gibbs, "TailGreen", CountingTailGreen)
+    for potential, delta in ((F, ce.delta), (F.reversed(g), ce.delta_minus)):
+        built[0] = 0
+        ref = _reference_critical_one(g, potential)
+        ref_solves = built[0]
+        built[0] = 0
+        got = _critical_one(g, potential)[0]
+        assert built[0] == ref_solves
+        assert got.hex() == ref.hex() == delta.hex()
+
+
+def test_exponent_bisection_still_finds_no_gap_on_the_critical_ray():
+    g = fx.critical_ray(5)
+    with pytest.raises(DivergenceError, match="no weighted spectral gap") as got:
+        critical_exponent(g)
+    with pytest.raises(DivergenceError) as ref:
+        _reference_critical_one(g, Potential.zero(g))
+    assert got.value.tail_critical == ref.value.tail_critical

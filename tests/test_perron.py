@@ -121,6 +121,60 @@ def test_perron_vector_is_the_stationary_law(p, lam):
         perron_vector(p.T, lam)
 
 
+def _side(a, x):
+    return (a > x) - (a < x)
+
+
+def _side_cases():
+    """(name, T): seeded nonnegative matrices for the early side decision."""
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 4, 8):
+        T = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        T[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # the cycle i -> i+1
+        yield f"irreducible-{n}", T * rng.uniform(0.1, 5.0)
+    for n in (3, 6):
+        T = rng.random((n, n))
+        T[0, :] = 0.0
+        yield f"zero-row-{n}", T
+        T = rng.random((n, n))
+        T[:, -1] = 0.0
+        yield f"zero-column-{n}", T
+    # a zero row beside two slowly separating diagonal entries: the bracket
+    # stalls at [1, 301] and v underflows, so the full run ends in eigvals
+    yield "underflow", np.diag([300.0, 299.9, 0.0])
+    yield "zero", np.zeros((3, 3))
+    yield "empty", np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("case", list(_side_cases()), ids=lambda case: case[0])
+def test_spectral_radius_versus_lands_on_the_full_runs_side(monkeypatch, case):
+    name, T = case
+    dense = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: dense.append(1) or eigvals(M))
+    sr = spectral_radius(T)
+    assert (len(dense) > 0) == (name == "underflow")
+    xs = [sr, math.nextafter(sr, math.inf), math.nextafter(sr, -math.inf), 0.0, 1.0, -0.5, -1.0, -3.0]
+    for rel in (1e-13, 1e-9, 1e-3, 1.0):
+        xs += [sr * (1.0 + rel), sr * (1.0 - rel), sr + rel, sr - rel]
+    for x in xs:
+        got = spectral_radius(T, versus=x)
+        assert type(got) is float
+        assert _side(got, x) == _side(sr, x), (x, got, sr)
+        if abs(x - sr) <= 1e-13 * max(1.0, sr):
+            # no bracket clears x by the margin: the full run's bits
+            assert got == sr
+
+
+def test_spectral_radius_versus_one_on_a_stochastic_matrix_is_the_full_run():
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 5):
+        P = rng.random((n, n)) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        sr = spectral_radius(P)
+        assert spectral_radius(P, versus=1.0).hex() == sr.hex()
+
+
 # the only functions of the package that may call a dense eigen- or
 # least-squares solver: the two Perron routines, the QBD characteristic
 # matrix (defective at a cusp's minimiser) and the second eigenvalue of a
