@@ -54,7 +54,6 @@ class MarkovChain:
     classes: tuple
     interior: np.ndarray
     orders: object = None
-    lam: np.ndarray = None
     m_mass: float = None
     tail_remainder: float = 0.0
     mat: object = None  # the MaterializedGraph the states live on
@@ -81,8 +80,9 @@ class MarkovChain:
         return -1
 
     @staticmethod
-    def from_kernel(states, p, pi=None, interior=None):
-        """Wrap an explicit stochastic kernel (counterexample chains, tests).
+    def from_kernel(states, p, pi=None):
+        """Wrap an explicit stochastic kernel (counterexample chains, tests),
+        every state interior.
 
         Without ``pi`` the stationary law is ``perron_vector(p.T, 1.0)``,
         which raises NoPositiveSolutionError when p has no positive one.
@@ -91,15 +91,13 @@ class MarkovChain:
         states = tuple(states)
         pi = perron_vector(p.T, 1.0) if pi is None else np.asarray(pi, dtype=float)
         period, classes = _period_and_classes(p > 0)
-        if interior is None:
-            interior = np.ones(len(states), dtype=bool)
         return MarkovChain(
             states=states,
             p=p,
             pi=pi,
             period=period,
             classes=classes,
-            interior=interior,
+            interior=np.ones(len(states), dtype=bool),
         )
 
 
@@ -120,11 +118,10 @@ def _period_and_classes(adj):
     return k, tuple(frozenset(c) for c in classes)
 
 
-def build_chain(g, gd, orders, depth=None):
-    """Assemble (states, p, pi) from shadow data and an order grading."""
-    depth = gd.depth if depth is None else depth
-    if depth > gd.depth:
-        raise ValueError(f"chain depth {depth} exceeds shadow depth {gd.depth}")
+def build_chain(g, gd, orders):
+    """Assemble (states, p, pi) from shadow data and an order grading, on the
+    shadow depth."""
+    depth = gd.depth
     mat = materialize(g, depth)
     ext = orders_on(mat, orders)
     arc_states, arcs = mat.arcs()
@@ -175,7 +172,6 @@ def build_chain(g, gd, orders, depth=None):
         classes=classes,
         interior=interior,
         orders=ext,
-        lam=lamvec,
         m_mass=m_mass,
         tail_remainder=float(remainder),
         mat=mat,
@@ -291,7 +287,7 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     max_stat = float(stat[inter].max()) if inter.any() else 0.0
     max_cyl = 0.0
     mat = mc.mat
-    if mc.lam is not None and mc.orders is not None and gd is not None and mat is not None:
+    if mc.orders is not None and gd is not None and mat is not None:
         # direct two-edge cylinder mass vs pi_j p_jk on a full sweep
         for i, si in enumerate(mc.states):
             if not inter[i]:
@@ -444,10 +440,11 @@ class MeanReturn:
     resolved: bool
 
 
-def mean_return_time(mc: MarkovChain, j, n_max, cert_rho=None) -> MeanReturn:
+def mean_return_time(mc: MarkovChain, j, n_max) -> MeanReturn:
     """sum n f^{(n)}_{jj} plus a geometric tail bound; the bound's rate is the
-    largest (f^{(n+k)} / f^{(n)})^{1/k} over the last ten steps (else ``cert_rho``),
-    k the period, since first returns come only at multiples of k."""
+    largest (f^{(n+k)} / f^{(n)})^{1/k} over the last ten steps, k the period,
+    since first returns come only at multiples of k.  Without such a ratio the
+    bound is 0 when the returns already sum to 1, else inf."""
     k = mc.period
     f = first_passage(mc, (), j, j, n_max).f[(j, j)]
     est = float(sum(n * f[n] for n in range(1, n_max + 1)))
@@ -456,7 +453,7 @@ def mean_return_time(mc: MarkovChain, j, n_max, cert_rho=None) -> MeanReturn:
     for n in range(max(2, n_max - 10), n_max - k + 1):
         if f[n] > 1e-300 and f[n + k] > 0:
             ratios.append((f[n + k] / f[n]) ** (1 / k))
-    theta = max(ratios) if ratios else (cert_rho or 0.0)
+    theta = max(ratios, default=0.0)
     if 0.0 < theta < 1.0:
         C = max((f[n] / theta**n) for n in range(1, n_max + 1) if f[n] > 0)
         M = n_max + 1

@@ -4,8 +4,9 @@
               [--out DIR] [--nmax N]
 
 Runs the pipeline stages on a graph config and emits deterministic CSV/JSON
-artifacts plus a human-readable summary.  Exit codes: 0 ok, 2 config error,
-3 numeric non-convergence, 4 resource guard.
+artifacts plus a human-readable summary.  Exit codes: 0 ok, 2 config error
+(``ConfigError``, ``GraphError``), 4 resource guard (``ResourceLimitError``),
+3 numeric non-convergence (any other ``TreeGibbsError``, or ``OverflowError``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .chain import (
@@ -31,16 +32,12 @@ from .chain import (
 from .counting import biregular_params, error_decay_report, mgamma_ball_measure, sphere_size
 from .errors import (
     ConfigError,
-    DivergenceError,
     GraphError,
     NoGeometricDriftError,
-    NoPositiveSolutionError,
-    NormalizationMismatchError,
-    ReducibleChainError,
     ResourceLimitError,
-    ZeroShadowError,
+    TreeGibbsError,
 )
-from .gibbs import Potential, compute_gibbs, cusp_exponent_bound, potential_from_json
+from .gibbs import DEFAULT_DEPTH, Potential, compute_gibbs, cusp_exponent_bound, potential_from_json
 from .graph import (
     _is_int,
     _is_number,
@@ -54,29 +51,21 @@ from .wsg import lemma_bound_check, search_certificate, tail_certificate, verify
 
 COMMANDS = ("analyze", "chain", "wsg", "mix", "count", "probe")
 
-NUMERIC_ERRORS = (
-    DivergenceError,
-    NoPositiveSolutionError,
-    ReducibleChainError,
-    NoGeometricDriftError,
-    ZeroShadowError,
-    NormalizationMismatchError,
-    OverflowError,  # e.g. exp of a large finite potential value
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run; ``parse_config`` fills every field and holds the defaults."""
+
     command: str
-    graph_path: str = None
-    potential_path: str = None
-    n_max: int = 40
-    depth: int = 80
-    truncations: tuple = (10, 20, 40, 80)
-    out: str = "out"
-    probe_gamma: dict = field(default_factory=lambda: {"kind": "one_minus_inv"})
-    probe_beta: dict = field(default_factory=lambda: {"kind": "uniform"})
-    input_hash: str = ""
+    graph_path: str
+    potential_path: str
+    n_max: int
+    depth: int
+    truncations: tuple
+    out: str
+    probe_gamma: dict
+    probe_beta: dict
+    input_hash: str
 
     def require_graph(self):
         if not self.graph_path:
@@ -123,7 +112,7 @@ def parse_config(argv=None):
     n_max = nonneg_int("n_max", 40) if ns.nmax is None else ns.nmax
     if n_max < 0 or n_max > 10_000:
         raise ConfigError("n_max: outside the resource guard")
-    depth = nonneg_int("depth", 80)
+    depth = nonneg_int("depth", DEFAULT_DEPTH)
     if depth > 10_000:
         raise ConfigError("depth: outside the resource guard")
     depth = max(depth, n_max + 8)
@@ -159,8 +148,8 @@ def parse_config(argv=None):
         depth=depth,
         truncations=tuple(truncations),
         out=ns.out or raw.get("out", "out"),
-        probe_gamma=probe.get("gamma", {"kind": "one_minus_inv"}),
-        probe_beta=probe.get("beta", {"kind": "uniform"}),
+        probe_gamma=probe.get("gamma", {}),
+        probe_beta=probe.get("beta", {}),
         input_hash=digest,
     )
 
@@ -405,6 +394,9 @@ def _cmd_mix(cfg):
 
 
 def _cmd_count(cfg):
+    if cfg.n_max < 1:
+        # the counting DP's first step already reaches distance 1
+        raise ConfigError(f"n_max: count needs n_max >= 1, got {cfg.n_max}")
     g, F, report, orders, gd, mc = _pipeline(cfg)
     try:
         params = biregular_params(g)
@@ -522,13 +514,14 @@ def run_command(cfg: RunConfig):
     except (ConfigError, GraphError) as exc:
         _progress(f"config error: {exc}")
         return 2, []
-    except NUMERIC_ERRORS as exc:
-        extra = getattr(exc, "tail_critical", None)
-        _progress(f"numeric non-convergence: {exc}" + (f" (tail critical {extra})" if extra else ""))
-        return 3, []
     except ResourceLimitError as exc:
         _progress(f"resource guard: {exc}")
         return 4, []
+    # OverflowError: e.g. exp of a large finite potential value
+    except (TreeGibbsError, OverflowError) as exc:
+        extra = getattr(exc, "tail_critical", None)
+        _progress(f"numeric non-convergence: {exc}" + (f" (tail critical {extra})" if extra else ""))
+        return 3, []
     written = emit_report(results, cfg.out, cfg)
     return 0, written
 

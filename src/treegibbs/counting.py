@@ -50,31 +50,27 @@ class BiregularParams:
     qdp: int  # other-class degree minus 1
 
 
-def biregular_params(g, base=None) -> BiregularParams:
-    """Detect (qd+1, qdp+1)-biregularity of the cover, base vertex first."""
+def biregular_params(g) -> BiregularParams:
+    """Detect (qd+1, qdp+1)-biregularity of the cover, base vertex first.
+
+    The core is coloured by the parity of its breadth-first levels from the
+    base.  A core with an odd cycle is biregular only when every vertex has
+    one degree; with two or more vertices both colours then hold it, so the
+    tail and funnel degrees are checked the same way under any colouring.
+    """
     from .graph import lift_degree
 
-    base = base or g.base_vertex
     deg = {v: lift_degree(g, v) for v in g.vertices}
     horizon = max([1] + [len(spec.prefix) + 2 * len(spec.period) for spec in g.tails])
-    d0 = deg[base]
-    # 2-coloring by parity over the core
-    color = {base: 0}
-    stack = [base]
-    classes = {0: {d0}, 1: set()}
-    while stack:
-        v = stack.pop()
-        for e in g.out_edges(v):
-            w = g.term[e]
-            cw = 1 - color[v]
-            if w in color:
-                if color[w] != cw:
-                    if deg[w] != d0 or len({deg[x] for x in deg}) != 1:
-                        raise GraphError("cover is not biregular (odd cycle with distinct degrees)")
-                continue
-            color[w] = cw
-            classes[cw].add(deg[w])
-            stack.append(w)
+    d0 = deg[g.base_vertex]
+    gcd, levels = period(vertex_successors(g), g.vertices.index(g.base_vertex))
+    # the core is closed under reversal, so an odd gcd means an odd cycle
+    if gcd % 2 and len(set(deg.values())) != 1:
+        raise GraphError("cover is not biregular (odd cycle with distinct degrees)")
+    color = {g.vertices[i]: level % 2 for i, level in levels.items()}
+    classes = {0: set(), 1: set()}
+    for v, c in color.items():
+        classes[c].add(deg[v])
     for spec in g.tails:
         c = 1 - color[spec.attach]
         for n in range(1, horizon + 1):
@@ -447,16 +443,15 @@ def _nullspace_fraction(A):
 # boundary families and the error-decay report
 
 
-def boundary_ratio(g, family, R_list, base=None, beta=None, node_limit=2_000_000):
-    """|boundary E_R| / |E_R| for a family of finite cover vertex sets.
+def boundary_ratio(g, family, R_list, beta=None):
+    """|boundary E_R| / |E_R| for a family of finite vertex sets of the cover
+    ball around the base vertex.
 
     ``family`` is "ball", "segment", or a callable (CoverBall, R) -> index set.
     """
     from .cover import build_cover_ball
 
-    base = base or g.base_vertex
-    radius = max(R_list) + 1
-    ball = build_cover_ball(g, base, radius, node_limit=node_limit)
+    ball = build_cover_ball(g, g.base_vertex, max(R_list) + 1)
     nbr = ball.adjacency()
     rows = []
     for R in R_list:

@@ -91,7 +91,7 @@ class Potential:
         )
 
     def tail(self, t):
-        if t < len(self.tail_values) and self.tail_values[t] is not None:
+        if t < len(self.tail_values):
             return self.tail_values[t]
         return TailPotential()
 
@@ -144,6 +144,7 @@ def potential_from_dict(g: IndexedGraph, d: dict) -> Potential:
     if not isinstance(tail_values, list):
         raise ConfigError(f"tail_values: must be a list, got {tail_values!r}")
     tails = [TailPotential() for _ in g.tails]
+    first = {}  # tail index -> position of the entry that set it
     for pos, td in enumerate(tail_values):
         if not isinstance(td, dict):
             raise ConfigError(f"tail_values[{pos}]: must be an object, got {td!r}")
@@ -158,6 +159,9 @@ def potential_from_dict(g: IndexedGraph, d: dict) -> Potential:
         if not 0 <= t < len(g.tails):
             raise ConfigError(f"tail_values[{pos}].tail_index out of range")
         path = f"tail_values[{pos}]"
+        if t in first:
+            raise ConfigError(f"{path}.tail_index: duplicate of tail_values[{first[t]}]")
+        first[t] = pos
         tails[t] = TailPotential(
             prefix=_pairs(td.get("prefix", []), f"{path}.prefix", _is_number, "numbers"),
             period=_pairs(td.get("period", [(0.0, 0.0)]), f"{path}.period", _is_number, "numbers"),
@@ -433,31 +437,31 @@ class TailGreen:
         return self._phase[(n - self._start) % self._L]
 
 
-def tail_critical_value(spec, tpot=None, lo=-50.0, hi=None, tol=1e-10):
-    """Infimum s at which the tail's excursion resummation converges.
+def tail_critical_value(spec, tpot=None):
+    """Infimum s at which the tail's excursion resummation converges, to 1e-10.
 
-    Bisects on s with one closed-form TailGreen solve per probe.  Returns -inf
-    when the tail already converges at ``lo``, as a tail that never branches
-    does at every s.
+    Bisects on s with one closed-form TailGreen solve per probe, between
+    s = -50 and an upper bracket raised from log(max index + 1) + max |F| + 2.
+    Returns -inf when the tail already converges at s = -50, as a tail that
+    never branches does at every s.
     """
     def ok(s):
         return TailGreen(spec, tpot, s).converged
 
-    if hi is None:
-        hi = 5.0
-        imax = max(max(a, b) for a, b in spec.prefix + spec.period)
-        fmax = 0.0
-        if tpot:
-            fmax = max(abs(x) for pair in tpot.prefix + tpot.period for x in pair)
-        hi = math.log(imax + 1) + fmax + 2.0
+    imax = max(max(a, b) for a, b in spec.prefix + spec.period)
+    fmax = 0.0
+    if tpot:
+        fmax = max(abs(x) for pair in tpot.prefix + tpot.period for x in pair)
+    hi = math.log(imax + 1) + fmax + 2.0
     while not ok(hi):
         hi += 2.0
         if hi > 200:
             raise DivergenceError("tail resummation never converges")
+    lo = -50.0
     if ok(lo):
         return float("-inf")
     a, b = lo, hi
-    while b - a > tol:
+    while b - a > 1e-10:
         mid = 0.5 * (a + b)
         if ok(mid):
             b = mid
@@ -520,7 +524,7 @@ class CriticalExponent:
         return self.delta
 
 
-def _critical_one(g, F, tol=1e-14):
+def _critical_one(g, F):
     if not g.tails:
         _, T = transfer_matrix(g, F, 0.0, depth=0)
         sr = spectral_radius(T)
@@ -561,7 +565,7 @@ def _critical_one(g, F, tol=1e-14):
             a = mid
         else:
             b = mid
-        if b - a < tol * max(1.0, abs(b)):
+        if b - a < 1e-14 * max(1.0, abs(b)):
             break
     return 0.5 * (a + b), s_tail
 
@@ -593,8 +597,6 @@ def _is_zero(F):
     if any(v != 0.0 for v in F.values.values()):
         return False
     for tp in F.tail_values:
-        if tp is None:
-            continue
         if any(x != 0.0 for pair in tp.prefix + tp.period for x in pair):
             return False
     return True
@@ -642,13 +644,7 @@ def _positive_fixed_vector(T):
     return u
 
 
-def shadow_vector(
-    g: IndexedGraph,
-    F: Potential | None,
-    delta: float,
-    depth: int = DEFAULT_DEPTH,
-    normalize_base: str | None = None,
-):
+def shadow_vector(g: IndexedGraph, F: Potential | None, delta: float, depth: int = DEFAULT_DEPTH):
     """Normalized positive solution of u(e) = sum_f m(e,f) exp(F(f)-delta) u(f).
 
     Returns a dict over materialized non-funnel edges (funnel edges map to 0).
@@ -656,7 +652,7 @@ def shadow_vector(
     so the total boundary mass seen from the base vertex is 1.
     """
     F = F or Potential.zero(g)
-    base = normalize_base or g.base_vertex
+    base = g.base_vertex
     if g.tails and depth < 2:
         raise ValueError("tailed graphs need depth >= 2")
     mat = materialize(g, depth if g.tails else 0)
@@ -693,10 +689,10 @@ def shadow_vector(
     return {e: val / mass for e, val in u.items()}
 
 
-def shadow_residual(g, F, delta, u, mat=None):
-    """Sup-norm of the fixed-point defect over interior non-funnel states."""
+def shadow_residual(g, F, delta, u, mat):
+    """Sup-norm of the fixed-point defect over the interior non-funnel
+    states of ``mat``."""
     F = F or Potential.zero(g)
-    mat = mat or materialize(g, DEFAULT_DEPTH if g.tails else 0)
     fvals = F.on(mat)
     states, arcs = mat.arcs()
     worst = 0.0
@@ -736,16 +732,16 @@ def compute_gibbs(
     g: IndexedGraph,
     F: Potential | None = None,
     depth: int = DEFAULT_DEPTH,
-    delta_tol: float = 1e-8,
 ) -> GibbsData:
     """Full thermodynamic solve: exponent, forward/backward shadows, residuals.
 
     The backward shadow and residual are the forward ones for F.reversed(g),
-    reused as they are when that equals F.
+    reused as they are when that equals F.  Raises NoPositiveSolutionError
+    when delta and delta_minus differ by more than 1e-8 relative.
     """
     F = F or Potential.zero(g)
     ce = critical_exponent(g, F)
-    if abs(ce.delta - ce.delta_minus) > delta_tol * max(1.0, abs(ce.delta)):
+    if abs(ce.delta - ce.delta_minus) > 1e-8 * max(1.0, abs(ce.delta)):
         raise NoPositiveSolutionError(
             f"forward/backward exponents differ: {ce.delta} vs {ce.delta_minus}"
         )
@@ -812,14 +808,14 @@ def gibbs_cocycle(gd, F, g, path_x_to_v, path_y_to_v, normalized=False):
     return val
 
 
-def poincare_partial_sum(g, F, s, n_max, base=None, orders=None):
-    """Partial sums of orbit weights discounted by exp(-s n), up to n_max."""
+def poincare_partial_sum(g, F, s, n_max, orders=None):
+    """Partial sums of orbit weights at the base vertex, discounted by
+    exp(-s n), up to n_max."""
     from .counting import orbit_oracle
     from .graph import propagate_orders
 
     orders = orders or propagate_orders(g)
-    base = base or g.base_vertex
-    rep = orbit_oracle(g, orders, F, base, n_max)
+    rep = orbit_oracle(g, orders, F, g.base_vertex, n_max)
     return sum(w * math.exp(-s * n) for n, w in enumerate(rep.per_distance))
 
 

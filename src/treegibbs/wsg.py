@@ -341,12 +341,12 @@ def _tail_form(mc, t):
     return form
 
 
-def tail_certificate(mc: MarkovChain, rho_tol=1e-9) -> DriftCertificate:
+def tail_certificate(mc: MarkovChain) -> DriftCertificate:
     """Analytic drift weights on every tail, B = core states.
 
     Each tail takes its ``TailWeightForm``; rho is the largest of their drift
-    ratios plus ``rho_tol``.  Raises NoGeometricDriftError when a tail has no
-    such form below 1 or the weights fail verification.
+    ratios plus 1e-9, capped at 1 - 1e-12.  Raises NoGeometricDriftError when
+    a tail has no such form below 1 or the weights fail verification.
     """
     mat = mc.mat
     if mat is None or not mat.core.tails:
@@ -360,7 +360,7 @@ def tail_certificate(mc: MarkovChain, rho_tol=1e-9) -> DriftCertificate:
     cert = DriftCertificate(
         t_core={s: 1.0 for s in core_states},
         B=core_states,
-        rho=min(rho + rho_tol, 1.0 - 1e-12),
+        rho=min(rho + 1e-9, 1.0 - 1e-12),
         tails=tuple(forms),
         provenance="analytic-tail",
     )
@@ -602,19 +602,17 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
     return LemmaBoundReport(n_max, viol, max_slack, ret_ok)
 
 
-def degradation_probe(gammas, betas, truncations, B=("inf",), rho_tol=1e-6):
-    """Best feasible rho per truncation of the star family, with the drift
-    lower bound sup gamma outside B: one Perron value and one solve per
-    truncation whenever the search's floor is feasible."""
+def degradation_probe(gammas, betas, truncations, rho_tol=1e-6):
+    """Best feasible rho per truncation of the star family with B = {inf},
+    and the drift lower bound sup gamma over the satellites: one Perron value
+    and one solve per truncation whenever the search's floor is feasible."""
     from .chain import counterexample_chain
 
     rows = []
     for N in truncations:
         mc = counterexample_chain(gammas, betas, N)
-        out = search_certificate(mc, B0=B, rho_tol=rho_tol)
-        gmax = max(
-            float(gammas(n)) for n in range(-N, N + 1) if str(n) not in set(B)
-        )
+        out = search_certificate(mc, B0=("inf",), rho_tol=rho_tol)
+        gmax = max(float(gammas(n)) for n in range(-N, N + 1))
         rows.append(
             {
                 "N": int(N),

@@ -534,3 +534,61 @@ def test_mutated_fixtures_never_crash(graph, command):
             json.dump({"graph": graph_path, "n_max": 12, "depth": 40}, fh)
         code = main([command, "--config", cfg_path, "--out", os.path.join(d, "out")])
     assert code in (0, 2, 3, 4)
+
+
+def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch, capsys):
+    import inspect
+
+    from treegibbs import cli, errors
+
+    documented = {
+        errors.TreeGibbsError: 3,
+        errors.ConfigError: 2,
+        errors.GraphError: 2,
+        errors.NonUnimodularError: 2,
+        errors.NoClosedGeodesicError: 2,
+        errors.DivergenceError: 3,
+        errors.NoPositiveSolutionError: 3,
+        errors.ZeroShadowError: 3,
+        errors.ReducibleChainError: 3,
+        errors.NoGeometricDriftError: 3,
+        errors.NormalizationMismatchError: 3,
+        errors.ResourceLimitError: 4,
+    }
+    members = inspect.getmembers(errors, inspect.isclass)
+    classes = {c for _, c in members if issubclass(c, errors.TreeGibbsError)}
+    assert classes == set(documented)
+
+    class AddedLater(errors.TreeGibbsError):
+        pass
+
+    cfg_path = _write_cfg(tmp_path, "stub")
+    for cls, code in [*documented.items(), (AddedLater, 3)]:
+
+        def stub(cfg, cls=cls):
+            raise cls("stub failure")
+
+        monkeypatch.setitem(cli._DISPATCH, "analyze", stub)
+        assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code, cls
+        err = capsys.readouterr().err
+        assert "stub failure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ("single_edge_3", "cusp_22"))
+def test_count_with_n_max_0_exits_2(tmp_path, capsys, fixture_dir, name):
+    cfg_path = _write_cfg(tmp_path, name, graph=fixture_dir[name], n_max=0)
+    assert main(["count", "--config", cfg_path, "--out", str(tmp_path / "o1")]) == 2
+    assert "n_max: count needs n_max >= 1" in capsys.readouterr().err
+    cfg_path = _write_cfg(tmp_path, f"{name}_flag", graph=fixture_dir[name])
+    assert main(["count", "--config", cfg_path, "--out", str(tmp_path / "o2"), "--nmax", "0"]) == 2
+    assert "n_max: count needs n_max >= 1" in capsys.readouterr().err
+    # the other commands keep accepting n_max = 0
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o3"), "--nmax", "0"]) == 0
+
+
+def test_duplicate_tail_index_exits_2(tmp_path, capsys):
+    entry = {"tail_index": 0, "period": [[0.1, 0.1]]}
+    potential = {"tail_values": [entry, dict(entry, period=[[0.2, 0.2]])]}
+    code, _ = _run(tmp_path, "dup", graph_to_dict(fx.get("cusp_22")), potential)
+    assert code == 2
+    assert "tail_values[1].tail_index: duplicate of tail_values[0]" in capsys.readouterr().err

@@ -579,3 +579,81 @@ def test_a_coboundary_leaves_the_pipeline_unchanged(name):
     rep = error_decay_report(g, orders, F, gd, mc.m_mass, None, 5, 10)
     rep0 = error_decay_report(g, orders, None, gd0, mc0.m_mass, None, 5, 10)
     assert rel(rep.cstar, rep0.cstar) <= 1e-12
+
+
+def _reference_biregular_params(g, base=None) -> BiregularParams:
+    """``biregular_params`` as it was with its own depth-first 2-colouring."""
+    from treegibbs.graph import lift_degree
+
+    base = base or g.base_vertex
+    deg = {v: lift_degree(g, v) for v in g.vertices}
+    horizon = max([1] + [len(spec.prefix) + 2 * len(spec.period) for spec in g.tails])
+    d0 = deg[base]
+    # 2-coloring by parity over the core
+    color = {base: 0}
+    stack = [base]
+    classes = {0: {d0}, 1: set()}
+    while stack:
+        v = stack.pop()
+        for e in g.out_edges(v):
+            w = g.term[e]
+            cw = 1 - color[v]
+            if w in color:
+                if color[w] != cw:
+                    if deg[w] != d0 or len({deg[x] for x in deg}) != 1:
+                        raise GraphError("cover is not biregular (odd cycle with distinct degrees)")
+                continue
+            color[w] = cw
+            classes[cw].add(deg[w])
+            stack.append(w)
+    for spec in g.tails:
+        c = 1 - color[spec.attach]
+        for n in range(1, horizon + 1):
+            classes[c].add(spec.pair(n)[0] + spec.pair(n + 1)[1])
+            c = 1 - c
+    froots = g.funnel_root_vertices()
+    for v, f in froots.items():
+        c = color[v]
+        for d in range(len(f.branching)):
+            c = 1 - c
+            classes[c].add(1 + f.children(d))
+    if len(classes[0]) != 1 or (classes[1] and len(classes[1]) != 1):
+        raise GraphError(f"cover is not biregular: degree classes {classes}")
+    qd = d0 - 1
+    qdp = (next(iter(classes[1])) - 1) if classes[1] else qd
+    return BiregularParams(qd, qdp)
+
+
+def _biregular_outcome(fn, g):
+    try:
+        return fn(g)
+    except Exception as exc:  # the error class is the outcome being compared
+        return type(exc)
+
+
+def _assert_same_biregular_outcome(g):
+    got = _biregular_outcome(biregular_params, g)
+    assert got == _biregular_outcome(_reference_biregular_params, g)
+    assert isinstance(got, BiregularParams) or got is GraphError
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_biregular_params_matches_the_depth_first_colouring_on_fixtures(name):
+    _assert_same_biregular_outcome(fx.get(name))
+
+
+def test_biregular_params_matches_the_depth_first_colouring_on_random_graphs():
+    from conftest import small_graphs
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def on_core(g):
+        _assert_same_biregular_outcome(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tailed_graphs())
+    def on_tailed(case):
+        _assert_same_biregular_outcome(case[0])
+
+    on_core()
+    on_tailed()
