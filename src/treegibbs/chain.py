@@ -3,7 +3,8 @@
 States are the quotient oriented edges carrying positive cylinder mass.
 Transitions p_ij = m(s_i, s_j) exp(F(s_j) - delta) u+(s_j) / u+(s_i) and the
 stationary weights pi_j proportional to u-(rev s_j) u+(s_j) exp(F(s_j) - delta)
-divided by the edge order.  Tails are materialized to the shadow depth; their
+divided by the edge order.  The states live on the shadow window
+``GibbsData.mat``, the tails unrolled to the shadow depth; their
 transition probabilities are periodic from the tail's joint period on (the
 first level and the length ``compute_gibbs`` records per tail in
 ``GibbsData.tail_periods``), which gives closed-form tail mass and the
@@ -20,7 +21,7 @@ import numpy as np
 from .digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
 from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
 from .gibbs import perron_vector
-from .graph import materialize, orders_on, tail_edge_id
+from .graph import orders_on, tail_edge_id
 
 PI_REMAINDER_TOL = 1e-13
 # a distance at scale x carries about n roundings of x after n steps
@@ -120,9 +121,11 @@ def _period_and_classes(adj):
 
 def build_chain(g, gd, orders):
     """Assemble (states, p, pi) from shadow data and an order grading, on the
-    shadow depth."""
-    depth = gd.depth
-    mat = materialize(g, depth)
+    shadow window ``gd.mat`` (which becomes ``mat`` of the chain).  ``g`` is
+    unused, kept for the callers' positional signature: the window carries
+    its graph as ``gd.mat.core``."""
+    mat = gd.mat
+    depth = mat.depth
     ext = orders_on(mat, orders)
     arc_states, arcs = mat.arcs()
     delta = gd.delta

@@ -122,6 +122,8 @@ def parse_config(argv=None):
     truncations = raw.get("truncations", [10, 20, 40, 80])
     if not isinstance(truncations, list):
         raise ConfigError(f"truncations: must be a list, got {truncations!r}")
+    if not truncations:
+        raise ConfigError("truncations: must name at least one truncation")
     for k, N in enumerate(truncations):
         if not _is_int(N) or N < 0:
             raise ConfigError(f"truncations[{k}]: must be a nonnegative integer, got {N!r}")
@@ -462,7 +464,7 @@ def _probe_profiles(cfg):
         gamma = _probe_fn("gamma", cfg.probe_gamma, "one_minus_inv")
         beta = _probe_fn("beta", cfg.probe_beta, "uniform")
         # the truncations are nested, so the largest one holds every n
-        top = max(cfg.truncations, default=-1)
+        top = max(cfg.truncations)
         values = [(n, float(gamma(n)), float(beta(n))) for n in range(-top, top + 1)]
     except OverflowError as exc:
         raise ConfigError(f"probe: profile value overflows ({exc})") from exc
@@ -471,8 +473,8 @@ def _probe_profiles(cfg):
             raise ConfigError(f"probe.gamma: gamma({n}) = {g!r} outside [0, 1)")
         if not b >= 0.0:
             raise ConfigError(f"probe.beta: beta({n}) = {b!r} is negative")
-    low = min(cfg.truncations, default=0)
-    if values and not any(b > 0.0 for n, _, b in values if abs(n) <= low):
+    low = min(cfg.truncations)
+    if not any(b > 0.0 for n, _, b in values if abs(n) <= low):
         raise ConfigError(f"probe.beta: beta(n) = 0 for every n in [{-low}, {low}]")
     return gamma, beta
 

@@ -12,7 +12,8 @@ main term of Roblin's counting asymptotics in discrete time,
     C*(x) = k ||nu_x||^2 / ||m|| * e^{k delta} / (e^{k delta} - 1),
 
 with k the length-spectrum period, ||nu_x|| the boundary mass seen from x
-and ||m|| the total mass of the chain (``main_term``).  On a finite quotient
+and ||m|| the total mass of the chain (``main_term``); the boundary masses
+are read on the shadow window ``GibbsData.mat``.  On a finite quotient
 the Perron data of the counting matrix give C* independently
 (``renewal_constant``), in rational arithmetic at zero potential when the
 Perron value to the k is an integer.
@@ -208,9 +209,12 @@ def orbit_oracle(
 
 
 def nu_mass_at(gd, g, x):
-    """Total boundary mass seen from x (1 at the normalization base vertex)."""
-    mat = materialize(g, gd.depth)
-    return sum(w * gd.u_plus[e] for e, w in entry_weights(mat, x, gd.fvals, gd.delta))
+    """Total boundary mass seen from x (1 at the normalization base vertex).
+
+    Read on the shadow window ``gd.mat``; ``g`` is unused, kept for the
+    callers' positional signature.
+    """
+    return sum(w * gd.u_plus[e] for e, w in entry_weights(gd.mat, x, gd.fvals, gd.delta))
 
 
 def shadow_measure(gd, g, base, edge_path, per_lift=False):
@@ -218,9 +222,10 @@ def shadow_measure(gd, g, base, edge_path, per_lift=False):
 
     Default: all lifts of the path at once, so depth-1 path masses partition
     the total mass at the base.  ``per_lift`` gives the mass of one cover
-    cone, exp(sum(F - delta)) * u+(last edge).
+    cone, exp(sum(F - delta)) * u+(last edge).  Read on the shadow window
+    ``gd.mat``; ``g`` is unused, kept for the callers' positional signature.
     """
-    mat = materialize(g, gd.depth)
+    mat = gd.mat
     if not edge_path:
         return nu_mass_at(gd, g, base)
     if mat.orig[edge_path[0]] != base:
@@ -281,6 +286,7 @@ def main_term(gd, m_mass, n, period, nu_x, cone_mass, norm_record=None):
 @dataclass(frozen=True)
 class RenewalConstant:
     value: float
+    period: int  # the counting period k (``length_spectrum_period``) it used
     exact: Fraction = None
     method: str = "perron"
     growth_sq: Fraction = None  # exact e^{2 delta} when known
@@ -349,7 +355,7 @@ def _renewal_float(g, orders, F, base, k):
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
     cstar = float(ext.vertex(base)) * (c_plus / (lam - 1.0) - c_minus / (lam + 1.0))
-    return RenewalConstant(value=cstar, method="perron-float")
+    return RenewalConstant(value=cstar, period=k, method="perron-float")
 
 
 def _renewal_exact(g, orders, base, k):
@@ -400,7 +406,9 @@ def _renewal_exact(g, orders, base, k):
     total = sum(Fraction(chi[i]) * proj[i] for i in range(n))
     cstar = Fraction(ext.vertex(base)) * total / (mu - 1)
     # e^{2 delta} = lambda^2 = mu^(2/k)
-    return RenewalConstant(value=float(cstar), exact=cstar, method="perron-exact", growth_sq=mu ** (2 // k))
+    return RenewalConstant(
+        value=float(cstar), period=k, exact=cstar, method="perron-exact", growth_sq=mu ** (2 // k)
+    )
 
 
 def _rref_fraction(M):
@@ -544,21 +552,21 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     F = F or Potential.zero(g)
     rep = orbit_oracle(g, orders, F, base, 2 * n_hi)
     series = rep.series()
-    cone_edge = entry_weights(materialize(g, gd.depth), base)[0][0]
+    cone_edge = entry_weights(gd.mat, base)[0][0]
     cone = orbit_oracle(g, orders, F, base, 2 * n_hi, (cone_edge,), include_identity=False)
     cone_series = cone.series()
     nu_x = nu_mass_at(gd, g, base)
     cone_mass = shadow_measure(gd, g, base, [cone_edge])
-    k = length_spectrum_period(g)
+    # a finite quotient's renewal constant carries the counting period
+    rc = None if g.tails else renewal_constant(g, orders, F, base)
+    k = length_spectrum_period(g) if rc is None else rc.period
     ns = tuple(range(n_lo, n_hi + 1))
     oracle = tuple(float(series[2 * n]) for n in ns)
     oracle_cone = tuple(float(cone_series[2 * n]) for n in ns)
     terms = [main_term(gd, m_mass, n, k, nu_x, cone_mass) for n in ns]
     full_c = terms[0].full_constant
-    if g.tails:
-        rc = RenewalConstant(value=full_c, method="main-term")
-    else:
-        rc = renewal_constant(g, orders, F, base)
+    if rc is None:
+        rc = RenewalConstant(value=full_c, period=k, method="main-term")
     delta = gd.delta
     if rc.exact is not None and rc.growth_sq is not None and rep.exact:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]

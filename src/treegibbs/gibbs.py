@@ -11,7 +11,8 @@ vector u(e) (boundary mass of the set of directions through e, seen from the
 head of e) is the positive fixed vector of the junction operator at delta; on
 tails it is recovered level by level from the identity
 u(e_n) = g_n * u(rev(e_n)), which keeps the decaying solution branch without
-any unstable subtraction.
+any unstable subtraction.  ``compute_gibbs`` unrolls the shadow window once
+and hands it on as ``GibbsData.mat``, the graph the shadow dicts are keyed on.
 
 Orientation convention: every function here computes the forward quantity
 for the potential it is given.  The backward quantities (``delta_minus``,
@@ -525,6 +526,9 @@ class CriticalExponent:
 
 
 def _critical_one(g, F):
+    """(delta, s_tail) of one potential; each call unrolls its own depth-1
+    junction graph, apart from the one ``compute_gibbs`` shares between its
+    shadow solves."""
     if not g.tails:
         _, T = transfer_matrix(g, F, 0.0, depth=0)
         sr = spectral_radius(T)
@@ -647,21 +651,36 @@ def _positive_fixed_vector(T):
 def shadow_vector(g: IndexedGraph, F: Potential | None, delta: float, depth: int = DEFAULT_DEPTH):
     """Normalized positive solution of u(e) = sum_f m(e,f) exp(F(f)-delta) u(f).
 
-    Returns a dict over materialized non-funnel edges (funnel edges map to 0).
-    The backward vector is ``shadow_vector(g, F.reversed(g), delta)``.  Scaled
-    so the total boundary mass seen from the base vertex is 1.
+    Returns a dict over the edges of ``materialize(g, depth)`` (of the bare
+    core without tails); funnel edges map to 0.  The backward vector is
+    ``shadow_vector(g, F.reversed(g), delta)``.  Scaled so the total boundary
+    mass seen from the base vertex is 1.  ``compute_gibbs`` runs the same
+    solve on the window it keeps as ``GibbsData.mat``.
     """
     F = F or Potential.zero(g)
-    base = g.base_vertex
-    if g.tails and depth < 2:
+    mat, mat1 = _windows(g, depth)
+    return _shadow(mat, mat1, F, F.on(mat), delta)
+
+
+def _windows(g: IndexedGraph, depth):
+    """(shadow window, junction graph): g unrolled to ``depth`` (0 without
+    tails) and to depth 1, or the one bare core twice without tails."""
+    if not g.tails:
+        mat = materialize(g, 0)
+        return mat, mat
+    if depth < 2:
         raise ValueError("tailed graphs need depth >= 2")
-    mat = materialize(g, depth if g.tails else 0)
-    fvals = F.on(mat)
+    return materialize(g, depth), materialize(g, 1)
+
+
+def _shadow(mat: MaterializedGraph, mat1: MaterializedGraph, F: Potential, fvals: dict, delta):
+    """``shadow_vector`` on the window ``mat`` with ``fvals = F.on(mat)`` and
+    the junction graph ``mat1``."""
+    g = mat.core
+    base = g.base_vertex
     greens = _greens(g, F, delta)
     if greens is None:
         raise DivergenceError("tail resummation diverges at the given exponent")
-    # without tails the junction operator is T(delta) itself
-    mat1 = materialize(g, 1) if g.tails else mat
     jstates, A = _junction(mat1, F.on(mat1), delta, greens)
     uj = _positive_fixed_vector(A)
     u = {e: 0.0 for e in mat.edges}
@@ -691,7 +710,7 @@ def shadow_vector(g: IndexedGraph, F: Potential | None, delta: float, depth: int
 
 def shadow_residual(g, F, delta, u, mat):
     """Sup-norm of the fixed-point defect over the interior non-funnel
-    states of ``mat``."""
+    states of ``mat``.  ``g`` only supplies the zero potential for F = None."""
     F = F or Potential.zero(g)
     fvals = F.on(mat)
     states, arcs = mat.arcs()
@@ -713,19 +732,29 @@ def shadow_residual(g, F, delta, u, mat):
 
 @dataclass(frozen=True)
 class GibbsData:
+    """Exponents, shadows and residuals of one thermodynamic solve.
+
+    ``mat`` is the shadow window, the graph unrolled to the shadow depth (the
+    bare core without tails): ``u_plus``, ``u_minus`` and ``fvals`` are keyed
+    on its edges, and the chain and the counting read it from here.
+    """
+
     delta: float
     delta_minus: float
     delta_zero: float
     u_plus: dict
     u_minus: dict
     fvals: dict
-    base_vertex: str
-    depth: int
+    mat: MaterializedGraph
     residual_plus: float
     residual_minus: float
     normalization: dict
     method: dict = field(default_factory=dict)
     tail_periods: tuple = ()  # per tail, its ``_joint_period`` (start, length)
+
+    @property
+    def depth(self):
+        return self.mat.depth
 
 
 def compute_gibbs(
@@ -735,9 +764,11 @@ def compute_gibbs(
 ) -> GibbsData:
     """Full thermodynamic solve: exponent, forward/backward shadows, residuals.
 
-    The backward shadow and residual are the forward ones for F.reversed(g),
-    reused as they are when that equals F.  Raises NoPositiveSolutionError
-    when delta and delta_minus differ by more than 1e-8 relative.
+    The window and the junction graph are unrolled once and shared by both
+    shadow solves.  The backward shadow and residual are the forward ones for
+    F.reversed(g), reused as they are when that equals F.  Raises
+    NoPositiveSolutionError when delta and delta_minus differ by more than
+    1e-8 relative.
     """
     F = F or Potential.zero(g)
     ce = critical_exponent(g, F)
@@ -745,16 +776,16 @@ def compute_gibbs(
         raise NoPositiveSolutionError(
             f"forward/backward exponents differ: {ce.delta} vs {ce.delta_minus}"
         )
-    depth = depth if g.tails else 0
-    mat = materialize(g, depth)
-    u_plus = shadow_vector(g, F, ce.delta, depth=depth)
-    res_p = shadow_residual(g, F, ce.delta, u_plus, mat=mat)
+    mat, mat1 = _windows(g, depth)
+    fvals = F.on(mat)
+    u_plus = _shadow(mat, mat1, F, fvals, ce.delta)
+    res_p = shadow_residual(g, F, ce.delta, u_plus, mat)
     rev = F.reversed(g)
     if rev == F:
         u_minus, res_m = u_plus, res_p
     else:
-        u_minus = shadow_vector(g, rev, ce.delta, depth=depth)
-        res_m = shadow_residual(g, rev, ce.delta, u_minus, mat=mat)
+        u_minus = _shadow(mat, mat1, rev, rev.on(mat), ce.delta)
+        res_m = shadow_residual(g, rev, ce.delta, u_minus, mat)
     record = {
         "convention": "unit boundary mass at base vertex",
         "base_vertex": g.base_vertex,
@@ -766,9 +797,8 @@ def compute_gibbs(
         delta_zero=ce.delta_zero,
         u_plus=u_plus,
         u_minus=u_minus,
-        fvals=F.on(mat),
-        base_vertex=g.base_vertex,
-        depth=depth,
+        fvals=fvals,
+        mat=mat,
         residual_plus=res_p,
         residual_minus=res_m,
         normalization=record,

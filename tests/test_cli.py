@@ -351,6 +351,7 @@ def _tail_values(entry):
         ("single_edge_3", None, None, {"depth": -1}, "depth"),
         (None, None, None, {"probe": 5}, "probe"),
         (None, None, None, {"truncations": [0, -3]}, "truncations[1]"),
+        (None, None, None, {"truncations": []}, "truncations: must name at least one truncation"),
         (None, None, None, {"probe": {"gamma": {"kind": "geometric"}}, "truncations": [2]},
          "probe.gamma: gamma(0) = 1.0 outside [0, 1)"),
         (None, None, None, {"probe": {"gamma": {"kind": "constant", "value": 1}}, "truncations": [2]},
@@ -380,7 +381,8 @@ def _tail_values(entry):
         "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
         "list-tail-index", "fractional-tail-index", "one-element-potential-pair",
         "string-radius", "fractional-depth", "string-n-max", "negative-depth",
-        "probe-not-an-object", "negative-truncation", "geometric-gamma", "constant-gamma-one",
+        "probe-not-an-object", "negative-truncation", "empty-truncations", "geometric-gamma",
+        "constant-gamma-one",
         "uniform-gamma", "negative-beta", "zero-beta", "zero-beta-on-the-smallest-truncation",
         "overflowing-beta", "unknown-profile-kind", "huge-integer-tol",
         "huge-integer-edge-value", "huge-integer-tail-value", "huge-depth",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
@@ -655,5 +656,24 @@ def test_biregular_params_matches_the_depth_first_colouring_on_random_graphs():
     def on_tailed(case):
         _assert_same_biregular_outcome(case[0])
 
+    # tailed_graphs draws no biregular cover; these are biregular by construction
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(("cusp", "thick")),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2),
+    )
+    def on_biregular_tailed(kind, r, s, repeats):
+        from dataclasses import replace
+
+        g = fx.cusp_ray(r, s) if kind == "cusp" else fx.thick_ray(r)
+        spec = g.tails[0]
+        g = replace(g, tails=(replace(spec, prefix=spec.period * repeats),))
+        got = biregular_params(g)
+        assert isinstance(got, BiregularParams)
+        assert got == _reference_biregular_params(g)
+
     on_core()
     on_tailed()
+    on_biregular_tailed()

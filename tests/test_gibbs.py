@@ -557,3 +557,36 @@ def test_exponent_bisection_still_finds_no_gap_on_the_critical_ray():
     with pytest.raises(DivergenceError) as ref:
         _reference_critical_one(g, Potential.zero(g))
     assert got.value.tail_critical == ref.value.tail_critical
+
+
+def test_the_shadow_window_is_unrolled_once(monkeypatch):
+    # every module's binding of materialize is rebound, as the bench tracer does
+    import sys
+
+    from treegibbs import graph
+    from treegibbs.chain import build_chain
+    from treegibbs.counting import error_decay_report
+
+    name, _, tail_values = next(r for r in potential_runs() if r[:2] == ("thick_ray_5", "period2"))
+    g = fx.get(name)
+    F = potential_from_dict(g, {"tail_values": [dict(tail_index=0, **tail_values)]})
+    orders = propagate_orders(g)
+    orig = graph.materialize
+    depths = []
+
+    def counted(g, depth):
+        depths.append(depth)
+        return orig(g, depth)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "treegibbs" or mod_name.startswith("treegibbs.")):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    gd = compute_gibbs(g, F)
+    mc = build_chain(g, gd, orders)
+    error_decay_report(g, orders, F, gd, mc.m_mass, None, 5, 10)
+    assert depths.count(gibbs.DEFAULT_DEPTH) == 1, depths
+    # one per exponent solve (F, its reversal, zero) and one for both shadows
+    assert depths.count(1) == 4, depths
+    assert mc.mat is gd.mat
