@@ -292,19 +292,19 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     mat = mc.mat
     if mc.orders is not None and gd is not None and mat is not None:
         # direct two-edge cylinder mass vs pi_j p_jk on a full sweep
-        for i, si in enumerate(mc.states):
+        rows, cols = np.nonzero(P)
+        for i, j in zip(rows.tolist(), cols.tolist()):
             if not inter[i]:
                 continue
-            for j in np.nonzero(P[i])[0]:
-                sj = mc.states[int(j)]
-                direct = (
-                    gd.u_minus[mat.rev[si]]
-                    * gd.u_plus[sj]
-                    * math.exp(gd.fvals[si] + gd.fvals[sj] - 2.0 * gd.delta)
-                    * mat.multiplicity(si, sj)
-                    / float(mc.orders.edge(si))
-                ) / mc.m_mass
-                max_cyl = max(max_cyl, abs(direct - pi[i] * P[i, int(j)]))
+            si, sj = mc.states[i], mc.states[j]
+            direct = (
+                gd.u_minus[mat.rev[si]]
+                * gd.u_plus[sj]
+                * math.exp(gd.fvals[si] + gd.fvals[sj] - 2.0 * gd.delta)
+                * mat.multiplicity(si, sj)
+                / float(mc.orders.edge(si))
+            ) / mc.m_mass
+            max_cyl = max(max_cyl, abs(direct - pi[i] * P[i, j]))
     defect = abs(float(pi.sum()) + mc.tail_remainder / (mc.m_mass or 1.0) - 1.0)
     return MarkovReport(max_row, max_stat, max_cyl, defect)
 
@@ -408,26 +408,20 @@ def convolution_residual(table: TabooTable, mc: MarkovChain, i, j):
     return worst
 
 
-def iter_taboo_matrix_powers(mc: MarkovChain, B, n_max):
-    """Yield the full matrices p^{(n),B} for n = 0..n_max, one at a time."""
+def taboo_matrix_powers(mc: MarkovChain, B, n_max):
+    """Full matrices p^{(n),B} for n = 0..n_max, as a list."""
     S = len(mc.states)
     mask = np.ones(S)
     for b in B:
         mask[mc.pos(b)] = 0.0
-    yield np.eye(S)
+    mats = [np.eye(S)]
     if n_max < 1:
-        return
-    Pn = mc.p.copy()
-    yield Pn
+        return mats
+    mats.append(mc.p.copy())
     DP = mask[:, None] * mc.p
     for _ in range(2, n_max + 1):
-        Pn = Pn @ DP
-        yield Pn
-
-
-def taboo_matrix_powers(mc: MarkovChain, B, n_max):
-    """Full matrices p^{(n),B} for n = 0..n_max, as a list."""
-    return list(iter_taboo_matrix_powers(mc, B, n_max))
+        mats.append(mats[-1] @ DP)
+    return mats
 
 
 # ---------------------------------------------------------------------------

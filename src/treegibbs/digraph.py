@@ -15,7 +15,12 @@ import numpy as np
 
 def from_matrix(adj):
     """Successor lists of the nonzero pattern of a square matrix, ascending."""
-    return [np.flatnonzero(row).tolist() for row in np.asarray(adj)]
+    adj = np.asarray(adj)
+    rows, cols = np.nonzero(adj)
+    # np.nonzero walks the pattern row by row, columns ascending within a row
+    ends = np.searchsorted(rows, np.arange(1, adj.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def reverse(succ):

@@ -189,13 +189,13 @@ def spectral_radius(T: np.ndarray, versus=None):
     """Perron value of a nonnegative matrix.
 
     Power iteration on A = T + I from the all-ones vector (the shift makes
-    the peripheral spectrum unique).  It stops once two successive estimates
-    agree and the eigen-residual ||A v - est v||_1 is below 1e-10 ||A v||_1.
-    Every 100 steps it reads the Collatz-Wielandt bracket
-    min_i (A v)_i / v_i <= rho(A) <= max_i (A v)_i / v_i and hands off to
-    dense eigenvalues when the bracket stops shrinking, when its contraction
-    rate projects it past the step budget before it is 1e-14 wide, or when
-    an entry of v underflows to 0 (a reducible block).
+    the peripheral spectrum unique), run by ``_power_run``.  It stops once
+    two successive estimates agree and the eigen-residual ||A v - est v||_1
+    is below 1e-10 ||A v||_1.  Every 100 steps it reads the Collatz-Wielandt
+    bracket min_i (A v)_i / v_i <= rho(A) <= max_i (A v)_i / v_i and hands
+    off to dense eigenvalues when the bracket stops shrinking, when its
+    contraction rate projects it past the step budget before it is 1e-14
+    wide, or when an entry of v underflows to 0 (a reducible block).
 
     With ``versus`` = x the bracket is read at every step, and the iteration
     stops once a bracket end clears x + 1 by a relative 1e-12.  The value
@@ -205,9 +205,24 @@ def spectral_radius(T: np.ndarray, versus=None):
     rho) lies in each of them, so the full run would end on the same side.
     A bracket that never clears x runs to the full run's bits.
     """
+    rho, _ = _power_run(T, versus)
+    if rho is None:
+        return float(max(abs(np.linalg.eigvals(T))))
+    return rho
+
+
+def _power_run(T: np.ndarray, versus):
+    """The power loop of ``spectral_radius``: (rho, v).
+
+    ``rho`` is None when the loop hands off to dense eigenvalues.  ``v`` is
+    the iterate a full run converged on, 1-normalized, with
+    ||A v - (rho + 1) v||_1 below 1e-10 ||A v||_1; it is None when the run
+    ends otherwise (an early side, a zero iterate, an empty matrix, or the
+    hand-off).
+    """
     n = T.shape[0]
     if n == 0:
-        return 0.0
+        return 0.0, None
     A = T + np.eye(n)
     v = np.ones(n)
     prev = -1.0
@@ -221,20 +236,20 @@ def spectral_radius(T: np.ndarray, versus=None):
         # 1-norms summed as np.linalg.norm(x, 1) sums them, without its dispatch
         nw = np.add.reduce(np.abs(w))
         if nw == 0.0:
-            return 0.0
+            return 0.0, None
         if versus is not None and v.min() > 0.0:
             q = w / v
             if q.min() > above:
-                return float(q.min() - 1.0)
+                return float(q.min() - 1.0), None
             if q.max() < below:
-                return float(q.max() - 1.0)
+                return float(q.max() - 1.0), None
         # successive estimates can agree by an accident of the start vector
         # (3.6 twice on a bipartite core whose Perron value is 2.5747), so the
         # eigen-residual must be small too
         if abs(est - prev) < _RHO_TOL * max(1.0, abs(est)) and (
             np.add.reduce(np.abs(w - est * v)) < 1e-10 * nw
         ):
-            return float(est - 1.0)
+            return float(est - 1.0), v
         if step and step % 100 == 0:
             if v.min() <= 0.0:
                 break
@@ -248,7 +263,7 @@ def spectral_radius(T: np.ndarray, versus=None):
                 break
         v = w / nw
         prev = est
-    return float(max(abs(np.linalg.eigvals(T))))
+    return None, None
 
 
 def perron_vector(A: np.ndarray, lam: float):
@@ -256,7 +271,11 @@ def perron_vector(A: np.ndarray, lam: float):
 
     The least-squares null vector of A - lam I under a sum-1 row, its sign
     fixed.  Raises NoPositiveSolutionError when lam is not an eigenvalue
-    (||A v - lam v||_1 > 1e-10 ||A v||_1) or when v is not positive.
+    (||A v - lam v||_1 > 1e-10 ||A v||_1) or when v is not positive.  The
+    shadow solve uses it on dominant classes of at most
+    ``_LSTSQ_MAX_STATES`` states, and on larger ones whose power iterate
+    fails this gate; the renewal constant and ``MarkovChain.from_kernel``
+    always use it.
     """
     k = A.shape[0]
     M = np.vstack([A - lam * np.eye(k), np.ones((1, k))])
@@ -265,12 +284,20 @@ def perron_vector(A: np.ndarray, lam: float):
     v, *_ = np.linalg.lstsq(M, b, rcond=None)
     if v.sum() < 0:
         v = -v
+    why = _perron_defect(A, lam, v)
+    if why is not None:
+        raise NoPositiveSolutionError(why)
+    return v
+
+
+def _perron_defect(A, lam, v):
+    """None when v passes ``perron_vector``'s gate for (A, lam), else why not."""
     Av = A @ v
     if np.add.reduce(np.abs(Av - lam * v)) > 1e-10 * np.add.reduce(np.abs(Av)):
-        raise NoPositiveSolutionError(f"{lam!r} is not an eigenvalue")
+        return f"{lam!r} is not an eigenvalue"
     if v.min() <= 0:
-        raise NoPositiveSolutionError(f"eigenvector at {lam!r} is not positive")
-    return v
+        return f"eigenvector at {lam!r} is not positive"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +637,21 @@ def _is_zero(F):
 # shadow vectors
 
 
+# dominant classes of at most this many states solve the shadow's Perron vector
+# by least squares, which keeps the bits of every fixture and test operator;
+# larger ones take the power iterate
+_LSTSQ_MAX_STATES = 64
+
+
 def _positive_fixed_vector(T):
-    """Positive u with T u = u, supported on states that reach the dominant class."""
+    """Positive u with T u = u, supported on states that reach the dominant class.
+
+    On the dominant class u is the iterate of the power run that measured
+    its spectral radius, normalized to sum 1, when the class has more than
+    ``_LSTSQ_MAX_STATES`` states and the iterate passes ``perron_vector``'s
+    gate (residual at most 1e-10, positive); otherwise it is
+    ``perron_vector`` of the class.
+    """
     # perron_vector's residual gate: an exponent off by more is named by the
     # class's spectral radius instead of failing inside perron_vector
     tol = 1e-10
@@ -621,9 +661,12 @@ def _positive_fixed_vector(T):
     for comp in sccs(succ):
         if not has_cycle(succ, comp):
             continue
-        sr = spectral_radius(T[np.ix_(comp, comp)])
+        block = T[np.ix_(comp, comp)]
+        sr, v = _power_run(block, None)
+        if sr is None:  # the loop handed off; spectral_radius takes the dense value
+            sr = spectral_radius(block)
         if abs(sr - 1.0) <= tol:
-            dominant.append(comp)
+            dominant.append((comp, block, v))
         elif sr > 1.0 + tol:
             raise NoPositiveSolutionError(
                 f"component spectral radius {sr} exceeds 1; exponent inconsistent"
@@ -632,14 +675,19 @@ def _positive_fixed_vector(T):
         raise NoPositiveSolutionError("no component with unit spectral radius")
     if len(dominant) > 1:
         raise ReducibleChainError("several non-communicating components carry full growth")
-    dom = sorted(dominant[0])
-    trans = sorted(reachable(reverse(succ), dom) - set(dom))
+    comp, block, v = dominant[0]
+    dom = sorted(comp)
     u = np.zeros(n)
-    u[dom] = perron_vector(T[np.ix_(dom, dom)], 1.0)
+    it = v / v.sum() if v is not None and len(comp) > _LSTSQ_MAX_STATES else None
+    if it is not None and _perron_defect(block, 1.0, it) is None:
+        u[comp] = it
+    else:
+        u[dom] = perron_vector(T[np.ix_(dom, dom)], 1.0)
+    trans = sorted(reachable(reverse(succ), dom) - set(dom))
     if trans:
         Ttt = T[np.ix_(trans, trans)]
         tset = set(trans)
-        known = [v for v in range(n) if v not in tset]
+        known = [k for k in range(n) if k not in tset]
         rhs = T[np.ix_(trans, known)] @ u[known]
         sol_t = np.linalg.solve(np.eye(len(trans)) - Ttt, rhs)
         if sol_t.min() <= 0:

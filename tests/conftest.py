@@ -1,12 +1,13 @@
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
 from treegibbs import fixtures as fx
 from treegibbs.chain import build_chain
 from treegibbs.gibbs import compute_gibbs
-from treegibbs.graph import propagate_orders
+from treegibbs.graph import graph_from_dict, propagate_orders
 
 # fixtures whose full pipeline converges (the critical ray is the flagged
 # divergence example and is exercised separately)
@@ -48,6 +49,16 @@ def potential_runs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.POTENTIAL_RUNS
+
+
+def bench_core(n_vertices):
+    """``unimodular_core(Random(1), n_vertices)`` of bench/inputs.py as a graph:
+    a seeded finite core with 4 n_vertices states."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return graph_from_dict(module.unimodular_core(random.Random(1), n_vertices))
 
 
 @pytest.fixture(scope="session")

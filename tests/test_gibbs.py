@@ -8,6 +8,7 @@ from conftest import (
     FINITE_FIXTURES,
     PIPELINE_FIXTURES,
     TAILED_FIXTURES,
+    bench_core,
     pipeline,
     potential_runs,
     tailed_graphs,
@@ -590,3 +591,47 @@ def test_the_shadow_window_is_unrolled_once(monkeypatch):
     # one per exponent solve (F, its reversal, zero) and one for both shadows
     assert depths.count(1) == 4, depths
     assert mc.mat is gd.mat
+
+
+def _counted_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    return calls
+
+
+def test_a_large_dominant_class_takes_the_power_iterate(monkeypatch):
+    from treegibbs.chain import build_chain, check_markov_property
+
+    g = bench_core(40)
+    calls = _counted_lstsq(monkeypatch)
+    gd = compute_gibbs(g)
+    assert not calls
+    assert len(gd.u_plus) == 160 > gibbs._LSTSQ_MAX_STATES
+    states, T = transfer_matrix(g, None, gd.delta)
+    u = np.array([gd.u_plus[e] for e in states])
+    want = gibbs.perron_vector(T, 1.0)
+    assert np.abs(u / u.sum() - want).max() <= 1e-9 * want.max()
+    rep = check_markov_property(build_chain(g, gd, propagate_orders(g)), gd)
+    assert gd.residual_plus <= 1e-10
+    assert rep.max_row_residual <= 1e-10 and rep.max_stationarity_residual <= 1e-10
+
+
+def test_an_iterate_off_the_gate_falls_back_to_least_squares(monkeypatch):
+    g = bench_core(40)
+    # every class on least squares: the route of the smaller classes
+    monkeypatch.setattr(gibbs, "_LSTSQ_MAX_STATES", 10**9)
+    want = compute_gibbs(g)
+    monkeypatch.undo()
+    run = gibbs._power_run
+
+    def off_the_gate(T, versus):
+        rho, v = run(T, versus)
+        return rho, (None if v is None else np.arange(1.0, len(v) + 1.0))
+
+    monkeypatch.setattr(gibbs, "_power_run", off_the_gate)
+    calls = _counted_lstsq(monkeypatch)
+    got = compute_gibbs(g)
+    assert calls
+    assert [v.hex() for v in got.u_plus.values()] == [v.hex() for v in want.u_plus.values()]
+    assert got.residual_plus.hex() == want.residual_plus.hex()

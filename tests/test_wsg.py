@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import FINITE_FIXTURES, TAILED_FIXTURES, pipeline, tailed_graphs
+from conftest import FINITE_FIXTURES, TAILED_FIXTURES, bench_core, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs.chain import MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
 from treegibbs.errors import NoGeometricDriftError, TreeGibbsError
@@ -633,6 +633,10 @@ def _certificate_cases():
     for seed in range(6):
         mc = _random_unimodular_chain(seed)
         yield f"unimodular-{seed}", mc, search_certificate(mc).certificate
+    # 160 states: past the size of every fixture and of the cores above
+    g = bench_core(40)
+    mc = build_chain(g, compute_gibbs(g), propagate_orders(g))
+    yield "bench-core-160", mc, search_certificate(mc).certificate
     gamma = lambda n: 1.0 - 1.0 / (1.0 + abs(n))
     for N in range(2, 9):
         mc = counterexample_chain(gamma, lambda n: 1.0, N)
