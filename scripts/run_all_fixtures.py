@@ -61,7 +61,7 @@ def run_one(name, depth):
     except TreeGibbsError:
         row["biregular"] = "n/a"
     if g.tails:
-        nu = nu_mass_at(gd, g, g.base_vertex)
+        nu = nu_mass_at(gd, g.base_vertex)
         row["cstar"] = f"{main_term(gd, mc.m_mass, 0, row['k'], nu, nu).full_constant:.9f}"
     else:
         rc = renewal_constant(g, orders)

@@ -25,8 +25,6 @@ from .gibbs import (  # noqa: F401
     compute_gibbs,
     critical_exponent,
     cusp_exponent_bound,
-    gibbs_cocycle,
-    poincare_partial_sum,
     potential_from_json,
     shadow_vector,
     transfer_matrix,
@@ -57,7 +55,6 @@ from .counting import (  # noqa: F401
     BiregularParams,
     CountReport,
     biregular_params,
-    boundary_ratio,
     error_decay_report,
     main_term,
     mgamma_ball_measure,

@@ -434,7 +434,6 @@ class MeanReturn:
     tail_bound: float
     total_mass: float
     defective: bool
-    resolved: bool
 
 
 def mean_return_time(mc: MarkovChain, j, n_max) -> MeanReturn:
@@ -458,7 +457,7 @@ def mean_return_time(mc: MarkovChain, j, n_max) -> MeanReturn:
     else:
         tail = float("inf") if total < 1.0 - 1e-12 else 0.0
     defective = total + (tail if math.isfinite(tail) else 0.0) < 1.0 - 1e-9
-    return MeanReturn(est, float(tail), total, defective, math.isfinite(tail))
+    return MeanReturn(est, float(tail), total, defective)
 
 
 @dataclass(frozen=True)

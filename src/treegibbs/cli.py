@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -368,7 +369,7 @@ def _cmd_mix(cfg):
         "exact": fit.exact,
         "second_eigenvalue": second_eigenvalue_modulus(mc, mc.class_of(i)),
         "mean_return": mr.estimate,
-        "mean_return_tail_bound": mr.tail_bound,
+        "mean_return_tail_bound": mr.tail_bound if math.isfinite(mr.tail_bound) else None,
         "covariance_envelope_ok": None if cov is None else cov.envelope_ok,
         "normalization": gd.normalization,
     }

@@ -3,7 +3,8 @@
 The weighted counting function N_x(n) sums exp(potential integral) over the
 orbit points within distance n; combinatorially it is an order factor times a
 dynamic program over non-backtracking quotient paths from the base back to
-itself, stepping along ``MaterializedGraph.arcs``.  Its counting matrix is the
+itself, stepping along ``MaterializedGraph.arcs``; one pass advances several
+start vectors (the full count and a cone's).  Its counting matrix is the
 transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).
 
 The counting constant C* = lim N_x(2n) exp(-2 n delta) has one formula, the
@@ -114,6 +115,9 @@ def mgamma_ball_measure(params: BiregularParams, delta: float, R: int, m_mass: f
 # the counting DP (orbit oracle)
 
 
+_DP_GUARD = 5_000_000  # largest edges x steps the counting DP takes on
+
+
 @dataclass(frozen=True)
 class OracleCounts:
     base: str
@@ -137,107 +141,143 @@ def orbit_oracle(
     n_max,
     first_edge_constraint=None,
     include_identity=True,
-    guard=5_000_000,
+    guard=_DP_GUARD,
 ):
     """Weighted count of orbit points per distance, by DP over quotient paths.
 
     Exact integer/rational mode switches on automatically for zero potential.
     ``first_edge_constraint`` prescribes the initial edge path (a cone of
-    directions); funnel edges never lead back, so they are skipped.
+    directions); funnel edges never lead back, so a path into one is refused.
     """
+    mat, fvals, order_base = _dp_window(g, F, orders, base, n_max, guard)
+    exact = fvals is None
+    if first_edge_constraint:
+        path = list(first_edge_constraint)
+        steps = _path_multiplicities(mat, base, path)
+        funnel = mat.funnel_edge_ids()
+        if any(e in funnel for e in path):
+            raise GraphError("constraint path enters a funnel")
+        if len(path) > n_max:
+            raise ValueError("constraint longer than the horizon")
+        w = mat.index[mat.rev[path[0]]]
+        if not exact:
+            w = w * math.exp(fvals[path[0]])
+        for b, m in zip(path[1:], steps):
+            w = w * m if exact else w * m * math.exp(fvals[b])
+        starts, start_len = [[(path[-1], w)]], len(path)
+    else:
+        starts, start_len = [entry_weights(mat, base, fvals)], 1
+    (per,) = _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max)
+    if include_identity:
+        per[0] = order_base
+    return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
+
+
+def _dp_window(g, F, orders, base, n_max, guard):
+    """(window, fvals, order at ``base``) of the counting DP to distance
+    ``n_max``: the tails unrolled one level past the horizon, F on it, and
+    the order as a float; at zero potential fvals is None and the order
+    exact (the exact mode)."""
     F = F or Potential.zero(g)
     mat = materialize(g, n_max + 1 if g.tails else 0)
     if len(mat.edges) * (n_max + 1) > guard:
         raise ResourceLimitError("counting DP exceeds the resource guard")
-    ext = orders_on(mat, orders)
-    exact = _potential_is_zero(F)
-    fvals = None if exact else F.on(mat)
+    order = orders_on(mat, orders).vertex(base)
+    if _potential_is_zero(F):
+        return mat, None, order
+    return mat, F.on(mat), float(order)
+
+
+def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
+    """Per-distance orbit counts at ``base`` for several start vectors.
+
+    Each start lists (state, weight of the paths of length ``start_len``
+    that end on it).  The vectors share the window, its arcs and their
+    weights, and advance together one step at a time; each gets the
+    operations, in the order, of a DP run on it alone.  Entry n of a list is
+    ``order_base`` times the weight of the paths of length n that end at
+    ``base``; entries below ``start_len`` are zero.  Without ``fvals`` the
+    arithmetic is exact.
+    """
+    exact = fvals is None
     states, succ = mat.arcs()
-    pos = {e: i for i, e in enumerate(states)}
     if not exact:
         succ = [[(j, m * math.exp(fvals[states[j]])) for j, m in row] for row in succ]
-    ends_at_base = [mat.term[e] == base for e in states]
+    pos = {e: i for i, e in enumerate(states)}
+    at_base = [i for i, e in enumerate(states) if mat.term[e] == base]
     zero = 0 if exact else 0.0
-    vec = [zero] * len(states)
-    order_base = ext.vertex(base) if exact else float(ext.vertex(base))
-    per = [zero] * (n_max + 1)
-    start_len = 0
-    if first_edge_constraint:
-        path = list(first_edge_constraint)
-        w = mat.index[mat.rev[path[0]]]
-        if not exact:
-            w = w * math.exp(fvals[path[0]])
-        if mat.orig[path[0]] != base:
-            raise GraphError("constraint path must start at the base vertex")
-        for a, b in zip(path, path[1:]):
-            m = mat.multiplicity(a, b)
-            if m <= 0:
-                raise GraphError(f"constraint path not admissible at {a}->{b}")
-            w = w * m if exact else w * m * math.exp(fvals[b])
-        if any(e not in pos for e in path):
-            raise GraphError("constraint path enters a funnel")
-        vec[pos[path[-1]]] = w
-        start_len = len(path)
-        if start_len > n_max:
-            raise ValueError("constraint longer than the horizon")
-    else:
-        for e, w in entry_weights(mat, base, fvals):
+    vecs = []
+    for start in starts:
+        vec = [zero] * len(states)
+        for e, w in start:
             vec[pos[e]] = w
-        start_len = 1
-    if include_identity:
-        per[0] = order_base * (1 if exact else 1.0)
+        vecs.append(vec)
+    pers = [[zero] * (n_max + 1) for _ in starts]
     for n in range(start_len, n_max + 1):
-        tot = zero
-        for i, flag in enumerate(ends_at_base):
-            if flag and vec[i] != 0:
-                tot = tot + vec[i]
-        per[n] = order_base * tot
+        for vec, per in zip(vecs, pers):
+            tot = zero
+            for i in at_base:
+                if vec[i] != 0:
+                    tot = tot + vec[i]
+            per[n] = order_base * tot
         if n == n_max:
             break
-        new = [zero] * len(states)
-        for i, v in enumerate(vec):
-            if v == 0:
-                continue
-            for jdx, m in succ[i]:
-                new[jdx] = new[jdx] + v * m
-        vec = new
-    return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
+        for k, vec in enumerate(vecs):
+            new = [zero] * len(states)
+            for i, v in enumerate(vec):
+                if v == 0:
+                    continue
+                for j, m in succ[i]:
+                    new[j] = new[j] + v * m
+            vecs[k] = new
+    return pers
+
+
+def _path_multiplicities(mat, base, path):
+    """m(a, b) over the steps a -> b of an edge path of ``mat`` that starts
+    at ``base``; raises GraphError on an unknown edge, another start or a
+    step of multiplicity 0."""
+    for e in path:
+        if e not in mat.orig:
+            raise GraphError(f"unknown edge {e!r} in path (graph unrolled to depth {mat.depth})")
+    if mat.orig[path[0]] != base:
+        raise GraphError("path must start at the base vertex")
+    steps = []
+    for a, b in zip(path, path[1:]):
+        m = mat.multiplicity(a, b)
+        if m <= 0:
+            raise GraphError(f"path not admissible at {a}->{b}")
+        steps.append(m)
+    return steps
 
 
 # ---------------------------------------------------------------------------
 # shadows and main terms
 
 
-def nu_mass_at(gd, g, x):
-    """Total boundary mass seen from x (1 at the normalization base vertex).
-
-    Read on the shadow window ``gd.mat``; ``g`` is unused, kept for the
-    callers' positional signature.
-    """
+def nu_mass_at(gd, x):
+    """Total boundary mass seen from x (1 at the normalization base vertex),
+    read on the shadow window ``gd.mat``."""
     return sum(w * gd.u_plus[e] for e, w in entry_weights(gd.mat, x, gd.fvals, gd.delta))
 
 
-def shadow_measure(gd, g, base, edge_path, per_lift=False):
+def shadow_measure(gd, base, edge_path, per_lift=False):
     """Boundary mass of the directions through an initial edge path.
 
     Default: all lifts of the path at once, so depth-1 path masses partition
     the total mass at the base.  ``per_lift`` gives the mass of one cover
     cone, exp(sum(F - delta)) * u+(last edge).  Read on the shadow window
-    ``gd.mat``; ``g`` is unused, kept for the callers' positional signature.
+    ``gd.mat``; a path into a funnel has mass 0.
     """
     mat = gd.mat
     if not edge_path:
-        return nu_mass_at(gd, g, base)
-    if mat.orig[edge_path[0]] != base:
-        raise GraphError("path must start at the base vertex")
+        return nu_mass_at(gd, base)
+    steps = _path_multiplicities(mat, base, edge_path)
     funnel = mat.funnel_edge_ids()
     if any(e in funnel for e in edge_path):
         return 0.0
     mult = mat.index[mat.rev[edge_path[0]]]
-    for a, b in zip(edge_path, edge_path[1:]):
-        m = mat.multiplicity(a, b)
-        if m <= 0:
-            raise GraphError(f"inadmissible path step {a}->{b}")
+    for m in steps:
         mult *= m
     weight = math.exp(sum(gd.fvals[e] - gd.delta for e in edge_path))
     return (1 if per_lift else mult) * weight * gd.u_plus[edge_path[-1]]
@@ -448,48 +488,7 @@ def _nullspace_fraction(A):
 
 
 # ---------------------------------------------------------------------------
-# boundary families and the error-decay report
-
-
-def boundary_ratio(g, family, R_list, beta=None):
-    """|boundary E_R| / |E_R| for a family of finite vertex sets of the cover
-    ball around the base vertex.
-
-    ``family`` is "ball", "segment", or a callable (CoverBall, R) -> index set.
-    """
-    from .cover import build_cover_ball
-
-    ball = build_cover_ball(g, g.base_vertex, max(R_list) + 1)
-    nbr = ball.adjacency()
-    rows = []
-    for R in R_list:
-        if family == "ball":
-            E = {i for i, nd in enumerate(ball.nodes) if nd.depth <= R}
-        elif family == "segment":
-            E = set()
-            cur = 0
-            E.add(0)
-            for _ in range(R):
-                nd = ball.nodes[cur]
-                if not nd.children:
-                    break
-                cur = nd.children[0]
-                E.add(cur)
-        elif callable(family):
-            E = set(family(ball, R))
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        boundary = set()
-        for i in E:
-            for j in nbr[i]:
-                if j not in E:
-                    boundary.add(j)
-        ratio = len(boundary) / len(E)
-        row = {"R": R, "size": len(E), "boundary": len(boundary), "ratio": ratio}
-        if beta is not None:
-            row["criterion_ok"] = ratio <= R ** (-beta) if R >= 1 else False
-        rows.append(row)
-    return rows
+# the error-decay report
 
 
 @dataclass(frozen=True)
@@ -536,8 +535,9 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     """Oracle counts vs main terms vs the geometric term C* e^{2 delta n}.
 
     The main terms come from ``main_term`` at ``base``; the cone is the one
-    through the first entry edge e at the base, checked against
-    ``orbit_oracle(..., first_edge_constraint=(e,))``.  On a finite quotient
+    through the first entry edge e at the base.  One DP pass counts both: the
+    full count and the cone count equal those of ``orbit_oracle`` without a
+    constraint and with ``first_edge_constraint=(e,)``.  On a finite quotient
     C* is ``renewal_constant``'s Perron value, on a tailed one the full
     constant.  The main-term formula was checked at the normalization vertex
     with and without potentials, and away from it only at zero potential.
@@ -549,14 +549,15 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     # ``params`` is unused; it keeps the positional signature that the bench
     # harness calls with biregular_params(g)
     base = base or g.base_vertex
-    F = F or Potential.zero(g)
-    rep = orbit_oracle(g, orders, F, base, 2 * n_hi)
-    series = rep.series()
-    cone_edge = entry_weights(gd.mat, base)[0][0]
-    cone = orbit_oracle(g, orders, F, base, 2 * n_hi, (cone_edge,), include_identity=False)
-    cone_series = cone.series()
-    nu_x = nu_mass_at(gd, g, base)
-    cone_mass = shadow_measure(gd, g, base, [cone_edge])
+    mat, fvals, order_base = _dp_window(g, F, orders, base, 2 * n_hi, _DP_GUARD)
+    entry = entry_weights(mat, base, fvals)
+    cone_edge = entry[0][0]
+    full, cone = _orbit_dp(mat, fvals, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
+    full[0] = order_base  # the identity
+    series = list(accumulate(full))
+    cone_series = list(accumulate(cone))
+    nu_x = nu_mass_at(gd, base)
+    cone_mass = shadow_measure(gd, base, [cone_edge])
     # a finite quotient's renewal constant carries the counting period
     rc = None if g.tails else renewal_constant(g, orders, F, base)
     k = length_spectrum_period(g) if rc is None else rc.period
@@ -568,7 +569,7 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     if rc is None:
         rc = RenewalConstant(value=full_c, period=k, method="main-term")
     delta = gd.delta
-    if rc.exact is not None and rc.growth_sq is not None and rep.exact:
+    if rc.exact is not None and rc.growth_sq is not None and fvals is None:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]
         scales = [0.0] * len(ns)
     else:

@@ -1,18 +1,17 @@
 """Named example configurations.
 
-Each builder returns an IndexedGraph; ``write_all`` dumps them as JSON config
-files.  The family covers the regular and biregular one-edge quotients, small
-finite quotients with genuine spectral gaps, cuspidal-ray quotients, the
-thick (2, q-1) ray, the critically-thick mixed ray, and a funnel example.
+Each builder returns an IndexedGraph; ``fixtures/`` ships each one as the
+JSON config that ``graph_to_dict`` gives.  The family covers the regular and
+biregular one-edge quotients, small finite quotients with genuine spectral
+gaps, cuspidal-ray quotients, the thick (2, q-1) ray, the critically-thick
+mixed ray, and a funnel example.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 
-from .graph import FunnelSpec, IndexedGraph, TailSpec, graph_to_dict
+from .graph import FunnelSpec, IndexedGraph, TailSpec
 
 
 def single_edge(i_e=3, i_rev=3, base_value=3):
@@ -151,15 +150,3 @@ def get(name):
         return FIXTURES[name]()
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
-
-
-def write_all(directory):
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for name in sorted(FIXTURES):
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(graph_to_dict(FIXTURES[name]()), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths[name] = path
-    return paths

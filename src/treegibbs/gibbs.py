@@ -756,10 +756,10 @@ def _shadow(mat: MaterializedGraph, mat1: MaterializedGraph, F: Potential, fvals
     return {e: val / mass for e, val in u.items()}
 
 
-def shadow_residual(g, F, delta, u, mat):
+def shadow_residual(F, delta, u, mat):
     """Sup-norm of the fixed-point defect over the interior non-funnel
-    states of ``mat``.  ``g`` only supplies the zero potential for F = None."""
-    F = F or Potential.zero(g)
+    states of ``mat``; F = None is the zero potential."""
+    F = F or Potential.zero(mat.core)
     fvals = F.on(mat)
     states, arcs = mat.arcs()
     worst = 0.0
@@ -827,13 +827,13 @@ def compute_gibbs(
     mat, mat1 = _windows(g, depth)
     fvals = F.on(mat)
     u_plus = _shadow(mat, mat1, F, fvals, ce.delta)
-    res_p = shadow_residual(g, F, ce.delta, u_plus, mat)
+    res_p = shadow_residual(F, ce.delta, u_plus, mat)
     rev = F.reversed(g)
     if rev == F:
         u_minus, res_m = u_plus, res_p
     else:
         u_minus = _shadow(mat, mat1, rev, rev.on(mat), ce.delta)
-        res_m = shadow_residual(g, rev, ce.delta, u_minus, mat)
+        res_m = shadow_residual(rev, ce.delta, u_minus, mat)
     record = {
         "convention": "unit boundary mass at base vertex",
         "base_vertex": g.base_vertex,
@@ -856,45 +856,7 @@ def compute_gibbs(
 
 
 # ---------------------------------------------------------------------------
-# cocycle, partial sums, cusp bound
-
-
-def gibbs_cocycle(gd, F, g, path_x_to_v, path_y_to_v, normalized=False):
-    """Potential-integral difference of two paths meeting at a common vertex.
-
-    Returns sum(F over y->v) - sum(F over x->v); with ``normalized`` the
-    potential is shifted by -delta, adding delta * (len(x->v) - len(y->v)).
-    """
-    F = F or Potential.zero(g)
-    need = 1
-    for path in (path_x_to_v, path_y_to_v):
-        for e in path:
-            if e.startswith("~t"):
-                need = max(need, int(e.split(".")[1][1:]) + 1)
-    mat = materialize(g, need if g.tails else 0)
-    for path in (path_x_to_v, path_y_to_v):
-        for a, b in zip(path, path[1:]):
-            if mat.term[a] != mat.orig[b]:
-                raise GraphError(f"path not composable at {a}->{b}")
-    if path_x_to_v and path_y_to_v:
-        if mat.term[path_x_to_v[-1]] != mat.term[path_y_to_v[-1]]:
-            raise GraphError("paths do not share a terminal vertex")
-    fvals = F.on(mat)
-    val = sum(fvals[e] for e in path_y_to_v) - sum(fvals[e] for e in path_x_to_v)
-    if normalized:
-        val += gd.delta * (len(path_x_to_v) - len(path_y_to_v))
-    return val
-
-
-def poincare_partial_sum(g, F, s, n_max, orders=None):
-    """Partial sums of orbit weights at the base vertex, discounted by
-    exp(-s n), up to n_max."""
-    from .counting import orbit_oracle
-    from .graph import propagate_orders
-
-    orders = orders or propagate_orders(g)
-    rep = orbit_oracle(g, orders, F, g.base_vertex, n_max)
-    return sum(w * math.exp(-s * n) for n, w in enumerate(rep.per_distance))
+# cusp bound
 
 
 def cusp_exponent_bound(ray, tpot=None):

@@ -42,23 +42,31 @@ def pipeline(name, depth=90):
     return _CACHE[key]
 
 
-def potential_runs():
-    """``POTENTIAL_RUNS`` of scripts/artifact_digests.py: (fixture, name, tail values)."""
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
-    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+def _load_by_path(name, relpath):
+    """The module at ``relpath`` from the repository root, loaded by path."""
+    path = pathlib.Path(__file__).parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.POTENTIAL_RUNS
+    return module
+
+
+def potential_runs():
+    """``POTENTIAL_RUNS`` of scripts/artifact_digests.py: (fixture, name, tail values)."""
+    return _load_by_path("artifact_digests", "scripts/artifact_digests.py").POTENTIAL_RUNS
 
 
 def bench_core(n_vertices):
     """``unimodular_core(Random(1), n_vertices)`` of bench/inputs.py as a graph:
     a seeded finite core with 4 n_vertices states."""
-    path = pathlib.Path(__file__).parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_by_path("bench_inputs", "bench/inputs.py")
     return graph_from_dict(module.unimodular_core(random.Random(1), n_vertices))
+
+
+def write_fixtures(directory):
+    """``write_all`` of scripts/write_fixtures.py: every named fixture as a
+    JSON config in ``directory``, the bytes of ``fixtures/``; name -> path."""
+    return _load_by_path("write_fixtures", "scripts/write_fixtures.py").write_all(directory)
 
 
 @pytest.fixture(scope="session")

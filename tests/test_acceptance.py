@@ -215,7 +215,7 @@ def test_criterion_9_main_term_consistency():
         params = biregular_params(g)
         rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
         spread = max(rep.ratio_full) - min(rep.ratio_full)
-        want = shadow_measure(gd, g, g.base_vertex, [rep.cone_edge])
+        want = shadow_measure(gd, g.base_vertex, [rep.cone_edge])
         const_err = abs(rep.ratio_constants - want)
         cstar_err = abs(rep.full_constant / rep.cstar - 1.0)
         good = spread <= 1e-6 and const_err <= 1e-12 and cstar_err <= 1e-12

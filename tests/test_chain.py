@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PIPELINE_FIXTURES, pipeline, tailed_graphs
-from treegibbs import fixtures as fx
+from conftest import PIPELINE_FIXTURES, pipeline, tailed_graphs, write_fixtures
 from treegibbs.chain import (
     MarkovChain,
     build_chain,
@@ -355,7 +354,7 @@ def test_cyclic_classes_are_the_periodic_classes():
 def test_chain_and_mix_compute_no_unused_kernel_power(tmp_path, monkeypatch, command, powers):
     from treegibbs.cli import main
 
-    graph = fx.write_all(str(tmp_path))["thick_ray_5"]
+    graph = write_fixtures(str(tmp_path))["thick_ray_5"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": graph}))
     calls = []

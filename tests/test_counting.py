@@ -10,7 +10,6 @@ from treegibbs import fixtures as fx
 from treegibbs.counting import (
     BiregularParams,
     biregular_params,
-    boundary_ratio,
     error_decay_report,
     main_term,
     mgamma_ball_measure,
@@ -105,20 +104,26 @@ def test_oracle_first_edge_constraint(single_edge_pipeline):
     assert two.per_distance[2] == Fraction(3) * 6  # 3 * i(ebar) * m(e, ebar)
     with pytest.raises(GraphError):
         orbit_oracle(g, orders, None, "a", 8, first_edge_constraint=("ebar",))
+    # an id that is no edge of the graph names itself
+    for path in (("nope",), ("e", "nope")):
+        with pytest.raises(GraphError, match="'nope'"):
+            orbit_oracle(g, orders, None, "a", 4, first_edge_constraint=path)
 
 
 def test_shadow_measures(single_edge_pipeline):
     g, orders, gd, mc = single_edge_pipeline
-    assert abs(shadow_measure(gd, g, "a", []) - 1.0) < 1e-12
-    assert abs(shadow_measure(gd, g, "a", ["e"], per_lift=True) - 1.0 / 3.0) < 1e-12
-    assert abs(shadow_measure(gd, g, "a", ["e"]) - 1.0) < 1e-12
+    assert abs(shadow_measure(gd, "a", []) - 1.0) < 1e-12
+    assert abs(shadow_measure(gd, "a", ["e"], per_lift=True) - 1.0 / 3.0) < 1e-12
+    assert abs(shadow_measure(gd, "a", ["e"]) - 1.0) < 1e-12
+    with pytest.raises(GraphError, match="'nope'"):
+        shadow_measure(gd, "a", ["nope"])
     # depth-1 shadows partition the boundary on every fixture
     for name in PIPELINE_FIXTURES:
         g2, _, gd2, _ = pipeline(name)
         mat = materialize(g2, gd2.depth)
         funnel = mat.funnel_edge_ids()
         tot = sum(
-            shadow_measure(gd2, g2, g2.base_vertex, [e])
+            shadow_measure(gd2, g2.base_vertex, [e])
             for e in mat.out_edges(g2.base_vertex)
             if e not in funnel
         )
@@ -273,30 +278,12 @@ def test_main_terms_match_the_counts_at_n25(name):
 def test_main_term_off_the_normalization_vertex(name, cstar):
     # at zero potential the ||nu_b||^2 factor carries the constant to b
     g, orders, gd, mc = pipeline(name)
-    nu_b = nu_mass_at(gd, g, "b")
+    nu_b = nu_mass_at(gd, "b")
     t = main_term(gd, mc.m_mass, 0, length_spectrum_period(g), nu_b, nu_b)
     assert abs(t.full_constant / cstar - 1.0) <= 1e-12
     rep = error_decay_report(g, orders, None, gd, mc.m_mass, None, 20, 25, base="b")
     assert abs(rep.full_constant / cstar - 1.0) <= 1e-12
     assert abs(rep.ratio_full[-1] - 1.0) <= 1e-10
-
-
-def test_boundary_ratios():
-    g = fx.single_edge(3, 3)
-    rows = boundary_ratio(g, "ball", [0, 1, 2, 3, 4], beta=1.0)
-    assert rows[0]["ratio"] == 3.0
-    for row in rows[1:]:
-        R = row["R"]
-        size = 3 * 2**R - 2
-        assert row["size"] == size
-        assert abs(row["ratio"] - 3 * 2**R / size) < 1e-12
-        assert not row["criterion_ok"]  # trees with branching defeat the criterion
-    seg = boundary_ratio(g, "segment", [1, 2, 5])
-    for row in seg:
-        L = row["R"]
-        assert row["size"] == L + 1
-        assert row["boundary"] == L + 3
-        assert abs(row["ratio"] - (L + 3) / (L + 1)) < 1e-12
 
 
 def test_error_decay_report_single_edge(single_edge_pipeline):
@@ -305,7 +292,7 @@ def test_error_decay_report_single_edge(single_edge_pipeline):
     rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
     assert abs(rep.kappa_hat - 2 * gd.delta) < 1e-12
     assert max(rep.ratio_full) - min(rep.ratio_full) < 1e-6
-    assert abs(rep.ratio_constants - shadow_measure(gd, g, "a", [rep.cone_edge])) < 1e-12
+    assert abs(rep.ratio_constants - shadow_measure(gd, "a", [rep.cone_edge])) < 1e-12
     assert abs(rep.full_constant / rep.cstar - 1.0) <= 1e-12
 
 
@@ -315,9 +302,65 @@ def test_error_decay_constant_ratio_all_finite_fixtures():
         params = biregular_params(g)
         rep = error_decay_report(g, orders, None, gd, mc.m_mass, params, 10, 25)
         assert max(rep.ratio_full) - min(rep.ratio_full) < 1e-6, name
-        want = shadow_measure(gd, g, g.base_vertex, [rep.cone_edge])
+        want = shadow_measure(gd, g.base_vertex, [rep.cone_edge])
         assert abs(rep.ratio_constants - want) < 1e-12, name
         assert abs(rep.full_constant / rep.cstar - 1.0) <= 1e-12, name
+
+
+def _edge_and_tail_potential(g):
+    """A non-zero potential: a value per edge and one tail potential per tail."""
+    from treegibbs.gibbs import TailPotential
+
+    values = {e: 0.05 * (7 * k % 5) - 0.1 for k, e in enumerate(sorted(g.edges))}
+    tail = TailPotential(prefix=((0.1, -0.05),), period=((0.05, 0.02), (-0.03, 0.01)))
+    return Potential(values, tuple(tail for _ in g.tails))
+
+
+@pytest.mark.parametrize("potential", ("zero", "edges and tails"))
+@pytest.mark.parametrize("name", PIPELINE_FIXTURES)
+def test_the_report_counts_are_the_oracle_counts(name, potential):
+    # one DP gives the full and the cone count, bit for bit those of two
+    # orbit_oracle runs
+    from treegibbs.chain import build_chain
+    from treegibbs.gibbs import compute_gibbs
+
+    g, orders, gd, mc = pipeline(name)
+    F = None
+    if potential != "zero":
+        F = _edge_and_tail_potential(g)
+        gd = compute_gibbs(g, F, depth=gd.depth)
+        mc = build_chain(g, gd, orders)
+    rep = error_decay_report(g, orders, F, gd, mc.m_mass, None, 10, 25)
+    full = orbit_oracle(g, orders, F, g.base_vertex, 50).series()
+    cone = orbit_oracle(g, orders, F, g.base_vertex, 50, (rep.cone_edge,), include_identity=False)
+    assert rep.oracle == tuple(float(full[2 * n]) for n in rep.ns)
+    assert rep.oracle_cone == tuple(float(cone.series()[2 * n]) for n in rep.ns)
+
+
+@pytest.mark.parametrize("name, depths", [("thick_ray_5", {51: 1, 3: 1}), ("single_edge_3", {0: 2, 1: 1})])
+def test_a_count_report_unrolls_its_window_once(monkeypatch, name, depths):
+    # every module's binding of materialize is rebound, as the bench tracer
+    # does; the counting window is depth 2 n_hi + 1 on a tailed quotient
+    import sys
+    from collections import Counter
+
+    from treegibbs import graph
+
+    g, orders, gd, mc = pipeline(name)
+    orig = graph.materialize
+    seen = Counter()
+
+    def counted(g, depth):
+        seen[depth] += 1
+        return orig(g, depth)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "treegibbs" or mod_name.startswith("treegibbs.")):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    error_decay_report(g, orders, None, gd, mc.m_mass, None, 10, 25)
+    assert seen == Counter(depths)
 
 
 def test_constraint_cone_ratio_matches_shadow_mass():
@@ -325,7 +368,7 @@ def test_constraint_cone_ratio_matches_shadow_mass():
     g, orders, gd, mc = pipeline("parallel_edges")
     full = orbit_oracle(g, orders, None, "a", 40)
     cone = orbit_oracle(g, orders, None, "a", 40, first_edge_constraint=("e1",))
-    om = shadow_measure(gd, g, "a", ["e1"])
+    om = shadow_measure(gd, "a", ["e1"])
     sf = full.series()
     sc = cone.series()
     for n in (16, 18, 20):

@@ -25,8 +25,6 @@ from treegibbs.gibbs import (
     compute_gibbs,
     critical_exponent,
     cusp_exponent_bound,
-    gibbs_cocycle,
-    poincare_partial_sum,
     potential_from_dict,
     shadow_residual,
     shadow_vector,
@@ -226,34 +224,29 @@ def test_tail_truncation_error_decays_with_depth():
     assert errs_u[0] > errs_u[1] > errs_u[2]
 
 
-def test_gibbs_cocycle():
-    g, _, gd, _ = pipeline("parallel_edges")
-    assert gibbs_cocycle(gd, None, g, ["e1"], ["e1"]) == 0.0
-    Fc = Potential.constant(g, 0.3)
-    # x at distance 2 from v, y at distance 1: beta = 2 - 1 = 1
-    val = gibbs_cocycle(gd, Fc, g, ["e1", "e2bar"], ["e1bar"], normalized=False)
-    # paths must share terminal vertex: e1 e2bar ends at a, e1bar ends at a
-    assert abs(val - (0.3 * 1 - 0.3 * 2)) < 1e-15  # C = -c * beta with beta = 2 - 1
-    norm = gibbs_cocycle(gd, Fc, g, ["e1", "e2bar"], ["e1bar"], normalized=True)
-    assert abs(norm - (val + gd.delta * 1)) < 1e-15
-    with pytest.raises(GraphError):
-        gibbs_cocycle(gd, None, g, ["e1"], ["e1bar"])
-
-
 def test_poincare_partial_sums():
+    # sum_n N(n) e^{-s n} over the orbit counts at the base, an oracle for
+    # the critical exponent delta = log 2
+    from treegibbs.counting import orbit_oracle
+
     g = fx.single_edge(3, 3)
     orders = propagate_orders(g)
-    assert poincare_partial_sum(g, None, 0.5, 0, orders=orders) == 3.0
+    per = orbit_oracle(g, orders, None, g.base_vertex, 60).per_distance
+
+    def partial_sum(s, n_max):
+        return sum(w * math.exp(-s * n) for n, w in enumerate(per[: n_max + 1]))
+
+    assert partial_sum(0.5, 0) == 3.0
     # s > delta: geometric convergence, increments shrink by 1/4 per two steps
     s = math.log(4)
-    vals = [poincare_partial_sum(g, None, s, n, orders=orders) for n in (10, 12, 14)]
+    vals = [partial_sum(s, n) for n in (10, 12, 14)]
     inc1, inc2 = vals[1] - vals[0], vals[2] - vals[1]
     assert abs(inc2 / inc1 - 0.25) < 1e-6
     # s = delta: linear growth of the partial sums
     d = math.log(2)
-    v20 = poincare_partial_sum(g, None, d, 20, orders=orders)
-    v40 = poincare_partial_sum(g, None, d, 40, orders=orders)
-    v60 = poincare_partial_sum(g, None, d, 60, orders=orders)
+    v20 = partial_sum(d, 20)
+    v40 = partial_sum(d, 40)
+    v60 = partial_sum(d, 60)
     assert abs((v60 - v40) - (v40 - v20)) < 1e-9 * abs(v60)
 
 
