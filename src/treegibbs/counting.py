@@ -39,7 +39,7 @@ from .errors import (
 from .digraph import period
 from .gibbs import Potential, _transfer_on, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
-from .graph import length_spectrum_period, materialize, orders_on, vertex_successors
+from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,8 @@ def orbit_oracle(
     ``first_edge_constraint`` prescribes the initial edge path (a cone of
     directions); funnel edges never lead back, so a path into one is refused.
     """
-    mat, fvals, order_base = _dp_window(g, F, orders, base, n_max, guard)
+    mat = materialize(g, n_max + 1 if g.tails else 0)
+    fvals, order_base, entry = _dp_weights(mat, F, orders, base, n_max, guard)
     exact = fvals is None
     if first_edge_constraint:
         path = list(first_edge_constraint)
@@ -166,26 +167,24 @@ def orbit_oracle(
             w = w * m if exact else w * m * math.exp(fvals[b])
         starts, start_len = [[(path[-1], w)]], len(path)
     else:
-        starts, start_len = [entry_weights(mat, base, fvals)], 1
+        starts, start_len = [entry], 1
     (per,) = _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max)
     if include_identity:
         per[0] = order_base
     return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
 
 
-def _dp_window(g, F, orders, base, n_max, guard):
-    """(window, fvals, order at ``base``) of the counting DP to distance
-    ``n_max``: the tails unrolled one level past the horizon, F on it, and
-    the order as a float; at zero potential fvals is None and the order
-    exact (the exact mode)."""
-    F = F or Potential.zero(g)
-    mat = materialize(g, n_max + 1 if g.tails else 0)
+def _dp_weights(mat, F, orders, base, n_max, guard):
+    """(fvals, order, entry weights) at ``base`` of the counting DP to
+    ``n_max`` on the window ``mat``: F on it and the order as a float, or
+    None and the exact order at zero potential (the exact mode)."""
+    F = F or Potential.zero(mat.core)
     if len(mat.edges) * (n_max + 1) > guard:
         raise ResourceLimitError("counting DP exceeds the resource guard")
+    fvals = None if _potential_is_zero(F) else F.on(mat)
+    entry = entry_weights(mat, base, fvals)
     order = orders_on(mat, orders).vertex(base)
-    if _potential_is_zero(F):
-        return mat, None, order
-    return mat, F.on(mat), float(order)
+    return fvals, order if fvals is None else float(order), entry
 
 
 def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
@@ -354,14 +353,15 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
         raise GraphError("C* of a tailed quotient is main_term's full constant")
     F = F or Potential.zero(g)
     base = base or g.base_vertex
-    k = length_spectrum_period(g)  # the counting period, main_term's k too
+    mat = materialize(g, 0)
+    k = _window_period(mat)  # the counting period, main_term's k too
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
     if prefer_exact and _potential_is_zero(F):
-        res = _renewal_exact(g, orders, base, k)
+        res = _renewal_exact(mat, orders, base, k)
         if res is not None:
             return res
-    return _renewal_float(g, orders, F, base, k)
+    return _renewal_float(mat, orders, F, base, k)
 
 
 def _is_bipartite(g):
@@ -373,8 +373,7 @@ def _is_bipartite(g):
     return period(vertex_successors(g), 0)[0] % 2 == 0
 
 
-def _renewal_float(g, orders, F, base, k):
-    mat = materialize(g, 0)
+def _renewal_float(mat, orders, F, base, k):
     fvals = F.on(mat)
     # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
     states, M = _transfer_on(mat, fvals, 0.0)
@@ -398,7 +397,7 @@ def _renewal_float(g, orders, F, base, k):
     return RenewalConstant(value=cstar, period=k, method="perron-float")
 
 
-def _renewal_exact(g, orders, base, k):
+def _renewal_exact(mat, orders, base, k):
     """Rational-arithmetic Perron resummation at zero potential.
 
     With k the counting period (1 or 2), closed paths at the base have
@@ -411,7 +410,6 @@ def _renewal_exact(g, orders, base, k):
     M^k - mu I is nonsingular and there is nothing to resum, so None is
     returned before any rational elimination.
     """
-    mat = materialize(g, 0)
     states, arcs = mat.arcs()
     n = len(states)
     M = [[m.get(j, 0) for j in range(n)] for m in map(dict, arcs)]
@@ -549,8 +547,11 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     # ``params`` is unused; it keeps the positional signature that the bench
     # harness calls with biregular_params(g)
     base = base or g.base_vertex
-    mat, fvals, order_base = _dp_window(g, F, orders, base, 2 * n_hi, _DP_GUARD)
-    entry = entry_weights(mat, base, fvals)
+    # a finite quotient counts on the bare core the shadow solve unrolled
+    mat = materialize(g, 2 * n_hi + 1) if g.tails else gd.mat
+    fvals, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, _DP_GUARD)
+    if not entry:
+        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
     cone_edge = entry[0][0]
     full, cone = _orbit_dp(mat, fvals, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
     full[0] = order_base  # the identity

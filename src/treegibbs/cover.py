@@ -54,15 +54,6 @@ class CoverBall:
             c[nd.depth] += 1
         return [c[d] for d in range(self.radius + 1)]
 
-    def adjacency(self):
-        """Undirected neighbor lists (indices), for boundary computations."""
-        nbr = [[] for _ in self.nodes]
-        for i, nd in enumerate(self.nodes):
-            if nd.parent >= 0:
-                nbr[i].append(nd.parent)
-                nbr[nd.parent].append(i)
-        return nbr
-
 
 def _expansion(g: IndexedGraph, radius: int):
     """(mat, children) for enumerating the cover ball of the given radius.

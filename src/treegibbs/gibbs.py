@@ -11,8 +11,10 @@ vector u(e) (boundary mass of the set of directions through e, seen from the
 head of e) is the positive fixed vector of the junction operator at delta; on
 tails it is recovered level by level from the identity
 u(e_n) = g_n * u(rev(e_n)), which keeps the decaying solution branch without
-any unstable subtraction.  ``compute_gibbs`` unrolls the shadow window once
-and hands it on as ``GibbsData.mat``, the graph the shadow dicts are keyed on.
+any unstable subtraction.  ``critical_exponent`` unrolls the junction graph
+once for all its solves (``CriticalExponent.mat``); ``compute_gibbs`` reads it
+there and hands the shadow window on as ``GibbsData.mat``, the graph the
+shadow dicts are keyed on (the junction graph itself without tails).
 
 Orientation convention: every function here computes the forward quantity
 for the potential it is given.  The backward quantities (``delta_minus``,
@@ -304,13 +306,12 @@ def _perron_defect(A, lam, v):
 # transfer matrices
 
 
-def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int | None = None):
+def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int = DEFAULT_DEPTH):
     """(states, T) with T[e, f] = m(e, f) exp(F(f) - s), funnel edges dropped.
 
     With tails present the matrix is the truncation to ``depth`` materialized
     levels; exact resummation happens elsewhere.
     """
-    depth = DEFAULT_DEPTH if depth is None else depth
     mat = materialize(g, depth if g.tails else 0)
     F = F or Potential.zero(g)
     return _transfer_on(mat, F.on(mat), s)
@@ -331,6 +332,8 @@ def entry_weights(mat: MaterializedGraph, x, fvals=None, s=0.0):
     The weight of leaving a lift of x along all lifts of e at once; without
     ``fvals`` it is the integer i(rev e).
     """
+    if x not in mat.vertices:
+        raise GraphError(f"vertex {x!r} is not in the graph (unrolled to depth {mat.depth})")
     funnel = mat.funnel_edge_ids()
     out = []
     for e in mat.out_edges(x):
@@ -542,28 +545,27 @@ def _junction_sr(mat1, fvals1, F, s):
 
 @dataclass(frozen=True)
 class CriticalExponent:
+    """``mat`` is the junction graph all solves ran on (the bare core without tails)."""
+
     delta: float
     delta_minus: float
     delta_zero: float
     s_tail: float | None
+    mat: MaterializedGraph
     method: dict = field(default_factory=dict)
 
-    def __float__(self):
-        return self.delta
 
-
-def _critical_one(g, F):
-    """(delta, s_tail) of one potential; each call unrolls its own depth-1
-    junction graph, apart from the one ``compute_gibbs`` shares between its
-    shadow solves."""
+def _critical_one(mat1, F):
+    """(delta, s_tail) of one potential on the junction graph ``mat1``; on a
+    finite quotient delta is the log of the spectral radius of T(0)."""
+    g = mat1.core
+    fvals1 = F.on(mat1)
     if not g.tails:
-        _, T = transfer_matrix(g, F, 0.0, depth=0)
+        _, T = _transfer_on(mat1, fvals1, 0.0)
         sr = spectral_radius(T)
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
         return math.log(sr), None
-    mat1 = materialize(g, 1)
-    fvals1 = F.on(mat1)
     s_tail = max(
         tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails)
     )
@@ -604,22 +606,25 @@ def _critical_one(g, F):
 def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalExponent:
     """delta for (graph, F), its reversed-potential twin, and the zero-potential value.
 
-    A potential equal to its reversal (every zero or symmetric one) reuses
+    The junction graph is unrolled once and shared by the three solves.  A
+    potential equal to its reversal (every zero or symmetric one) reuses
     delta as delta_minus: the second solve would repeat the same arithmetic.
     """
     F = F or Potential.zero(g)
-    delta, s_tail = _critical_one(g, F)
+    mat1 = materialize(g, 1 if g.tails else 0)
+    delta, s_tail = _critical_one(mat1, F)
     rev = F.reversed(g)
-    delta_minus = delta if rev == F else _critical_one(g, rev)[0]
+    delta_minus = delta if rev == F else _critical_one(mat1, rev)[0]
     if _is_zero(F):
         delta_zero = delta
     else:
-        delta_zero, _ = _critical_one(g, Potential.zero(g))
+        delta_zero, _ = _critical_one(mat1, Potential.zero(g))
     return CriticalExponent(
         delta=delta,
         delta_minus=delta_minus,
         delta_zero=delta_zero,
         s_tail=s_tail,
+        mat=mat1,
         method={"solver": "junction-bisection" if g.tails else "power-iteration"},
     )
 
@@ -706,19 +711,20 @@ def shadow_vector(g: IndexedGraph, F: Potential | None, delta: float, depth: int
     solve on the window it keeps as ``GibbsData.mat``.
     """
     F = F or Potential.zero(g)
-    mat, mat1 = _windows(g, depth)
+    mat1 = materialize(g, 1 if g.tails else 0)
+    mat = _shadow_window(mat1, depth)
     return _shadow(mat, mat1, F, F.on(mat), delta)
 
 
-def _windows(g: IndexedGraph, depth):
-    """(shadow window, junction graph): g unrolled to ``depth`` (0 without
-    tails) and to depth 1, or the one bare core twice without tails."""
+def _shadow_window(mat1: MaterializedGraph, depth):
+    """The core of the junction graph ``mat1`` unrolled to ``depth``; ``mat1``
+    itself, the bare core, without tails."""
+    g = mat1.core
     if not g.tails:
-        mat = materialize(g, 0)
-        return mat, mat
+        return mat1
     if depth < 2:
         raise ValueError("tailed graphs need depth >= 2")
-    return materialize(g, depth), materialize(g, 1)
+    return materialize(g, depth)
 
 
 def _shadow(mat: MaterializedGraph, mat1: MaterializedGraph, F: Potential, fvals: dict, delta):
@@ -812,11 +818,11 @@ def compute_gibbs(
 ) -> GibbsData:
     """Full thermodynamic solve: exponent, forward/backward shadows, residuals.
 
-    The window and the junction graph are unrolled once and shared by both
-    shadow solves.  The backward shadow and residual are the forward ones for
-    F.reversed(g), reused as they are when that equals F.  Raises
-    NoPositiveSolutionError when delta and delta_minus differ by more than
-    1e-8 relative.
+    Both shadow solves run on the exponent's junction graph
+    (``CriticalExponent.mat``) and one window, that graph without tails.  The
+    backward shadow and residual are the forward ones for F.reversed(g),
+    reused as they are when that equals F.  Raises NoPositiveSolutionError
+    when delta and delta_minus differ by more than 1e-8 relative.
     """
     F = F or Potential.zero(g)
     ce = critical_exponent(g, F)
@@ -824,7 +830,8 @@ def compute_gibbs(
         raise NoPositiveSolutionError(
             f"forward/backward exponents differ: {ce.delta} vs {ce.delta_minus}"
         )
-    mat, mat1 = _windows(g, depth)
+    mat1 = ce.mat
+    mat = _shadow_window(mat1, depth)
     fvals = F.on(mat)
     u_plus = _shadow(mat, mat1, F, fvals, ce.delta)
     res_p = shadow_residual(F, ce.delta, u_plus, mat)

@@ -138,9 +138,6 @@ class IndexedGraph:
             s.add(self.rev[f.entry_edge])
         return s
 
-    def tails_at(self, v):
-        return [(t, spec) for t, spec in enumerate(self.tails) if spec.attach == v]
-
     def funnel_root_vertices(self):
         return {self.term[f.entry_edge]: f for f in self.funnels}
 
@@ -231,9 +228,7 @@ def lift_degree(g, a):
     if a not in g._out:
         raise GraphError(f"unknown vertex {a!r}")
     d = sum(g.index[g.rev[e]] for e in g.out_edges(a))
-    for _, spec in g.tails_at(a):
-        d += spec.pair(1)[1]
-    return d
+    return d + sum(spec.pair(1)[1] for spec in g.tails if spec.attach == a)
 
 
 @dataclass(frozen=True)
@@ -425,7 +420,12 @@ def length_spectrum_period(g: IndexedGraph) -> int:
     horizon = 1
     for spec in g.tails:
         horizon = max(horizon, len(spec.prefix) + 2 * len(spec.period) + 1)
-    succ = [[j for j, _ in row] for row in materialize(g, horizon).arcs()[1]]
+    return _window_period(materialize(g, horizon))
+
+
+def _window_period(mat: MaterializedGraph) -> int:
+    """``length_spectrum_period`` over the arcs of the window ``mat``."""
+    succ = [[j for j, _ in row] for row in mat.arcs()[1]]
     k = 0
     for comp in sccs(succ):
         if has_cycle(succ, comp):

@@ -619,3 +619,59 @@ def test_the_shipped_fixtures_are_the_builders_output(fixture_dir):
     for path in fixture_dir.values():
         with open(path, "rb") as new, open(os.path.join(shipped, os.path.basename(path)), "rb") as old:
             assert new.read() == old.read(), path
+
+
+# command -> {depth: unrolls} of materialize.  Every command unrolls one
+# junction graph for all exponent solves (the bare core without tails, depth
+# 1 with them), and with tails one shadow window (depth 80).  analyze adds the
+# period horizon (depth 1 without tails; 3 on thick_ray_5 and cusp_22, 6 on
+# critical_ray_5).  count adds the renewal constant's bare core without tails,
+# and the DP window (depth 51) and the period horizon with them.
+# critical_ray_5 stops at the exponent, after its junction graph.
+FINITE_WINDOWS = {"analyze": {1: 1, 0: 1}, "chain": {0: 1}, "wsg": {0: 1}, "mix": {0: 1}, "count": {0: 2}}
+TAILED_WINDOWS = {
+    "analyze": {1: 1, 80: 1, 3: 1},
+    "chain": {1: 1, 80: 1},
+    "wsg": {1: 1, 80: 1},
+    "mix": {1: 1, 80: 1},
+    "count": {1: 1, 80: 1, 51: 1, 3: 1},
+}
+CRITICAL_WINDOWS = {"analyze": {1: 1, 6: 1}, "chain": {1: 1}, "wsg": {1: 1}, "mix": {1: 1}, "count": {1: 1}}
+
+
+@pytest.mark.parametrize(
+    "name, tail_values, budget",
+    [
+        ("single_edge_3", None, FINITE_WINDOWS),
+        ("parallel_edges", None, FINITE_WINDOWS),
+        ("thick_ray_5", None, TAILED_WINDOWS),
+        ("critical_ray_5", None, CRITICAL_WINDOWS),
+        ("cusp_22", {"period": [[0.1, -0.05], [0.02, 0.03]]}, TAILED_WINDOWS),
+    ],
+    ids=["single_edge_3", "parallel_edges", "thick_ray_5", "critical_ray_5", "cusp_22+period2"],
+)
+def test_each_command_unrolls_each_window_once(tmp_path, monkeypatch, name, tail_values, budget):
+    # every module's binding of materialize is rebound, as the bench tracer does
+    import sys
+    from collections import Counter
+
+    from treegibbs import graph
+
+    orig = graph.materialize
+    seen = Counter()
+
+    def counted(g, depth):
+        seen[depth] += 1
+        return orig(g, depth)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "treegibbs" or mod_name.startswith("treegibbs.")):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    potential = None if tail_values is None else {"tail_values": [dict(tail_index=0, **tail_values)]}
+    for command, depths in budget.items():
+        seen.clear()
+        code, _ = _run(tmp_path, command, graph_to_dict(fx.get(name)), potential, command)
+        assert code == (3 if name == "critical_ray_5" else 0), command
+        assert seen == Counter(depths), command

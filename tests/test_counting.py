@@ -337,7 +337,7 @@ def test_the_report_counts_are_the_oracle_counts(name, potential):
     assert rep.oracle_cone == tuple(float(cone.series()[2 * n]) for n in rep.ns)
 
 
-@pytest.mark.parametrize("name, depths", [("thick_ray_5", {51: 1, 3: 1}), ("single_edge_3", {0: 2, 1: 1})])
+@pytest.mark.parametrize("name, depths", [("thick_ray_5", {51: 1, 3: 1}), ("single_edge_3", {0: 1})])
 def test_a_count_report_unrolls_its_window_once(monkeypatch, name, depths):
     # every module's binding of materialize is rebound, as the bench tracer
     # does; the counting window is depth 2 n_hi + 1 on a tailed quotient
@@ -374,6 +374,36 @@ def test_constraint_cone_ratio_matches_shadow_mass():
     for n in (16, 18, 20):
         ratio = float(sc[n]) / float(sf[n])
         assert abs(ratio - om) < 1e-6, n
+
+
+# calls at a vertex of funnel_loop that is not in the graph, or at its funnel
+# vertex f, given (g, orders, gd, mc)
+BAD_BASE_CALLS = {
+    "orbit_oracle": lambda g, orders, gd, mc: orbit_oracle(g, orders, None, "nope", 4),
+    "renewal_constant": lambda g, orders, gd, mc: renewal_constant(g, orders, None, "nope"),
+    "nu_mass_at": lambda g, orders, gd, mc: nu_mass_at(gd, "nope"),
+    "error_decay_report": lambda g, orders, gd, mc: error_decay_report(
+        g, orders, None, gd, mc.m_mass, None, 5, 10, base="nope"
+    ),
+    "error_decay_report-funnel": lambda g, orders, gd, mc: error_decay_report(
+        g, orders, None, gd, mc.m_mass, None, 5, 10, base="f"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("orbit_oracle", "vertex 'nope' is not in the graph"),
+        ("renewal_constant", "vertex 'nope' is not in the graph"),
+        ("nu_mass_at", "vertex 'nope' is not in the graph"),
+        ("error_decay_report", "vertex 'nope' is not in the graph"),
+        ("error_decay_report-funnel", "vertex 'f' has no non-funnel out-edge"),
+    ],
+)
+def test_a_bad_base_vertex_is_a_graph_error(call, message):
+    with pytest.raises(GraphError, match=message):
+        BAD_BASE_CALLS[call](*pipeline("funnel_loop"))
 
 
 def test_resource_guards():
@@ -471,7 +501,9 @@ def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkey
 
     g = graph_from_dict(CORE_4_3)
     orders = propagate_orders(g)
-    want = counting._renewal_float(g, orders, Potential.zero(g), g.base_vertex, length_spectrum_period(g))
+    want = counting._renewal_float(
+        materialize(g, 0), orders, Potential.zero(g), g.base_vertex, length_spectrum_period(g)
+    )
 
     def forbidden(A):
         raise AssertionError("rational elimination at a non-integer lambda^2")

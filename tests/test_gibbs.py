@@ -400,7 +400,7 @@ def _junction_probes(g, F):
     if math.isfinite(s_tail):
         probes.append(s_tail + 1e-3)
     try:
-        probes.append(_critical_one(g, F)[0])
+        probes.append(_critical_one(materialize(g, 1), F)[0])
     except TreeGibbsError:
         pass
     return probes
@@ -539,7 +539,7 @@ def test_exponent_bisection_walks_the_full_rho_path(monkeypatch, name, pot):
         ref = _reference_critical_one(g, potential)
         ref_solves = built[0]
         built[0] = 0
-        got = _critical_one(g, potential)[0]
+        got = _critical_one(materialize(g, 1), potential)[0]
         assert built[0] == ref_solves
         assert got.hex() == ref.hex() == delta.hex()
 
@@ -581,8 +581,9 @@ def test_the_shadow_window_is_unrolled_once(monkeypatch):
     mc = build_chain(g, gd, orders)
     error_decay_report(g, orders, F, gd, mc.m_mass, None, 5, 10)
     assert depths.count(gibbs.DEFAULT_DEPTH) == 1, depths
-    # one per exponent solve (F, its reversal, zero) and one for both shadows
-    assert depths.count(1) == 4, depths
+    # one junction graph for the three exponent solves (F, its reversal,
+    # zero) and both shadows
+    assert depths.count(1) == 1, depths
     assert mc.mat is gd.mat
 
 
