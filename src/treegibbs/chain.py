@@ -127,15 +127,14 @@ def build_chain(g, gd, orders):
     mat = gd.mat
     depth = mat.depth
     ext = orders_on(mat, orders)
-    arc_states, arcs = mat.arcs()
-    delta = gd.delta
-    fvals = gd.fvals
+    arc_states, src, dst, mult = mat.arc_arrays()
     up, um = gd.u_plus, gd.u_minus
+    w = np.array([math.exp(gd.fvals[e] - gd.delta) for e in arc_states])
 
     support = _structural_support(mat)
     lam = {}
-    for e in arc_states:
-        val = um[mat.rev[e]] * up[e] * math.exp(fvals[e] - delta) / float(ext.edge(e))
+    for e, we in zip(arc_states, w.tolist()):
+        val = um[mat.rev[e]] * up[e] * we / float(ext.edge(e))
         if e in support:
             if val <= 0.0:
                 raise ZeroShadowError(f"supported state {e} received zero cylinder mass")
@@ -145,13 +144,10 @@ def build_chain(g, gd, orders):
     states = tuple(sorted(lam, key=_state_sort_key(mat)))
     pos = {s: i for i, s in enumerate(states)}
     n = len(states)
+    ci, cj, a, b, m = _chain_arcs(mat, pos)
+    upv = np.array([up[e] for e in arc_states])
     P = np.zeros((n, n))
-    for e, row in zip(arc_states, arcs):
-        if e in pos:
-            for j, m in row:
-                f = arc_states[j]
-                if f in pos:
-                    P[pos[e], pos[f]] = m * math.exp(fvals[f] - delta) * up[f] / up[e]
+    P[ci, cj] = m * w[b] * upv[b] / upv[a]
     lamvec = np.array([lam[s] for s in states])
     remainder = _tail_mass_beyond(mat, lam, gd.tail_periods)
     m_mass = float(lamvec.sum() + remainder)
@@ -183,6 +179,14 @@ def build_chain(g, gd, orders):
             for t, (start, L) in enumerate(gd.tail_periods)
         ),
     )
+
+
+def _chain_arcs(mat, pos):
+    """(i, j, src, dst, mult) per arc of ``mat`` between chain states, i, j their ``pos``."""
+    arc_states, src, dst, mult = mat.arc_arrays()
+    cpos = np.array([pos.get(e, -1) for e in arc_states], dtype=np.intp)
+    k = np.flatnonzero((cpos[src] >= 0) & (cpos[dst] >= 0))
+    return cpos[src[k]], cpos[dst[k]], src[k], dst[k], mult[k]
 
 
 def _state_sort_key(mat):
@@ -291,20 +295,17 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     max_cyl = 0.0
     mat = mc.mat
     if mc.orders is not None and gd is not None and mat is not None:
-        # direct two-edge cylinder mass vs pi_j p_jk on a full sweep
-        rows, cols = np.nonzero(P)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if not inter[i]:
-                continue
-            si, sj = mc.states[i], mc.states[j]
-            direct = (
-                gd.u_minus[mat.rev[si]]
-                * gd.u_plus[sj]
-                * math.exp(gd.fvals[si] + gd.fvals[sj] - 2.0 * gd.delta)
-                * mat.multiplicity(si, sj)
-                / float(mc.orders.edge(si))
-            ) / mc.m_mass
-            max_cyl = max(max_cyl, abs(direct - pi[i] * P[i, j]))
+        # direct two-edge cylinder mass vs pi_i p_ij over the nonzeros of P in interior rows
+        i, j, _, _, m = _chain_arcs(mat, mc._pos)
+        k = np.flatnonzero((P[i, j] != 0.0) & inter[i])
+        i, j, m = i[k], j[k], m[k]
+        f = np.array([gd.fvals[s] for s in mc.states])
+        um = np.array([gd.u_minus[mat.rev[s]] for s in mc.states])
+        up = np.array([gd.u_plus[s] for s in mc.states])
+        order = np.array([float(mc.orders.edge(s)) for s in mc.states])
+        ex = np.array([math.exp(x) for x in (f[i] + f[j] - 2.0 * gd.delta).tolist()])
+        direct = um[i] * up[j] * ex * m / order[i] / mc.m_mass
+        max_cyl = max([0.0] + np.abs(direct - pi[i] * P[i, j]).tolist())
     defect = abs(float(pi.sum()) + mc.tail_remainder / (mc.m_mass or 1.0) - 1.0)
     return MarkovReport(max_row, max_stat, max_cyl, defect)
 

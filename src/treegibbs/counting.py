@@ -37,7 +37,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .digraph import period
-from .gibbs import Potential, _transfer_on, entry_weights, perron_vector, spectral_radius
+from .gibbs import Potential, _transfer_at, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
 
@@ -183,6 +183,8 @@ def _dp_weights(mat, F, orders, base, n_max, guard):
         raise ResourceLimitError("counting DP exceeds the resource guard")
     fvals = None if _potential_is_zero(F) else F.on(mat)
     entry = entry_weights(mat, base, fvals)
+    if not entry:  # a funnel vertex: every count there would read 0
+        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
     order = orders_on(mat, orders).vertex(base)
     return fvals, order if fvals is None else float(order), entry
 
@@ -354,6 +356,8 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
     F = F or Potential.zero(g)
     base = base or g.base_vertex
     mat = materialize(g, 0)
+    if not entry_weights(mat, base):
+        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
     k = _window_period(mat)  # the counting period, main_term's k too
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
@@ -376,7 +380,7 @@ def _is_bipartite(g):
 def _renewal_float(mat, orders, F, base, k):
     fvals = F.on(mat)
     # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
-    states, M = _transfer_on(mat, fvals, 0.0)
+    states, M = _transfer_at(mat, fvals)(0.0)
     ext = orders_on(mat, orders)
     lam = spectral_radius(M)
     if lam <= 1.0:
@@ -550,8 +554,6 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     # a finite quotient counts on the bare core the shadow solve unrolled
     mat = materialize(g, 2 * n_hi + 1) if g.tails else gd.mat
     fvals, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, _DP_GUARD)
-    if not entry:
-        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
     cone_edge = entry[0][0]
     full, cone = _orbit_dp(mat, fvals, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
     full[0] = order_base  # the identity

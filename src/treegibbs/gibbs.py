@@ -1,7 +1,7 @@
 """Thermodynamic layer: potentials, critical exponents, shadow vectors.
 
 The weighted non-backtracking transfer operator T(s)[e, f] = m(e, f) exp(F(f) - s)
-drives everything here; its arcs come from ``MaterializedGraph.arcs``.  For a
+drives everything here; it is built on ``MaterializedGraph.arc_arrays``.  For a
 finite quotient the critical exponent is the log of its spectral radius.  Ray
 tails are resummed through first-return Green values g_n(s): the total weight
 of excursions that enter a ray at level n and first come back down, a minimal
@@ -46,6 +46,7 @@ from .graph import (
     _pairs,
     materialize,
     read_json,
+    row_sums,
     tail_edge_id,
 )
 
@@ -314,16 +315,26 @@ def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int =
     """
     mat = materialize(g, depth if g.tails else 0)
     F = F or Potential.zero(g)
-    return _transfer_on(mat, F.on(mat), s)
+    return _transfer_at(mat, F.on(mat))(s)
 
 
-def _transfer_on(mat: MaterializedGraph, fvals: dict, s: float):
-    states, arcs = mat.arcs()
-    T = np.zeros((len(states), len(states)))
-    for i, row in enumerate(arcs):
-        for j, m in row:
-            T[i, j] = m * math.exp(fvals[states[j]] - s)
-    return states, T
+def _transfer_at(mat: MaterializedGraph, fvals: dict):
+    """(s, greens) -> (states, T(s)) on the arcs of ``mat``, entry rows resummed by ``greens``
+    as in ``_junction``; what does not depend on s is read once, for a bisection's probes."""
+    states, src, dst, mult = mat.arc_arrays()
+    n, flat, f = len(states), src * len(states) + dst, [fvals[e] for e in states]
+    tails = range(len(mat.core.tails) if mat.depth else 0)
+    entries = [[states.index(tail_edge_id(t, 1, up)) for up in (True, False)] for t in tails]
+
+    def at(s, greens=()):
+        T = np.zeros((n, n))
+        # math.exp once per state: numpy's exp need not match its bits
+        T.ravel()[flat] = mult * np.array([math.exp(x - s) for x in f])[dst]
+        for (e1, r1), tg in zip(entries, greens):
+            T[e1, r1] = tg.g(1)
+        return states, T
+
+    return at
 
 
 def entry_weights(mat: MaterializedGraph, x, fvals=None, s=0.0):
@@ -524,19 +535,15 @@ def _junction(mat1: MaterializedGraph, fvals1: dict, s, greens):
     deep levels only enter through that first-return weight.  At depth 1
     that row holds only the backtrack to ~t<k>.r1, so one entry is set.
     """
-    states, T = _transfer_on(mat1, fvals1, s)
-    for t, tg in enumerate(greens):
-        e1, r1 = (states.index(tail_edge_id(t, 1, up)) for up in (True, False))
-        T[e1, r1] = tg.g(1)
-    return states, T
+    return _transfer_at(mat1, fvals1)(s, greens)
 
 
-def _junction_sr(mat1, fvals1, F, s):
-    """rho of the junction operator at s, or a bound on its side of 1."""
-    greens = _greens(mat1.core, F, s)
+def _junction_sr(junction, g, F, s):
+    """rho of the junction operator (``_transfer_at``) at s, or a bound on its side of 1."""
+    greens = _greens(g, F, s)
     if greens is None:
         return None
-    return spectral_radius(_junction(mat1, fvals1, s, greens)[1], versus=1.0)
+    return spectral_radius(junction(s, greens)[1], versus=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +552,8 @@ def _junction_sr(mat1, fvals1, F, s):
 
 @dataclass(frozen=True)
 class CriticalExponent:
-    """``mat`` is the junction graph all solves ran on (the bare core without tails)."""
+    """``mat`` is the junction graph all solves ran on (the bare core without tails);
+    ``iterate(_minus)``: the power iterate behind delta (delta_minus) when finite."""
 
     delta: float
     delta_minus: float
@@ -553,19 +561,22 @@ class CriticalExponent:
     s_tail: float | None
     mat: MaterializedGraph
     method: dict = field(default_factory=dict)
+    iterate: np.ndarray | None = field(default=None, repr=False, compare=False)
+    iterate_minus: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _critical_one(mat1, F):
-    """(delta, s_tail) of one potential on the junction graph ``mat1``; on a
-    finite quotient delta is the log of the spectral radius of T(0)."""
+    """(delta, s_tail, iterate) of one potential on the junction graph ``mat1``; on a
+    finite quotient delta is log rho(T(0)), and the iterate that of its power run."""
     g = mat1.core
     fvals1 = F.on(mat1)
     if not g.tails:
-        _, T = _transfer_on(mat1, fvals1, 0.0)
-        sr = spectral_radius(T)
+        _, T = _transfer_at(mat1, fvals1)(0.0)
+        sr, v = _power_run(T, None)
+        sr = spectral_radius(T) if sr is None else sr  # a hand-off takes the dense value
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
-        return math.log(sr), None
+        return math.log(sr), None, v
     s_tail = max(
         tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails)
     )
@@ -576,15 +587,16 @@ def _critical_one(mat1, F):
     # bisect from the same upper bracket
     fmax = max((abs(F.values.get(e, 0.0)) for e in g.edges), default=0.0)
     hi = math.log(imax + 1) + fmax + 2.0
+    junction = _transfer_at(mat1, fvals1)
     while True:
-        sr = _junction_sr(mat1, fvals1, F, hi)
+        sr = _junction_sr(junction, g, F, hi)
         if sr is not None and sr < 1.0:
             break
         hi += 2.0
         if hi > 300:
             raise DivergenceError("no upper bracket for the critical exponent")
     lo = (s_tail if math.isfinite(s_tail) else hi - 60.0) + 1e-9
-    sr_lo = _junction_sr(mat1, fvals1, F, lo)
+    sr_lo = _junction_sr(junction, g, F, lo)
     if sr_lo is None or sr_lo <= 1.0:
         raise DivergenceError(
             f"no weighted spectral gap: delta <= s_tail = {s_tail!r}",
@@ -593,14 +605,14 @@ def _critical_one(mat1, F):
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
-        sr_mid = _junction_sr(mat1, fvals1, F, mid)
+        sr_mid = _junction_sr(junction, g, F, mid)
         if sr_mid is None or sr_mid > 1.0:
             a = mid
         else:
             b = mid
         if b - a < 1e-14 * max(1.0, abs(b)):
             break
-    return 0.5 * (a + b), s_tail
+    return 0.5 * (a + b), s_tail, None
 
 
 def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalExponent:
@@ -612,13 +624,13 @@ def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalEx
     """
     F = F or Potential.zero(g)
     mat1 = materialize(g, 1 if g.tails else 0)
-    delta, s_tail = _critical_one(mat1, F)
+    delta, s_tail, iterate = solved = _critical_one(mat1, F)
     rev = F.reversed(g)
-    delta_minus = delta if rev == F else _critical_one(mat1, rev)[0]
+    delta_minus, _, iterate_minus = solved if rev == F else _critical_one(mat1, rev)
     if _is_zero(F):
         delta_zero = delta
     else:
-        delta_zero, _ = _critical_one(mat1, Potential.zero(g))
+        delta_zero = _critical_one(mat1, Potential.zero(g))[0]
     return CriticalExponent(
         delta=delta,
         delta_minus=delta_minus,
@@ -626,6 +638,8 @@ def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalEx
         s_tail=s_tail,
         mat=mat1,
         method={"solver": "junction-bisection" if g.tails else "power-iteration"},
+        iterate=iterate,
+        iterate_minus=iterate_minus,
     )
 
 
@@ -648,22 +662,28 @@ def _is_zero(F):
 _LSTSQ_MAX_STATES = 64
 
 
-def _positive_fixed_vector(T):
+def _positive_fixed_vector(T, iterate=None):
     """Positive u with T u = u, supported on states that reach the dominant class.
 
     On the dominant class u is the iterate of the power run that measured
     its spectral radius, normalized to sum 1, when the class has more than
     ``_LSTSQ_MAX_STATES`` states and the iterate passes ``perron_vector``'s
     gate (residual at most 1e-10, positive); otherwise it is
-    ``perron_vector`` of the class.
+    ``perron_vector`` of the class.  A given ``iterate`` passing the gate is u on an
+    irreducible T of more than ``_LSTSQ_MAX_STATES`` states, without a power run.
     """
     # perron_vector's residual gate: an exponent off by more is named by the
     # class's spectral radius instead of failing inside perron_vector
     tol = 1e-10
     n = T.shape[0]
     succ = from_matrix(T > 0.0)
+    comps = sccs(succ)
+    if iterate is not None and n > _LSTSQ_MAX_STATES and len(comps) == 1:
+        u = iterate / iterate.sum()
+        if _perron_defect(T, 1.0, u) is None:
+            return u
     dominant = []
-    for comp in sccs(succ):
+    for comp in comps:
         if not has_cycle(succ, comp):
             continue
         block = T[np.ix_(comp, comp)]
@@ -727,16 +747,16 @@ def _shadow_window(mat1: MaterializedGraph, depth):
     return materialize(g, depth)
 
 
-def _shadow(mat: MaterializedGraph, mat1: MaterializedGraph, F: Potential, fvals: dict, delta):
-    """``shadow_vector`` on the window ``mat`` with ``fvals = F.on(mat)`` and
-    the junction graph ``mat1``."""
+def _shadow(mat, mat1, F, fvals, delta, iterate=None):
+    """``shadow_vector`` on the window ``mat`` with ``fvals = F.on(mat)`` and the
+    junction graph ``mat1``; ``iterate`` as ``_positive_fixed_vector`` takes it."""
     g = mat.core
     base = g.base_vertex
     greens = _greens(g, F, delta)
     if greens is None:
         raise DivergenceError("tail resummation diverges at the given exponent")
-    jstates, A = _junction(mat1, F.on(mat1), delta, greens)
-    uj = _positive_fixed_vector(A)
+    jstates, A = _junction(mat1, fvals if mat is mat1 else F.on(mat1), delta, greens)
+    uj = _positive_fixed_vector(A, iterate)
     u = {e: 0.0 for e in mat.edges}
     for e, val in zip(jstates, uj):
         u[e] = float(val)
@@ -767,17 +787,12 @@ def shadow_residual(F, delta, u, mat):
     states of ``mat``; F = None is the zero potential."""
     F = F or Potential.zero(mat.core)
     fvals = F.on(mat)
-    states, arcs = mat.arcs()
-    worst = 0.0
-    for e, row in zip(states, arcs):
-        if not mat.is_interior(e):
-            continue
-        acc = 0.0
-        for j, m in row:
-            f = states[j]
-            acc += m * math.exp(fvals[f] - delta) * u[f]
-        worst = max(worst, abs(acc - u[e]))
-    return worst
+    states, src, dst, mult = mat.arc_arrays()
+    uv = np.array([u[e] for e in states])
+    w = np.array([math.exp(fvals[e] - delta) for e in states])
+    acc = row_sums(src, mult * w[dst] * uv[dst], len(states))
+    defects = np.abs(acc - uv).tolist()
+    return max([0.0] + [d for e, d in zip(states, defects) if mat.is_interior(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +848,13 @@ def compute_gibbs(
     mat1 = ce.mat
     mat = _shadow_window(mat1, depth)
     fvals = F.on(mat)
-    u_plus = _shadow(mat, mat1, F, fvals, ce.delta)
+    u_plus = _shadow(mat, mat1, F, fvals, ce.delta, ce.iterate)
     res_p = shadow_residual(F, ce.delta, u_plus, mat)
     rev = F.reversed(g)
     if rev == F:
         u_minus, res_m = u_plus, res_p
     else:
-        u_minus = _shadow(mat, mat1, rev, rev.on(mat), ce.delta)
+        u_minus = _shadow(mat, mat1, rev, rev.on(mat), ce.delta, ce.iterate_minus)
         res_m = shadow_residual(rev, ce.delta, u_minus, mat)
     record = {
         "convention": "unit boundary mass at base vertex",

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .digraph import has_cycle, period, reachable, sccs
 from .errors import ConfigError, GraphError, NoClosedGeodesicError, NonUnimodularError
 
@@ -313,6 +315,7 @@ class MaterializedGraph:
     edge_meta: dict
     _out: dict = field(repr=False, compare=False, default=None)
     _arcs: tuple = field(init=False, repr=False, compare=False, default=None)
+    _arc_arrays: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def out_edges(self, v):
         return self._out[v]
@@ -343,12 +346,29 @@ class MaterializedGraph:
             object.__setattr__(self, "_arcs", (states, arcs))
         return self._arcs
 
+    def arc_arrays(self):
+        """(states, src, dst, mult): ``arcs`` as integer arrays, one entry per
+        arc in row order, built once on first use."""
+        if self._arc_arrays is None:
+            states, arcs = self.arcs()
+            flat = [(i, j, m) for i, row in enumerate(arcs) for j, m in row]
+            src, dst, mult = np.array(flat, dtype=np.intp).reshape(-1, 3).T.copy()
+            object.__setattr__(self, "_arc_arrays", (states, src, dst, mult))
+        return self._arc_arrays
+
     def funnel_edge_ids(self):
         return self.core.funnel_edge_ids()
 
     def is_interior(self, e):
         meta = self.edge_meta[e]
         return meta[0] == "core" or meta[2] < self.depth
+
+
+def row_sums(rows, terms, n):
+    """Sums of ``terms`` by ``rows`` (of n), each left to right: np.add.at adds in order."""
+    acc = np.zeros(n)
+    np.add.at(acc, rows, terms)
+    return acc
 
 
 def materialize(g: IndexedGraph, depth: int) -> MaterializedGraph:

@@ -29,7 +29,7 @@ import numpy as np
 from .chain import MarkovChain
 from .gibbs import spectral_radius
 from .errors import NoGeometricDriftError
-from .graph import tail_edge_id
+from .graph import row_sums, tail_edge_id
 
 VALUE_CAP = 1e9
 
@@ -124,7 +124,7 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
     nz = np.nonzero(p_rows)
     t, checked = _read_weights(mc, cert, rows, nz)
     head = rows[:checked]
-    sums = _drift_sums(p_rows, nz, t)[:checked]
+    sums = row_sums(nz[0], p_rows[nz] * t[nz[1]], len(p_rows))[:checked]
     ratios = dict(zip([mc.states[i] for i in head], (sums / t[head]).tolist()))
     if checked < len(rows):
         s = mc.states[rows[checked]]
@@ -167,25 +167,6 @@ def _read_weights(mc, cert, rows, nz):
             read(j)
         start = end
     return t, len(rows)
-
-
-def _drift_sums(p_rows, nz, t):
-    """sum_j p_ij t_j for each row of ``p_rows``, with ``nz`` its
-    ``np.nonzero``.
-
-    Each row's nonzero terms are added left to right in column order, the
-    float sequence of a loop over the row's nonzeros; ``t`` is read only at
-    those columns.
-    """
-    r, c = nz
-    counts = np.bincount(r, minlength=len(p_rows))
-    slot = np.arange(len(c)) - (np.cumsum(counts) - counts)[r]
-    terms = np.zeros((int(counts.max(initial=0)), len(p_rows)))
-    terms[slot, r] = p_rows[r, c] * t[c]
-    acc = np.zeros(len(p_rows))
-    for column in terms:
-        acc += column
-    return acc
 
 
 def _symbolic_tail_check(mc, cert, tol):
@@ -528,7 +509,8 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
                 return None
             bumped = False
             w, _ = _read_weights(mc, cert, j_idx, j_nz)
-            for (t, _), ratio in zip(junctions, _drift_sums(j_rows, j_nz, w) / w[j_idx]):
+            sums = row_sums(j_nz[0], j_rows[j_nz] * w[j_nz[1]], len(j_rows))
+            for (t, _), ratio in zip(junctions, sums / w[j_idx]):
                 if ratio > rho:
                     forms[t] = forms[t].scaled(ratio / rho * (1.0 + 1e-9))
                     bumped = True

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from treegibbs.chain import (
     taboo_table,
 )
 from treegibbs.errors import TreeGibbsError
-from treegibbs.gibbs import _joint_period, compute_gibbs
+from treegibbs import fixtures as fx
+from treegibbs.gibbs import Potential, _joint_period, compute_gibbs
 from treegibbs.graph import length_spectrum_period, propagate_orders, tail_edge_id, validate_graph
 
 
@@ -368,3 +370,26 @@ def test_chain_and_mix_compute_no_unused_kernel_power(tmp_path, monkeypatch, com
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     # mix raises P to the period once, for second_eigenvalue_modulus
     assert len(calls) == powers
+
+
+@pytest.mark.parametrize(
+    "name", ["parallel_edges", "two_loops", "biregular_24", "cusp_22", "thick_ray_5", "cusp_24"]
+)
+def test_variational_principle(name):
+    # h + sum_e pi(e) F(e) = delta for the equilibrium state of F, with the
+    # entropy h = -sum pi(e) P(e, f) log(P(e, f) / m(e, f)) of the chain:
+    # P and pi against the exponent solve, by a route that does not telescope
+    g = fx.get(name)
+    rng = random.Random(7)
+    F = Potential({e: rng.uniform(-0.3, 0.3) for e in g.edges}, ())
+    gd = compute_gibbs(g, F, depth=90)
+    mc = build_chain(g, gd, propagate_orders(g))
+    pi = mc.pi / mc.pi.sum()
+    h = 0.0
+    mean_f = 0.0
+    for i, e in enumerate(mc.states):
+        mean_f += pi[i] * gd.fvals[e]
+        for j in np.nonzero(mc.p[i])[0]:
+            p = mc.p[i, j]
+            h -= pi[i] * p * math.log(p / mc.mat.multiplicity(e, mc.states[j]))
+    assert abs(h + mean_f - gd.delta) <= 1e-12

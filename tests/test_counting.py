@@ -752,3 +752,18 @@ def test_biregular_params_matches_the_depth_first_colouring_on_random_graphs():
     on_core()
     on_tailed()
     on_biregular_tailed()
+
+
+# counting at the funnel vertex f of funnel_loop: no non-funnel edge leaves
+# it, so there is nothing to count along, and a count there would read 0
+FUNNEL_BASE_CALLS = {
+    "renewal_constant": lambda g, orders: renewal_constant(g, orders, None, "f"),
+    "orbit_oracle": lambda g, orders: orbit_oracle(g, orders, None, "f", 4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FUNNEL_BASE_CALLS))
+def test_counting_at_a_funnel_vertex_is_a_graph_error(call):
+    g, orders, _, _ = pipeline("funnel_loop")
+    with pytest.raises(GraphError, match="vertex 'f' has no non-funnel out-edge"):
+        FUNNEL_BASE_CALLS[call](g, orders)

@@ -318,3 +318,33 @@ def test_continuations_are_walked_only_by_graph_and_cover():
     assert "graph" in callers
     assert callers <= _CONTINUATIONS_ALLOWED, sorted(callers - _CONTINUATIONS_ALLOWED)
 
+
+
+def test_arc_arrays_are_the_arcs_built_once():
+    for name in sorted(fx.FIXTURES):
+        mat = materialize(fx.get(name), 3)
+        states, src, dst, mult = mat.arc_arrays()
+        assert mat.arc_arrays() is mat.arc_arrays()
+        assert states is mat.arcs()[0]
+        flat = [(i, j, m) for i, row in enumerate(mat.arcs()[1]) for j, m in row]
+        assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat
+
+
+# (module, function) pairs of gibbs and chain that may read ``arcs()``: the
+# float operators read ``arc_arrays()``, and the structural support only
+# needs the integer successor lists
+_ARC_ROWS_ALLOWED = {("chain", "_structural_support")}
+
+
+def test_gibbs_and_chain_build_their_float_operators_from_the_arc_arrays():
+    readers = set()
+    for stem in ("gibbs", "chain"):
+        path = pathlib.Path(treegibbs.__file__).parent / f"{stem}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "arcs":
+                    readers.add((stem, fn.name))
+    assert readers <= _ARC_ROWS_ALLOWED, sorted(readers - _ARC_ROWS_ALLOWED)
