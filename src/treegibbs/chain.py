@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
+from .digraph import from_arcs, from_matrix, has_cycle, period, reachable, reverse, sccs
 from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
 from .gibbs import perron_vector
 from .graph import orders_on, tail_edge_id
@@ -201,9 +201,9 @@ def _state_sort_key(mat):
 
 def _structural_support(mat):
     """Edges lying on a bi-infinite geodesic: both e and rev(e) reach a cycle."""
-    states, arcs = mat.arcs()
+    states, src, dst, _ = mat.arc_arrays()
     pos = {e: i for i, e in enumerate(states)}
-    succ = [[j for j, _ in row] for row in arcs]
+    succ = from_arcs(src, dst, len(states))
     for e in states:
         meta = mat.edge_meta[e]
         if meta[0] == "tail" and meta[3] and meta[2] == mat.depth:

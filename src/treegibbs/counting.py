@@ -3,9 +3,9 @@
 The weighted counting function N_x(n) sums exp(potential integral) over the
 orbit points within distance n; combinatorially it is an order factor times a
 dynamic program over non-backtracking quotient paths from the base back to
-itself, stepping along ``MaterializedGraph.arcs``; one pass advances several
-start vectors (the full count and a cone's).  Its counting matrix is the
-transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).
+itself, stepping along ``MaterializedGraph.arc_arrays``; one pass advances
+several start vectors (the full count and a cone's).  Its counting matrix is
+the transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).
 
 The counting constant C* = lim N_x(2n) exp(-2 n delta) has one formula, the
 main term of Roblin's counting asymptotics in discrete time,
@@ -36,7 +36,7 @@ from .errors import (
     NormalizationMismatchError,
     ResourceLimitError,
 )
-from .digraph import period
+from .digraph import from_arcs, period
 from .gibbs import Potential, _transfer_at, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
@@ -182,11 +182,18 @@ def _dp_weights(mat, F, orders, base, n_max, guard):
     if len(mat.edges) * (n_max + 1) > guard:
         raise ResourceLimitError("counting DP exceeds the resource guard")
     fvals = None if _potential_is_zero(F) else F.on(mat)
-    entry = entry_weights(mat, base, fvals)
-    if not entry:  # a funnel vertex: every count there would read 0
-        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
+    entry = _entry_at(mat, base, fvals)
     order = orders_on(mat, orders).vertex(base)
     return fvals, order if fvals is None else float(order), entry
+
+
+def _entry_at(mat, x, fvals=None, s=0.0):
+    """``entry_weights`` at x; a GraphError at a funnel vertex, where every
+    count and boundary mass would read 0."""
+    entry = entry_weights(mat, x, fvals, s)
+    if not entry:
+        raise GraphError(f"vertex {x!r} has no non-funnel out-edge to count along")
+    return entry
 
 
 def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
@@ -201,9 +208,11 @@ def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
     arithmetic is exact.
     """
     exact = fvals is None
-    states, succ = mat.arcs()
-    if not exact:
-        succ = [[(j, m * math.exp(fvals[states[j]])) for j, m in row] for row in succ]
+    states, src, dst, mult = mat.arc_arrays()
+    ex = None if exact else [math.exp(fvals[e]) for e in states]
+    succ = [[] for _ in states]
+    for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist()):
+        succ[i].append((j, m) if exact else (j, m * ex[j]))
     pos = {e: i for i, e in enumerate(states)}
     at_base = [i for i, e in enumerate(states) if mat.term[e] == base]
     zero = 0 if exact else 0.0
@@ -259,7 +268,7 @@ def _path_multiplicities(mat, base, path):
 def nu_mass_at(gd, x):
     """Total boundary mass seen from x (1 at the normalization base vertex),
     read on the shadow window ``gd.mat``."""
-    return sum(w * gd.u_plus[e] for e, w in entry_weights(gd.mat, x, gd.fvals, gd.delta))
+    return sum(w * gd.u_plus[e] for e, w in _entry_at(gd.mat, x, gd.fvals, gd.delta))
 
 
 def shadow_measure(gd, base, edge_path, per_lift=False):
@@ -346,26 +355,31 @@ def _chi_psi(mat, states, base, fvals):
 def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> RenewalConstant:
     """C* = lim N_x(2n) exp(-2 n delta) for a finite quotient.
 
-    Perron decomposition of the counting matrix; with zero potential the
-    whole computation runs in rational arithmetic when it can (see
-    ``_renewal_exact``).  This is the independent route to C*; on a tailed
-    quotient C* is ``main_term``'s full constant.
+    Perron decomposition of the counting matrix T(0), one Perron value for
+    both routes; with zero potential the whole computation runs in rational
+    arithmetic when it can (see ``_renewal_exact``).  This is the
+    independent route to C*; on a tailed quotient it is ``main_term``'s.
     """
     if g.tails:
         raise GraphError("C* of a tailed quotient is main_term's full constant")
     F = F or Potential.zero(g)
     base = base or g.base_vertex
     mat = materialize(g, 0)
-    if not entry_weights(mat, base):
-        raise GraphError(f"vertex {base!r} has no non-funnel out-edge to count along")
+    _entry_at(mat, base)
     k = _window_period(mat)  # the counting period, main_term's k too
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
+    fvals = F.on(mat)
+    # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
+    states, M = _transfer_at(mat, fvals)(0.0)
+    lam = spectral_radius(M)
+    if lam <= 1.0:
+        raise NoPositiveSolutionError("counting growth rate at or below 1")
     if prefer_exact and _potential_is_zero(F):
-        res = _renewal_exact(mat, orders, base, k)
+        res = _renewal_exact(mat, orders, base, k, states, M, lam)
         if res is not None:
             return res
-    return _renewal_float(mat, orders, F, base, k)
+    return _renewal_float(mat, orders, fvals, base, k, states, M, lam)
 
 
 def _is_bipartite(g):
@@ -377,14 +391,8 @@ def _is_bipartite(g):
     return period(vertex_successors(g), 0)[0] % 2 == 0
 
 
-def _renewal_float(mat, orders, F, base, k):
-    fvals = F.on(mat)
-    # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
-    states, M = _transfer_at(mat, fvals)(0.0)
+def _renewal_float(mat, orders, fvals, base, k, states, M, lam):
     ext = orders_on(mat, orders)
-    lam = spectral_radius(M)
-    if lam <= 1.0:
-        raise NoPositiveSolutionError("counting growth rate at or below 1")
     chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, fvals))
     v = perron_vector(M, lam)
     w = perron_vector(M.T, lam)
@@ -393,7 +401,8 @@ def _renewal_float(mat, orders, F, base, k):
     c_minus = 0.0
     if k == 2:
         # BFS level parity splits a period-2 counting matrix's cyclic classes
-        levels = period([[j for j, _ in row] for row in mat.arcs()[1]], 0)[1]
+        _, src, dst, _ = mat.arc_arrays()
+        levels = period(from_arcs(src, dst, len(states)), 0)[1]
         sgn = np.array([-1.0 if levels.get(i, 0) % 2 else 1.0 for i in range(len(states))])
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
@@ -401,26 +410,26 @@ def _renewal_float(mat, orders, F, base, k):
     return RenewalConstant(value=cstar, period=k, method="perron-float")
 
 
-def _renewal_exact(mat, orders, base, k):
+def _renewal_exact(mat, orders, base, k, states, M, lam):
     """Rational-arithmetic Perron resummation at zero potential.
 
-    With k the counting period (1 or 2), closed paths at the base have
-    lengths jk, so N_x(2n) resums chi (M^k)^{j-1} M^{k-1} psi over j, whose
-    limit is the projection of M^{k-1} psi onto the eigenvalue mu = lambda^k
-    of M^k.  The guess for mu is the float Perron value to the k, rounded to
+    ``M`` is the counting matrix on ``states`` at zero potential, whose
+    entries m * exp(0) are the integers m exactly, and ``lam`` its float
+    Perron value.  With k the counting period (1 or 2), closed paths at the
+    base have lengths jk, so N_x(2n) resums chi (M^k)^{j-1} M^{k-1} psi over
+    j, whose limit is the projection of M^{k-1} psi onto the eigenvalue
+    mu = lambda^k of M^k.  The guess for mu is ``lam`` to the k, rounded to
     the nearest fraction with denominator at most 10^9.  The exact path runs
     only when mu is an integer: M^k has integer entries, so by the rational
     root theorem a non-integer rational mu is never one of its eigenvalues,
     M^k - mu I is nonsingular and there is nothing to resum, so None is
     returned before any rational elimination.
     """
-    states, arcs = mat.arcs()
-    n = len(states)
-    M = [[m.get(j, 0) for j in range(n)] for m in map(dict, arcs)]
-    Mf = np.array([[float(x) for x in row] for row in M])
-    mu = Fraction(spectral_radius(Mf) ** k).limit_denominator(10**9)
+    mu = Fraction(lam**k).limit_denominator(10**9)
     if mu.denominator != 1:
         return None
+    n = len(states)
+    M = [[int(x) for x in row] for row in M.tolist()]
     ext = orders_on(mat, orders)
     chi, psi = _chi_psi(mat, states, base, None)
     Mk = M

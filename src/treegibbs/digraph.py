@@ -13,14 +13,19 @@ import math
 import numpy as np
 
 
+def from_arcs(src, dst, n):
+    """Successor lists on n nodes of the arcs src[k] -> dst[k], given row by
+    row (``src`` ascending); each list keeps the order of its arcs."""
+    ends = np.searchsorted(src, np.arange(1, n + 1)).tolist()
+    dst = np.asarray(dst).tolist()
+    return [dst[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def from_matrix(adj):
     """Successor lists of the nonzero pattern of a square matrix, ascending."""
     adj = np.asarray(adj)
-    rows, cols = np.nonzero(adj)
     # np.nonzero walks the pattern row by row, columns ascending within a row
-    ends = np.searchsorted(rows, np.arange(1, adj.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip([0] + ends, ends)]
+    return from_arcs(*np.nonzero(adj), adj.shape[0])
 
 
 def reverse(succ):

@@ -208,16 +208,13 @@ def spectral_radius(T: np.ndarray, versus=None):
     rho) lies in each of them, so the full run would end on the same side.
     A bracket that never clears x runs to the full run's bits.
     """
-    rho, _ = _power_run(T, versus)
-    if rho is None:
-        return float(max(abs(np.linalg.eigvals(T))))
-    return rho
+    return _power_run(T, versus)[0]
 
 
 def _power_run(T: np.ndarray, versus):
     """The power loop of ``spectral_radius``: (rho, v).
 
-    ``rho`` is None when the loop hands off to dense eigenvalues.  ``v`` is
+    On a hand-off ``rho`` is the dense value, max |eigvals(T)|.  ``v`` is
     the iterate a full run converged on, 1-normalized, with
     ||A v - (rho + 1) v||_1 below 1e-10 ||A v||_1; it is None when the run
     ends otherwise (an early side, a zero iterate, an empty matrix, or the
@@ -266,7 +263,7 @@ def _power_run(T: np.ndarray, versus):
                 break
         v = w / nw
         prev = est
-    return None, None
+    return float(max(abs(np.linalg.eigvals(T)))), None
 
 
 def perron_vector(A: np.ndarray, lam: float):
@@ -573,7 +570,6 @@ def _critical_one(mat1, F):
     if not g.tails:
         _, T = _transfer_at(mat1, fvals1)(0.0)
         sr, v = _power_run(T, None)
-        sr = spectral_radius(T) if sr is None else sr  # a hand-off takes the dense value
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
         return math.log(sr), None, v
@@ -688,8 +684,6 @@ def _positive_fixed_vector(T, iterate=None):
             continue
         block = T[np.ix_(comp, comp)]
         sr, v = _power_run(block, None)
-        if sr is None:  # the loop handed off; spectral_radius takes the dense value
-            sr = spectral_radius(block)
         if abs(sr - 1.0) <= tol:
             dominant.append((comp, block, v))
         elif sr > 1.0 + tol:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import has_cycle, period, reachable, sccs
+from .digraph import from_arcs, has_cycle, period, reachable, sccs
 from .errors import ConfigError, GraphError, NoClosedGeodesicError, NonUnimodularError
 
 RESERVED_PREFIX = "~"
@@ -314,7 +314,6 @@ class MaterializedGraph:
     index: dict
     edge_meta: dict
     _out: dict = field(repr=False, compare=False, default=None)
-    _arcs: tuple = field(init=False, repr=False, compare=False, default=None)
     _arc_arrays: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def out_edges(self, v):
@@ -328,30 +327,21 @@ class MaterializedGraph:
         steps = ((f, edge_multiplicity(self, e, f)) for f in self._out[self.term[e]])
         return [(f, m) for f, m in steps if m > 0]
 
-    def arcs(self):
-        """(states, arcs): the non-backtracking operator's structure, built once.
+    def arc_arrays(self):
+        """(states, src, dst, mult): the non-backtracking operator's structure,
+        built once on first use.
 
-        ``states`` are the non-funnel edges in edge order; ``arcs[i]`` is the
-        tuple of (j, m(states[i], states[j])) over the non-funnel
-        continuations of states[i], j ascending (the order of
-        ``continuations``).
+        ``states`` are the non-funnel edges in edge order.  Each non-funnel
+        continuation f of states[i] is one arc: src i, dst the position of f
+        and mult m(states[i], f).  Arcs come row by row, ``dst`` ascending
+        within a row (the order of ``continuations``).
         """
-        if self._arcs is None:
+        if self._arc_arrays is None:
             funnel = self.funnel_edge_ids()
             states = tuple(e for e in self.edges if e not in funnel)
             pos = {e: i for i, e in enumerate(states)}
-            arcs = tuple(
-                tuple((pos[f], m) for f, m in self.continuations(e) if f in pos) for e in states
-            )
-            object.__setattr__(self, "_arcs", (states, arcs))
-        return self._arcs
-
-    def arc_arrays(self):
-        """(states, src, dst, mult): ``arcs`` as integer arrays, one entry per
-        arc in row order, built once on first use."""
-        if self._arc_arrays is None:
-            states, arcs = self.arcs()
-            flat = [(i, j, m) for i, row in enumerate(arcs) for j, m in row]
+            rows = (self.continuations(e) for e in states)
+            flat = [(i, pos[f], m) for i, row in enumerate(rows) for f, m in row if f in pos]
             src, dst, mult = np.array(flat, dtype=np.intp).reshape(-1, 3).T.copy()
             object.__setattr__(self, "_arc_arrays", (states, src, dst, mult))
         return self._arc_arrays
@@ -445,7 +435,8 @@ def length_spectrum_period(g: IndexedGraph) -> int:
 
 def _window_period(mat: MaterializedGraph) -> int:
     """``length_spectrum_period`` over the arcs of the window ``mat``."""
-    succ = [[j for j, _ in row] for row in mat.arcs()[1]]
+    states, src, dst, _ = mat.arc_arrays()
+    succ = from_arcs(src, dst, len(states))
     k = 0
     for comp in sccs(succ):
         if has_cycle(succ, comp):

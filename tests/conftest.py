@@ -42,6 +42,16 @@ def pipeline(name, depth=90):
     return _CACHE[key]
 
 
+def arc_rows(mat):
+    """(states, rows) walked from ``continuations``: the non-funnel edges of
+    ``mat`` in edge order, and per state the (j, m) of its non-funnel
+    continuations, j the position in ``states``."""
+    funnel = mat.funnel_edge_ids()
+    states = tuple(e for e in mat.edges if e not in funnel)
+    pos = {e: i for i, e in enumerate(states)}
+    return states, [[(pos[f], m) for f, m in mat.continuations(e) if f in pos] for e in states]
+
+
 def _load_by_path(name, relpath):
     """The module at ``relpath`` from the repository root, loaded by path."""
     path = pathlib.Path(__file__).parents[1] / relpath

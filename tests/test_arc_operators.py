@@ -1,9 +1,10 @@
 """The float operators built on ``MaterializedGraph.arc_arrays`` against the
-loops over ``arcs()`` rows they replace, bit for bit, and the exponent's
-power iterate as the shadow vector on a finite quotient.
+loops over arc rows they replace, bit for bit, and the exponent's power
+iterate as the shadow vector on a finite quotient.
 
 Each ``_reference_*`` is the loop that built the quantity before the arc
-arrays, kept verbatim (its arguments aside); ``float.hex`` compares bits.
+arrays, its arithmetic kept verbatim; it takes its rows from ``arc_rows``, a
+walk of ``continuations``.  ``float.hex`` compares bits.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import FINITE_FIXTURES, TAILED_FIXTURES, bench_core, potential_runs, tailed_graphs
+from conftest import FINITE_FIXTURES, TAILED_FIXTURES, arc_rows, bench_core, potential_runs, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs import gibbs
 from treegibbs.chain import build_chain, check_markov_property
@@ -31,7 +32,7 @@ from treegibbs.graph import materialize, propagate_orders, tail_edge_id
 
 
 def _reference_transfer_on(mat, fvals, s):
-    states, arcs = mat.arcs()
+    states, arcs = arc_rows(mat)
     T = np.zeros((len(states), len(states)))
     for i, row in enumerate(arcs):
         for j, m in row:
@@ -42,7 +43,7 @@ def _reference_transfer_on(mat, fvals, s):
 def _reference_shadow_residual(F, delta, u, mat):
     F = F or Potential.zero(mat.core)
     fvals = F.on(mat)
-    states, arcs = mat.arcs()
+    states, arcs = arc_rows(mat)
     worst = 0.0
     for e, row in zip(states, arcs):
         if not mat.is_interior(e):
@@ -58,7 +59,7 @@ def _reference_shadow_residual(F, delta, u, mat):
 def _reference_p(gd, states):
     """``build_chain``'s kernel on the chain states ``states``."""
     mat = gd.mat
-    arc_states, arcs = mat.arcs()
+    arc_states, arcs = arc_rows(mat)
     delta = gd.delta
     fvals = gd.fvals
     up = gd.u_plus
@@ -129,7 +130,7 @@ def _assert_bits(g, F, depth=90):
         _, T = _junction(mat1, fvals1, probe, greens)
         _, R = _reference_transfer_on(mat1, fvals1, probe)
         for t, tg in enumerate(greens):
-            e1, r1 = (mat1.arcs()[0].index(tail_edge_id(t, 1, up)) for up in (True, False))
+            e1, r1 = (arc_rows(mat1)[0].index(tail_edge_id(t, 1, up)) for up in (True, False))
             R[e1, r1] = tg.g(1)
         assert _hex(T) == _hex(R)
     if gd is None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, pipeline, tailed_graphs
+from conftest import FINITE_FIXTURES, PIPELINE_FIXTURES, arc_rows, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
 from treegibbs.counting import (
     BiregularParams,
@@ -244,7 +244,7 @@ def test_one_counting_period_for_both_constants(drawn):
         orders = propagate_orders(core)
     except TreeGibbsError:
         return
-    states, arcs = materialize(core, 0).arcs()
+    states, arcs = arc_rows(materialize(core, 0))
     if not states or len(sccs([[j for j, _ in row] for row in arcs])) != 1:
         return
     M = np.zeros((len(states), len(states)))
@@ -382,6 +382,8 @@ BAD_BASE_CALLS = {
     "orbit_oracle": lambda g, orders, gd, mc: orbit_oracle(g, orders, None, "nope", 4),
     "renewal_constant": lambda g, orders, gd, mc: renewal_constant(g, orders, None, "nope"),
     "nu_mass_at": lambda g, orders, gd, mc: nu_mass_at(gd, "nope"),
+    "nu_mass_at-funnel": lambda g, orders, gd, mc: nu_mass_at(gd, "f"),
+    "shadow_measure-funnel": lambda g, orders, gd, mc: shadow_measure(gd, "f", []),
     "error_decay_report": lambda g, orders, gd, mc: error_decay_report(
         g, orders, None, gd, mc.m_mass, None, 5, 10, base="nope"
     ),
@@ -399,6 +401,8 @@ BAD_BASE_CALLS = {
         ("nu_mass_at", "vertex 'nope' is not in the graph"),
         ("error_decay_report", "vertex 'nope' is not in the graph"),
         ("error_decay_report-funnel", "vertex 'f' has no non-funnel out-edge"),
+        ("nu_mass_at-funnel", "vertex 'f' has no non-funnel out-edge"),
+        ("shadow_measure-funnel", "vertex 'f' has no non-funnel out-edge"),
     ],
 )
 def test_a_bad_base_vertex_is_a_graph_error(call, message):
@@ -498,11 +502,15 @@ CORE_4_3 = {
 
 def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkeypatch):
     import treegibbs.counting as counting
+    from treegibbs.gibbs import _transfer_at, spectral_radius
 
     g = graph_from_dict(CORE_4_3)
     orders = propagate_orders(g)
+    mat = materialize(g, 0)
+    fvals = Potential.zero(g).on(mat)
+    states, M = _transfer_at(mat, fvals)(0.0)
     want = counting._renewal_float(
-        materialize(g, 0), orders, Potential.zero(g), g.base_vertex, length_spectrum_period(g)
+        mat, orders, fvals, g.base_vertex, length_spectrum_period(g), states, M, spectral_radius(M)
     )
 
     def forbidden(A):
@@ -512,6 +520,37 @@ def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkey
     got = renewal_constant(g, orders)
     assert got.method == "perron-float"
     assert got == want
+
+
+@pytest.mark.parametrize("name, method", [("CORE_4_3", "perron-float"), ("single_edge_3", "perron-exact")])
+def test_renewal_runs_one_perron_value_on_either_route(monkeypatch, name, method):
+    import treegibbs.counting as counting
+
+    calls = []
+    radius = counting.spectral_radius
+
+    def counted(T):
+        calls.append(T.shape[0])
+        return radius(T)
+
+    monkeypatch.setattr(counting, "spectral_radius", counted)
+    g = graph_from_dict(CORE_4_3) if name == "CORE_4_3" else fx.get(name)
+    assert renewal_constant(g, propagate_orders(g)).method == method
+    assert len(calls) == 1
+
+
+def test_renewal_on_a_line_cover_is_no_positive_solution():
+    # two geometric edges between a and b, all indices 1: the cover is a
+    # line, a valid core whose counting growth rate is exactly 1
+    from treegibbs.errors import NoPositiveSolutionError
+    from treegibbs.graph import validate_graph
+
+    g = graph_from_dict(
+        {"vertices": ["a", "b"], "edges": _core_edges([("a", "b"), ("a", "b")]), "tails": [], "funnels": []}
+    )
+    assert validate_graph(g).ok
+    with pytest.raises(NoPositiveSolutionError, match="at or below 1"):
+        renewal_constant(g, propagate_orders(g))
 
 
 @pytest.mark.parametrize(

@@ -287,17 +287,20 @@ def test_digraph_walks_match_the_hand_written_ones(g):
         assert _is_bipartite(g) == _reference_is_bipartite(g)
 
 
-def test_arcs_are_the_nonfunnel_continuations_built_once():
+def test_arc_arrays_are_the_nonfunnel_continuations_built_once():
     for name in sorted(fx.FIXTURES):
         mat = materialize(fx.get(name), 3)
         funnel = mat.funnel_edge_ids()
-        states, arcs = mat.arcs()
+        states, src, dst, mult = mat.arc_arrays()
         assert states == tuple(e for e in mat.edges if e not in funnel)
-        for e, row in zip(states, arcs):
+        arcs = list(zip(src.tolist(), dst.tolist(), mult.tolist()))
+        assert [i for i, _, _ in arcs] == sorted(i for i, _, _ in arcs)
+        for i, e in enumerate(states):
+            row = [(j, m) for s, j, m in arcs if s == i]
             want = [(f, m) for f, m in mat.continuations(e) if f not in funnel]
             assert [(states[j], m) for j, m in row] == want
             assert [j for j, _ in row] == sorted(j for j, _ in row)
-        assert mat.arcs() is mat.arcs()
+        assert mat.arc_arrays() is mat.arc_arrays()
 
 
 # modules that walk continuations themselves: graph builds the arcs, and the
@@ -305,46 +308,26 @@ def test_arcs_are_the_nonfunnel_continuations_built_once():
 _CONTINUATIONS_ALLOWED = {"graph", "cover"}
 
 
-def test_continuations_are_walked_only_by_graph_and_cover():
+def _callers(name):
+    """Stems of the package modules that call a function or method ``name``."""
     callers = set()
     for path in sorted(pathlib.Path(treegibbs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name == "continuations":
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
                     callers.add(path.stem)
+    return callers
+
+
+def test_continuations_are_walked_only_by_graph_and_cover():
+    callers = _callers("continuations")
     assert "graph" in callers
     assert callers <= _CONTINUATIONS_ALLOWED, sorted(callers - _CONTINUATIONS_ALLOWED)
 
 
-
-def test_arc_arrays_are_the_arcs_built_once():
-    for name in sorted(fx.FIXTURES):
-        mat = materialize(fx.get(name), 3)
-        states, src, dst, mult = mat.arc_arrays()
-        assert mat.arc_arrays() is mat.arc_arrays()
-        assert states is mat.arcs()[0]
-        flat = [(i, j, m) for i, row in enumerate(mat.arcs()[1]) for j, m in row]
-        assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat
-
-
-# (module, function) pairs of gibbs and chain that may read ``arcs()``: the
-# float operators read ``arc_arrays()``, and the structural support only
-# needs the integer successor lists
-_ARC_ROWS_ALLOWED = {("chain", "_structural_support")}
-
-
-def test_gibbs_and_chain_build_their_float_operators_from_the_arc_arrays():
-    readers = set()
-    for stem in ("gibbs", "chain"):
-        path = pathlib.Path(treegibbs.__file__).parent / f"{stem}.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "arcs":
-                    readers.add((stem, fn.name))
-    assert readers <= _ARC_ROWS_ALLOWED, sorted(readers - _ARC_ROWS_ALLOWED)
+def test_the_package_has_no_arcs_call():
+    # ``arc_arrays`` is the one arc structure: no tuple rows beside it
+    assert "graph" in _callers("arc_arrays")
+    assert not _callers("arcs")

@@ -175,12 +175,45 @@ def test_spectral_radius_versus_one_on_a_stochastic_matrix_is_the_full_run():
         assert spectral_radius(P, versus=1.0).hex() == sr.hex()
 
 
+def test_a_hand_off_runs_the_power_loop_once(monkeypatch):
+    from treegibbs import gibbs
+    from treegibbs.fixtures import get
+    from treegibbs.gibbs import Potential
+    from treegibbs.graph import materialize
+
+    calls = []
+    run = gibbs._power_run
+
+    def counted(T, versus):
+        calls.append(T.shape[0])
+        return run(T, versus)
+
+    monkeypatch.setattr(gibbs, "_power_run", counted)
+    # a Jordan block hands off: the loop returns the dense value itself
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert run(J, None) == (float(max(abs(np.linalg.eigvals(J)))), None)
+    assert spectral_radius(J) == 1.0 and calls == [2]
+    # a column-stochastic block contracting at 1 - 3e-7 per step hands off
+    # too; the shadow's class solve and the exponent take the loop's value
+    eps = 1e-7
+    B = np.array([[1.0 - eps, 2.0 * eps], [eps, 1.0 - 2.0 * eps]])
+    calls.clear()
+    u = gibbs._positive_fixed_vector(B)
+    assert calls == [2] and np.abs(B @ u - u).max() <= 1e-12
+    g = get("single_edge_3")
+    monkeypatch.setattr(gibbs, "_transfer_at", lambda mat, fvals: lambda s: ((), B))
+    calls.clear()
+    assert gibbs._critical_one(materialize(g, 0), Potential.zero(g)) == (0.0, None, None)
+    assert calls == [2]
+
+
 # the only functions of the package that may call a dense eigen- or
-# least-squares solver: the two Perron routines, the QBD characteristic
-# matrix (defective at a cusp's minimiser) and the second eigenvalue of a
-# chain window, which is not a Perron quantity
+# least-squares solver: the Perron kernel (the power loop's hand-off and
+# perron_vector), the QBD characteristic matrix (defective at a cusp's
+# minimiser) and the second eigenvalue of a chain window, which is not a
+# Perron quantity
 _DENSE_SOLVES_ALLOWED = {
-    ("gibbs", "spectral_radius"),
+    ("gibbs", "_power_run"),
     ("gibbs", "perron_vector"),
     ("wsg", "_perron"),
     ("chain", "second_eigenvalue_modulus"),
@@ -206,5 +239,5 @@ def test_no_dense_perron_solve_outside_the_kernel():
     for path in sorted(pathlib.Path(treegibbs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         sites |= set(_dense_solve_sites(path.stem, tree))
-    assert ("gibbs", "spectral_radius") in sites
+    assert ("gibbs", "_power_run") in sites
     assert sites <= _DENSE_SOLVES_ALLOWED, sorted(sites - _DENSE_SOLVES_ALLOWED)
