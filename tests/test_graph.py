@@ -219,7 +219,7 @@ def test_graph_json_roundtrip():
 # -- randomized structural invariants ---------------------------------------
 
 
-from conftest import small_graphs
+from conftest import arc_rows, small_graphs
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,20 +287,33 @@ def test_digraph_walks_match_the_hand_written_ones(g):
         assert _is_bipartite(g) == _reference_is_bipartite(g)
 
 
-def test_arc_arrays_are_the_nonfunnel_continuations_built_once():
+def test_arcs_are_the_nonfunnel_continuations_built_once():
     for name in sorted(fx.FIXTURES):
         mat = materialize(fx.get(name), 3)
         funnel = mat.funnel_edge_ids()
         states, src, dst, mult = mat.arc_arrays()
         assert states == tuple(e for e in mat.edges if e not in funnel)
         arcs = list(zip(src.tolist(), dst.tolist(), mult.tolist()))
-        assert [i for i, _, _ in arcs] == sorted(i for i, _, _ in arcs)
         for i, e in enumerate(states):
             row = [(j, m) for s, j, m in arcs if s == i]
             want = [(f, m) for f, m in mat.continuations(e) if f not in funnel]
             assert [(states[j], m) for j, m in row] == want
             assert [j for j, _ in row] == sorted(j for j, _ in row)
         assert mat.arc_arrays() is mat.arc_arrays()
+
+
+def test_arc_arrays_are_the_arcs_built_once():
+    # the arrays are the flat arc list, row by row, of a walk of continuations
+    for name in sorted(fx.FIXTURES):
+        mat = materialize(fx.get(name), 3)
+        states, src, dst, mult = mat.arc_arrays()
+        assert mat.arc_arrays() is mat.arc_arrays()
+        assert mat.arc_arrays()[0] is states
+        want_states, rows = arc_rows(mat)
+        assert states == want_states
+        flat = [(i, j, m) for i, row in enumerate(rows) for j, m in row]
+        assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat
+        assert src.tolist() == sorted(src.tolist())
 
 
 # modules that walk continuations themselves: graph builds the arcs, and the
