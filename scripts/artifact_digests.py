@@ -2,7 +2,8 @@
 
 Runs analyze, chain, wsg, mix and count on every config under fixtures/,
 plus probe with its default settings, then the same five commands on a few
-tailed fixtures with a tail potential (``POTENTIAL_RUNS``).  It prints one
+tailed fixtures with a tail potential (``POTENTIAL_RUNS``) and on two
+fixtures with a core-edge potential (``EDGE_POTENTIAL_RUNS``).  It prints one
 ``exit <code>  <run>`` line per run followed by one ``<sha256>  <run>/<file>``
 line per artifact, where ``<run>`` is ``<command>_<fixture>`` (or ``probe``,
 or ``<command>_<fixture>+<potential>``).  Then it prints one
@@ -43,6 +44,22 @@ POTENTIAL_RUNS = (
     ("thick_ray_5", "period2", {"period": [[0.1, -0.05], [-0.2, 0.03]]}),
 )
 
+# (fixture, name, edge values): core-edge potentials that differ from their
+# reversal, so the reversed and zero-potential solves, the float counting DP
+# and the float renewal constant run on a finite quotient too
+EDGE_POTENTIAL_RUNS = (
+    ("parallel_edges", "edges", {"e1": 0.3, "e1bar": -0.1, "e2": 0.2}),
+    ("cusp_22", "edges", {"c": 0.2, "cbar": 0.05}),
+)
+
+
+def _potentials():
+    """(fixture, name, potential config) of every potential run."""
+    for name, pot, tail_values in POTENTIAL_RUNS:
+        yield name, pot, {"tail_values": [dict(tail_index=0, **tail_values)]}
+    for name, pot, edges in EDGE_POTENTIAL_RUNS:
+        yield name, pot, {"edges": edges}
+
 
 def _runs():
     names = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR) if f.endswith(".json"))
@@ -50,20 +67,21 @@ def _runs():
         for name in names:
             yield f"{cmd}_{name}", cmd, {"graph": f"graphs/{name}.json"}
     yield "probe", "probe", {}
-    for cmd in GRAPH_COMMANDS:
-        for name, pot, _ in POTENTIAL_RUNS:
-            config = {"graph": f"graphs/{name}.json", "potential": f"potentials/{name}+{pot}.json"}
-            yield f"{cmd}_{name}+{pot}", cmd, config
+    for runs in (POTENTIAL_RUNS, EDGE_POTENTIAL_RUNS):
+        for cmd in GRAPH_COMMANDS:
+            for name, pot, _ in runs:
+                config = {"graph": f"graphs/{name}.json", "potential": f"potentials/{name}+{pot}.json"}
+                yield f"{cmd}_{name}+{pot}", cmd, config
 
 
 def digest_lines(work):
     """Run every command on every fixture under ``work``; yield the output lines."""
     shutil.copytree(FIXTURE_DIR, os.path.join(work, "graphs"))
     os.makedirs(os.path.join(work, "potentials"))
-    for name, pot, tail_values in POTENTIAL_RUNS:
+    for name, pot, potential in _potentials():
         path = os.path.join(work, "potentials", f"{name}+{pot}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"tail_values": [dict(tail_index=0, **tail_values)]}, fh)
+            json.dump(potential, fh)
     for run, cmd, config in _runs():
         cfg = os.path.join(work, f"{run}.json")
         with open(cfg, "w", encoding="utf-8") as fh:

@@ -3,7 +3,9 @@
 States are the quotient oriented edges carrying positive cylinder mass.
 Transitions p_ij = m(s_i, s_j) exp(F(s_j) - delta) u+(s_j) / u+(s_i) and the
 stationary weights pi_j proportional to u-(rev s_j) u+(s_j) exp(F(s_j) - delta)
-divided by the edge order.  The states live on the shadow window
+divided by the edge order, both weighted by the operator ``GibbsData.op`` at
+delta (``check_markov_property``'s cylinder check computes its own exp, to stay
+independent).  The states live on the shadow window
 ``GibbsData.mat``, the tails unrolled to the shadow depth; their
 transition probabilities are periodic from the tail's joint period on (the
 first level and the length ``compute_gibbs`` records per tail in
@@ -124,12 +126,12 @@ def build_chain(g, gd, orders):
     shadow window ``gd.mat`` (which becomes ``mat`` of the chain).  ``g`` is
     unused, kept for the callers' positional signature: the window carries
     its graph as ``gd.mat.core``."""
-    mat = gd.mat
+    op, mat = gd.op, gd.mat
     depth = mat.depth
     ext = orders_on(mat, orders)
-    arc_states, src, dst, mult = mat.arc_arrays()
+    arc_states = op.states
     up, um = gd.u_plus, gd.u_minus
-    w = np.array([math.exp(gd.fvals[e] - gd.delta) for e in arc_states])
+    w, arc_w = op.weights(gd.delta)
 
     support = _structural_support(mat)
     lam = {}
@@ -144,10 +146,10 @@ def build_chain(g, gd, orders):
     states = tuple(sorted(lam, key=_state_sort_key(mat)))
     pos = {s: i for i, s in enumerate(states)}
     n = len(states)
-    ci, cj, a, b, m = _chain_arcs(mat, pos)
+    ci, cj, k = _chain_arcs(mat, pos)
     upv = np.array([up[e] for e in arc_states])
     P = np.zeros((n, n))
-    P[ci, cj] = m * w[b] * upv[b] / upv[a]
+    P[ci, cj] = arc_w[k] * upv[op.dst[k]] / upv[op.src[k]]
     lamvec = np.array([lam[s] for s in states])
     remainder = _tail_mass_beyond(mat, lam, gd.tail_periods)
     m_mass = float(lamvec.sum() + remainder)
@@ -182,11 +184,11 @@ def build_chain(g, gd, orders):
 
 
 def _chain_arcs(mat, pos):
-    """(i, j, src, dst, mult) per arc of ``mat`` between chain states, i, j their ``pos``."""
-    arc_states, src, dst, mult = mat.arc_arrays()
+    """(i, j, k) over the arcs k of ``mat`` between chain states, i, j their ``pos``."""
+    arc_states, src, dst, _ = mat.arc_arrays()
     cpos = np.array([pos.get(e, -1) for e in arc_states], dtype=np.intp)
     k = np.flatnonzero((cpos[src] >= 0) & (cpos[dst] >= 0))
-    return cpos[src[k]], cpos[dst[k]], src[k], dst[k], mult[k]
+    return cpos[src[k]], cpos[dst[k]], k
 
 
 def _state_sort_key(mat):
@@ -296,9 +298,9 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     mat = mc.mat
     if mc.orders is not None and gd is not None and mat is not None:
         # direct two-edge cylinder mass vs pi_i p_ij over the nonzeros of P in interior rows
-        i, j, _, _, m = _chain_arcs(mat, mc._pos)
+        i, j, arc = _chain_arcs(mat, mc._pos)
         k = np.flatnonzero((P[i, j] != 0.0) & inter[i])
-        i, j, m = i[k], j[k], m[k]
+        i, j, m = i[k], j[k], mat.arc_arrays()[3][arc[k]]
         f = np.array([gd.fvals[s] for s in mc.states])
         um = np.array([gd.u_minus[mat.rev[s]] for s in mc.states])
         up = np.array([gd.u_plus[s] for s in mc.states])

@@ -5,7 +5,8 @@ orbit points within distance n; combinatorially it is an order factor times a
 dynamic program over non-backtracking quotient paths from the base back to
 itself, stepping along ``MaterializedGraph.arc_arrays``; one pass advances
 several start vectors (the full count and a cone's).  Its counting matrix is
-the transfer operator of ``gibbs`` at s = 0, m(e, f) exp(F(f)).
+the ``gibbs.TransferOperator`` at s = 0, m(e, f) exp(F(f)), whose weights
+the DP reads under a potential (at zero potential it steps by integers).
 
 The counting constant C* = lim N_x(2n) exp(-2 n delta) has one formula, the
 main term of Roblin's counting asymptotics in discrete time,
@@ -37,7 +38,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .digraph import from_arcs, period
-from .gibbs import Potential, _transfer_at, entry_weights, perron_vector, spectral_radius
+from .gibbs import Potential, TransferOperator, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
 
@@ -150,8 +151,8 @@ def orbit_oracle(
     directions); funnel edges never lead back, so a path into one is refused.
     """
     mat = materialize(g, n_max + 1 if g.tails else 0)
-    fvals, order_base, entry = _dp_weights(mat, F, orders, base, n_max, guard)
-    exact = fvals is None
+    op, order_base, entry = _dp_weights(mat, F, orders, base, n_max, guard, None)
+    exact = op is None
     if first_edge_constraint:
         path = list(first_edge_constraint)
         steps = _path_multiplicities(mat, base, path)
@@ -162,29 +163,30 @@ def orbit_oracle(
             raise ValueError("constraint longer than the horizon")
         w = mat.index[mat.rev[path[0]]]
         if not exact:
-            w = w * math.exp(fvals[path[0]])
+            w = w * math.exp(op.fvals[path[0]])
         for b, m in zip(path[1:], steps):
-            w = w * m if exact else w * m * math.exp(fvals[b])
+            w = w * m if exact else w * m * math.exp(op.fvals[b])
         starts, start_len = [[(path[-1], w)]], len(path)
     else:
         starts, start_len = [entry], 1
-    (per,) = _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max)
+    (per,) = _orbit_dp(mat, op, base, order_base, starts, start_len, n_max)
     if include_identity:
         per[0] = order_base
     return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
 
 
-def _dp_weights(mat, F, orders, base, n_max, guard):
-    """(fvals, order, entry weights) at ``base`` of the counting DP to
-    ``n_max`` on the window ``mat``: F on it and the order as a float, or
-    None and the exact order at zero potential (the exact mode)."""
+def _dp_weights(mat, F, orders, base, n_max, guard, known):
+    """(operator, order, entry weights) at ``base`` of the counting DP to ``n_max``
+    on the window ``mat``: F's operator there (``known`` when it is) and the order
+    as a float, or None and the exact order at zero potential (the exact mode)."""
     F = F or Potential.zero(mat.core)
     if len(mat.edges) * (n_max + 1) > guard:
         raise ResourceLimitError("counting DP exceeds the resource guard")
-    fvals = None if _potential_is_zero(F) else F.on(mat)
-    entry = _entry_at(mat, base, fvals)
+    reuse = known is not None and known.mat is mat and known.F == F
+    op = None if _potential_is_zero(F) else known if reuse else TransferOperator(mat, F)
+    entry = _entry_at(mat, base, None if op is None else op.fvals)
     order = orders_on(mat, orders).vertex(base)
-    return fvals, order if fvals is None else float(order), entry
+    return op, order if op is None else float(order), entry
 
 
 def _entry_at(mat, x, fvals=None, s=0.0):
@@ -196,7 +198,7 @@ def _entry_at(mat, x, fvals=None, s=0.0):
     return entry
 
 
-def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
+def _orbit_dp(mat, op, base, order_base, starts, start_len, n_max):
     """Per-distance orbit counts at ``base`` for several start vectors.
 
     Each start lists (state, weight of the paths of length ``start_len``
@@ -204,15 +206,15 @@ def _orbit_dp(mat, fvals, base, order_base, starts, start_len, n_max):
     weights, and advance together one step at a time; each gets the
     operations, in the order, of a DP run on it alone.  Entry n of a list is
     ``order_base`` times the weight of the paths of length n that end at
-    ``base``; entries below ``start_len`` are zero.  Without ``fvals`` the
-    arithmetic is exact.
+    ``base``; an arc weighs its multiplicity, exact, without the transfer
+    operator ``op`` and its weight at s = 0 with it.
     """
-    exact = fvals is None
+    exact = op is None
     states, src, dst, mult = mat.arc_arrays()
-    ex = None if exact else [math.exp(fvals[e]) for e in states]
+    weight = mult if exact else op.weights(0.0)[1]
     succ = [[] for _ in states]
-    for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist()):
-        succ[i].append((j, m) if exact else (j, m * ex[j]))
+    for i, j, m in zip(src.tolist(), dst.tolist(), weight.tolist()):
+        succ[i].append((j, m))
     pos = {e: i for i, e in enumerate(states)}
     at_base = [i for i, e in enumerate(states) if mat.term[e] == base]
     zero = 0 if exact else 0.0
@@ -369,17 +371,17 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
     k = _window_period(mat)  # the counting period, main_term's k too
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
-    fvals = F.on(mat)
+    op = TransferOperator(mat, F)
     # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
-    states, M = _transfer_at(mat, fvals)(0.0)
+    M = op.matrix(0.0)
     lam = spectral_radius(M)
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
     if prefer_exact and _potential_is_zero(F):
-        res = _renewal_exact(mat, orders, base, k, states, M, lam)
+        res = _renewal_exact(mat, orders, base, k, op.states, M, lam)
         if res is not None:
             return res
-    return _renewal_float(mat, orders, fvals, base, k, states, M, lam)
+    return _renewal_float(op, orders, base, k, M, lam)
 
 
 def _is_bipartite(g):
@@ -391,9 +393,10 @@ def _is_bipartite(g):
     return period(vertex_successors(g), 0)[0] % 2 == 0
 
 
-def _renewal_float(mat, orders, fvals, base, k, states, M, lam):
+def _renewal_float(op, orders, base, k, M, lam):
+    mat, states = op.mat, op.states
     ext = orders_on(mat, orders)
-    chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, fvals))
+    chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, op.fvals))
     v = perron_vector(M, lam)
     w = perron_vector(M.T, lam)
     denom = float(w @ v)
@@ -401,8 +404,7 @@ def _renewal_float(mat, orders, fvals, base, k, states, M, lam):
     c_minus = 0.0
     if k == 2:
         # BFS level parity splits a period-2 counting matrix's cyclic classes
-        _, src, dst, _ = mat.arc_arrays()
-        levels = period(from_arcs(src, dst, len(states)), 0)[1]
+        levels = period(from_arcs(op.src, op.dst, len(states)), 0)[1]
         sgn = np.array([-1.0 if levels.get(i, 0) % 2 else 1.0 for i in range(len(states))])
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
@@ -560,11 +562,11 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     # ``params`` is unused; it keeps the positional signature that the bench
     # harness calls with biregular_params(g)
     base = base or g.base_vertex
-    # a finite quotient counts on the bare core the shadow solve unrolled
+    # a finite quotient counts on the bare core the shadow solve unrolled, with its operator
     mat = materialize(g, 2 * n_hi + 1) if g.tails else gd.mat
-    fvals, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, _DP_GUARD)
+    op, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, _DP_GUARD, gd.op)
     cone_edge = entry[0][0]
-    full, cone = _orbit_dp(mat, fvals, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
+    full, cone = _orbit_dp(mat, op, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
     full[0] = order_base  # the identity
     series = list(accumulate(full))
     cone_series = list(accumulate(cone))
@@ -581,7 +583,7 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     if rc is None:
         rc = RenewalConstant(value=full_c, period=k, method="main-term")
     delta = gd.delta
-    if rc.exact is not None and rc.growth_sq is not None and fvals is None:
+    if rc.exact is not None and rc.growth_sq is not None and op is None:
         resid = [float(series[2 * n] - rc.exact * rc.growth_sq**n) for n in ns]
         scales = [0.0] * len(ns)
     else:

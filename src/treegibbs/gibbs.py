@@ -1,20 +1,21 @@
 """Thermodynamic layer: potentials, critical exponents, shadow vectors.
 
 The weighted non-backtracking transfer operator T(s)[e, f] = m(e, f) exp(F(f) - s)
-drives everything here; it is built on ``MaterializedGraph.arc_arrays``.  For a
-finite quotient the critical exponent is the log of its spectral radius.  Ray
-tails are resummed through first-return Green values g_n(s): the total weight
-of excursions that enter a ray at level n and first come back down, a minimal
-fixed point of one Moebius map per level.  The junction operator is T(s) on
-the first tail level with each entry row resummed into g_1.  The shadow
-vector u(e) (boundary mass of the set of directions through e, seen from the
-head of e) is the positive fixed vector of the junction operator at delta; on
-tails it is recovered level by level from the identity
-u(e_n) = g_n * u(rev(e_n)), which keeps the decaying solution branch without
-any unstable subtraction.  ``critical_exponent`` unrolls the junction graph
-once for all its solves (``CriticalExponent.mat``); ``compute_gibbs`` reads it
-there and hands the shadow window on as ``GibbsData.mat``, the graph the
-shadow dicts are keyed on (the junction graph itself without tails).
+drives everything here; ``TransferOperator`` builds it once per window and
+potential on ``MaterializedGraph.arc_arrays``.  For a finite quotient the
+critical exponent is the log of its spectral radius.  Ray tails are resummed
+through first-return Green values g_n(s): the total weight of excursions that
+enter a ray at level n and first come back down, a minimal fixed point of one
+Moebius map per level.  The junction operator is T(s) on the first tail level
+with each entry row resummed into g_1.  The shadow vector u(e) (boundary mass
+of the set of directions through e, seen from the head of e) is the positive
+fixed vector of the junction operator at delta; on tails it is recovered
+level by level from the identity u(e_n) = g_n * u(rev(e_n)), which keeps the
+decaying solution branch without any unstable subtraction.
+``critical_exponent`` unrolls the junction graph once, with one operator per
+potential it solves (``CriticalExponent.op``); ``compute_gibbs`` hands the
+shadow window's forward operator on as ``GibbsData.op``, whose graph
+``GibbsData.mat`` (the junction graph itself without tails) keys the shadows.
 
 Orientation convention: every function here computes the forward quantity
 for the potential it is given.  The backward quantities (``delta_minus``,
@@ -301,7 +302,44 @@ def _perron_defect(A, lam, v):
 
 
 # ---------------------------------------------------------------------------
-# transfer matrices
+# transfer operator
+
+
+class TransferOperator:
+    """T(s)[e, f] = m(e, f) exp(F(f) - s) on the arcs of the window ``mat``:
+    ``fvals = F.on(mat)`` and the arc arrays are read once, for every s."""
+
+    def __init__(self, mat: MaterializedGraph, F: Potential):
+        self.mat, self.F, self.fvals = mat, F, F.on(mat)
+        self.states, self.src, self.dst, self.mult = mat.arc_arrays()
+        self._f = [self.fvals[e] for e in self.states]
+        self._flat = self.src * len(self.states) + self.dst
+        tails = range(len(mat.core.tails) if mat.depth else 0)
+        self._entries = [[self.states.index(tail_edge_id(t, 1, up)) for up in (True, False)] for t in tails]
+
+    def weights(self, s):
+        """(exp(F(e) - s) per state, m(e, f) exp(F(f) - s) per arc)."""
+        # math.exp once per state: numpy's exp need not match its bits
+        w = np.array([math.exp(x - s) for x in self._f])
+        return w, self.mult * w[self.dst]
+
+    def matrix(self, s, greens=()):
+        """Dense T(s).  On the junction graph, ``greens`` holds each tail's TailGreen
+        at s, and the row of its entry state ~t<k>.e1 (at depth 1 only the
+        backtrack to ~t<k>.r1) becomes its first-return weight g_1."""
+        n = len(self.states)
+        T = np.zeros((n, n))
+        T.ravel()[self._flat] = self.weights(s)[1]
+        for (e1, r1), tg in zip(self._entries, greens):
+            T[e1, r1] = tg.g(1)
+        return T
+
+    def residual(self, u, s):
+        """Sup-norm of u - T(s) u over the interior states of the window, u a dict on its edges."""
+        uv = np.array([u[e] for e in self.states])
+        acc = row_sums(self.src, self.weights(s)[1] * uv[self.dst], len(self.states))
+        defects = np.abs(acc - uv).tolist()
+        return max([0.0] + [d for e, d in zip(self.states, defects) if self.mat.is_interior(e)])
 
 
 def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int = DEFAULT_DEPTH):
@@ -310,28 +348,8 @@ def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int =
     With tails present the matrix is the truncation to ``depth`` materialized
     levels; exact resummation happens elsewhere.
     """
-    mat = materialize(g, depth if g.tails else 0)
-    F = F or Potential.zero(g)
-    return _transfer_at(mat, F.on(mat))(s)
-
-
-def _transfer_at(mat: MaterializedGraph, fvals: dict):
-    """(s, greens) -> (states, T(s)) on the arcs of ``mat``, entry rows resummed by ``greens``
-    as in ``_junction``; what does not depend on s is read once, for a bisection's probes."""
-    states, src, dst, mult = mat.arc_arrays()
-    n, flat, f = len(states), src * len(states) + dst, [fvals[e] for e in states]
-    tails = range(len(mat.core.tails) if mat.depth else 0)
-    entries = [[states.index(tail_edge_id(t, 1, up)) for up in (True, False)] for t in tails]
-
-    def at(s, greens=()):
-        T = np.zeros((n, n))
-        # math.exp once per state: numpy's exp need not match its bits
-        T.ravel()[flat] = mult * np.array([math.exp(x - s) for x in f])[dst]
-        for (e1, r1), tg in zip(entries, greens):
-            T[e1, r1] = tg.g(1)
-        return states, T
-
-    return at
+    op = TransferOperator(materialize(g, depth if g.tails else 0), F or Potential.zero(g))
+    return op.states, op.matrix(s)
 
 
 def entry_weights(mat: MaterializedGraph, x, fvals=None, s=0.0):
@@ -524,23 +542,12 @@ def _greens(g: IndexedGraph, F: Potential, s):
     return greens
 
 
-def _junction(mat1: MaterializedGraph, fvals1: dict, s, greens):
-    """Finite operator equivalent to T(s) with tail excursions resummed.
-
-    T(s) on ``mat1 = materialize(g, 1)``, with the row of each entry state
-    ~t<k>.e1 replaced by the single entry g_1 of ``greens[k]`` at ~t<k>.r1:
-    deep levels only enter through that first-return weight.  At depth 1
-    that row holds only the backtrack to ~t<k>.r1, so one entry is set.
-    """
-    return _transfer_at(mat1, fvals1)(s, greens)
-
-
-def _junction_sr(junction, g, F, s):
-    """rho of the junction operator (``_transfer_at``) at s, or a bound on its side of 1."""
-    greens = _greens(g, F, s)
+def _junction_sr(op, s):
+    """rho of the junction operator (``op``, entry rows resummed) at s, or a bound on its side of 1."""
+    greens = _greens(op.mat.core, op.F, s)
     if greens is None:
         return None
-    return spectral_radius(junction(s, greens)[1], versus=1.0)
+    return spectral_radius(op.matrix(s, greens), versus=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,27 +556,26 @@ def _junction_sr(junction, g, F, s):
 
 @dataclass(frozen=True)
 class CriticalExponent:
-    """``mat`` is the junction graph all solves ran on (the bare core without tails);
+    """``op`` (``op_minus``): the operator of F (F.reversed(g), ``op`` itself when
+    equal) on the junction graph all solves ran on, the bare core without tails;
     ``iterate(_minus)``: the power iterate behind delta (delta_minus) when finite."""
 
     delta: float
     delta_minus: float
     delta_zero: float
     s_tail: float | None
-    mat: MaterializedGraph
-    method: dict = field(default_factory=dict)
+    op: TransferOperator
+    op_minus: TransferOperator
     iterate: np.ndarray | None = field(default=None, repr=False, compare=False)
     iterate_minus: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _critical_one(mat1, F):
-    """(delta, s_tail, iterate) of one potential on the junction graph ``mat1``; on a
+def _critical_one(op):
+    """(delta, s_tail, iterate) of the operator ``op`` on the junction graph; on a
     finite quotient delta is log rho(T(0)), and the iterate that of its power run."""
-    g = mat1.core
-    fvals1 = F.on(mat1)
+    g, F = op.mat.core, op.F
     if not g.tails:
-        _, T = _transfer_at(mat1, fvals1)(0.0)
-        sr, v = _power_run(T, None)
+        sr, v = _power_run(op.matrix(0.0), None)
         if sr <= 0:
             raise NoPositiveSolutionError("transfer operator has zero spectral radius")
         return math.log(sr), None, v
@@ -583,16 +589,15 @@ def _critical_one(mat1, F):
     # bisect from the same upper bracket
     fmax = max((abs(F.values.get(e, 0.0)) for e in g.edges), default=0.0)
     hi = math.log(imax + 1) + fmax + 2.0
-    junction = _transfer_at(mat1, fvals1)
     while True:
-        sr = _junction_sr(junction, g, F, hi)
+        sr = _junction_sr(op, hi)
         if sr is not None and sr < 1.0:
             break
         hi += 2.0
         if hi > 300:
             raise DivergenceError("no upper bracket for the critical exponent")
     lo = (s_tail if math.isfinite(s_tail) else hi - 60.0) + 1e-9
-    sr_lo = _junction_sr(junction, g, F, lo)
+    sr_lo = _junction_sr(op, lo)
     if sr_lo is None or sr_lo <= 1.0:
         raise DivergenceError(
             f"no weighted spectral gap: delta <= s_tail = {s_tail!r}",
@@ -601,7 +606,7 @@ def _critical_one(mat1, F):
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
-        sr_mid = _junction_sr(junction, g, F, mid)
+        sr_mid = _junction_sr(op, mid)
         if sr_mid is None or sr_mid > 1.0:
             a = mid
         else:
@@ -616,24 +621,26 @@ def critical_exponent(g: IndexedGraph, F: Potential | None = None) -> CriticalEx
 
     The junction graph is unrolled once and shared by the three solves.  A
     potential equal to its reversal (every zero or symmetric one) reuses
-    delta as delta_minus: the second solve would repeat the same arithmetic.
+    delta and its operator as delta_minus and ``op_minus``.
     """
     F = F or Potential.zero(g)
     mat1 = materialize(g, 1 if g.tails else 0)
-    delta, s_tail, iterate = solved = _critical_one(mat1, F)
+    op = TransferOperator(mat1, F)
+    delta, s_tail, iterate = solved = _critical_one(op)
     rev = F.reversed(g)
-    delta_minus, _, iterate_minus = solved if rev == F else _critical_one(mat1, rev)
+    op_minus = op if rev == F else TransferOperator(mat1, rev)
+    delta_minus, _, iterate_minus = solved if op_minus is op else _critical_one(op_minus)
     if _is_zero(F):
         delta_zero = delta
     else:
-        delta_zero = _critical_one(mat1, Potential.zero(g))[0]
+        delta_zero = _critical_one(TransferOperator(mat1, Potential.zero(g)))[0]
     return CriticalExponent(
         delta=delta,
         delta_minus=delta_minus,
         delta_zero=delta_zero,
         s_tail=s_tail,
-        mat=mat1,
-        method={"solver": "junction-bisection" if g.tails else "power-iteration"},
+        op=op,
+        op_minus=op_minus,
         iterate=iterate,
         iterate_minus=iterate_minus,
     )
@@ -724,35 +731,33 @@ def shadow_vector(g: IndexedGraph, F: Potential | None, delta: float, depth: int
     mass seen from the base vertex is 1.  ``compute_gibbs`` runs the same
     solve on the window it keeps as ``GibbsData.mat``.
     """
-    F = F or Potential.zero(g)
-    mat1 = materialize(g, 1 if g.tails else 0)
-    mat = _shadow_window(mat1, depth)
-    return _shadow(mat, mat1, F, F.on(mat), delta)
+    op1 = TransferOperator(materialize(g, 1 if g.tails else 0), F or Potential.zero(g))
+    return _shadow(_window_ops([op1], depth)[0], op1, delta)
 
 
-def _shadow_window(mat1: MaterializedGraph, depth):
-    """The core of the junction graph ``mat1`` unrolled to ``depth``; ``mat1``
-    itself, the bare core, without tails."""
-    g = mat1.core
+def _window_ops(ops1, depth):
+    """The junction operators ``ops1`` on the shadow window: themselves on the
+    bare core without tails, else their potentials on one unroll to ``depth``."""
+    g = ops1[0].mat.core
     if not g.tails:
-        return mat1
+        return ops1
     if depth < 2:
         raise ValueError("tailed graphs need depth >= 2")
-    return materialize(g, depth)
+    mat = materialize(g, depth)
+    return [TransferOperator(mat, op1.F) for op1 in ops1]
 
 
-def _shadow(mat, mat1, F, fvals, delta, iterate=None):
-    """``shadow_vector`` on the window ``mat`` with ``fvals = F.on(mat)`` and the
-    junction graph ``mat1``; ``iterate`` as ``_positive_fixed_vector`` takes it."""
-    g = mat.core
+def _shadow(op, op1, delta, iterate=None):
+    """``shadow_vector`` with ``op`` on the window and ``op1`` of its potential on
+    the junction graph; ``iterate`` as ``_positive_fixed_vector`` takes it."""
+    mat, g = op.mat, op.mat.core
     base = g.base_vertex
-    greens = _greens(g, F, delta)
+    greens = _greens(g, op.F, delta)
     if greens is None:
         raise DivergenceError("tail resummation diverges at the given exponent")
-    jstates, A = _junction(mat1, fvals if mat is mat1 else F.on(mat1), delta, greens)
-    uj = _positive_fixed_vector(A, iterate)
+    uj = _positive_fixed_vector(op1.matrix(delta, greens), iterate)
     u = {e: 0.0 for e in mat.edges}
-    for e, val in zip(jstates, uj):
+    for e, val in zip(op1.states, uj):
         u[e] = float(val)
     # march up each tail on the decaying branch
     for t, tg in enumerate(greens):
@@ -769,7 +774,7 @@ def _shadow(mat, mat1, F, fvals, delta, iterate=None):
             u[tail_edge_id(t, n + 1, False)] = I * psi * dn + (J1 - 1) * phi1 * up_next
     # normalization: unit boundary mass at the base vertex
     mass = 0.0
-    for e, w in entry_weights(mat, base, fvals, delta):
+    for e, w in entry_weights(mat, base, op.fvals, delta):
         mass += w * u[e]
     if mass <= 0:
         raise NoPositiveSolutionError(f"zero boundary mass at base vertex {base!r}")
@@ -777,16 +782,8 @@ def _shadow(mat, mat1, F, fvals, delta, iterate=None):
 
 
 def shadow_residual(F, delta, u, mat):
-    """Sup-norm of the fixed-point defect over the interior non-funnel
-    states of ``mat``; F = None is the zero potential."""
-    F = F or Potential.zero(mat.core)
-    fvals = F.on(mat)
-    states, src, dst, mult = mat.arc_arrays()
-    uv = np.array([u[e] for e in states])
-    w = np.array([math.exp(fvals[e] - delta) for e in states])
-    acc = row_sums(src, mult * w[dst] * uv[dst], len(states))
-    defects = np.abs(acc - uv).tolist()
-    return max([0.0] + [d for e, d in zip(states, defects) if mat.is_interior(e)])
+    """``TransferOperator.residual`` of u at delta on ``mat``; F = None is the zero potential."""
+    return TransferOperator(mat, F or Potential.zero(mat.core)).residual(u, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -797,23 +794,32 @@ def shadow_residual(F, delta, u, mat):
 class GibbsData:
     """Exponents, shadows and residuals of one thermodynamic solve.
 
-    ``mat`` is the shadow window, the graph unrolled to the shadow depth (the
-    bare core without tails): ``u_plus``, ``u_minus`` and ``fvals`` are keyed
-    on its edges, and the chain and the counting read it from here.
+    ``op`` is the forward transfer operator on the shadow window ``mat``,
+    the graph unrolled to the shadow depth (the bare core without tails):
+    ``u_plus``, ``u_minus`` and ``fvals`` are keyed on its edges, and the
+    chain and the counting read them from here.  ``s_tail`` is the tails'
+    critical value, None without tails.
     """
 
     delta: float
     delta_minus: float
     delta_zero: float
+    s_tail: float | None
     u_plus: dict
     u_minus: dict
-    fvals: dict
-    mat: MaterializedGraph
+    op: TransferOperator
     residual_plus: float
     residual_minus: float
     normalization: dict
-    method: dict = field(default_factory=dict)
     tail_periods: tuple = ()  # per tail, its ``_joint_period`` (start, length)
+
+    @property
+    def mat(self):
+        return self.op.mat
+
+    @property
+    def fvals(self):
+        return self.op.fvals
 
     @property
     def depth(self):
@@ -827,11 +833,11 @@ def compute_gibbs(
 ) -> GibbsData:
     """Full thermodynamic solve: exponent, forward/backward shadows, residuals.
 
-    Both shadow solves run on the exponent's junction graph
-    (``CriticalExponent.mat``) and one window, that graph without tails.  The
-    backward shadow and residual are the forward ones for F.reversed(g),
-    reused as they are when that equals F.  Raises NoPositiveSolutionError
-    when delta and delta_minus differ by more than 1e-8 relative.
+    Both shadow solves run on the exponent's junction operators and one
+    window, that graph without tails (``_window_ops``).  The backward shadow
+    and residual are the forward ones for F.reversed(g), reused as they are
+    when that equals F.  Raises NoPositiveSolutionError when delta and
+    delta_minus differ by more than 1e-8 relative.
     """
     F = F or Potential.zero(g)
     ce = critical_exponent(g, F)
@@ -839,34 +845,23 @@ def compute_gibbs(
         raise NoPositiveSolutionError(
             f"forward/backward exponents differ: {ce.delta} vs {ce.delta_minus}"
         )
-    mat1 = ce.mat
-    mat = _shadow_window(mat1, depth)
-    fvals = F.on(mat)
-    u_plus = _shadow(mat, mat1, F, fvals, ce.delta, ce.iterate)
-    res_p = shadow_residual(F, ce.delta, u_plus, mat)
-    rev = F.reversed(g)
-    if rev == F:
-        u_minus, res_m = u_plus, res_p
-    else:
-        u_minus = _shadow(mat, mat1, rev, rev.on(mat), ce.delta, ce.iterate_minus)
-        res_m = shadow_residual(rev, ce.delta, u_minus, mat)
-    record = {
-        "convention": "unit boundary mass at base vertex",
-        "base_vertex": g.base_vertex,
-        "delta": ce.delta,
-    }
+    ops1 = [ce.op] if ce.op_minus is ce.op else [ce.op, ce.op_minus]
+    ops = _window_ops(ops1, depth)
+    its = (ce.iterate, ce.iterate_minus)
+    u = [_shadow(op, op1, ce.delta, it) for op, op1, it in zip(ops, ops1, its)]
+    res = [op.residual(v, ce.delta) for op, v in zip(ops, u)]
+    record = {"convention": "unit boundary mass at base vertex", "base_vertex": g.base_vertex, "delta": ce.delta}
     return GibbsData(
         delta=ce.delta,
         delta_minus=ce.delta_minus,
         delta_zero=ce.delta_zero,
-        u_plus=u_plus,
-        u_minus=u_minus,
-        fvals=fvals,
-        mat=mat,
-        residual_plus=res_p,
-        residual_minus=res_m,
+        s_tail=ce.s_tail,
+        u_plus=u[0],
+        u_minus=u[-1],
+        op=ops[0],
+        residual_plus=res[0],
+        residual_minus=res[-1],
         normalization=record,
-        method=dict(ce.method, s_tail=ce.s_tail),
         tail_periods=tuple(_joint_period(spec, F.tail(t)) for t, spec in enumerate(g.tails)),
     )
 

@@ -9,6 +9,7 @@ walk of ``continuations``.  ``float.hex`` compares bits.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,17 +19,17 @@ from conftest import FINITE_FIXTURES, TAILED_FIXTURES, arc_rows, bench_core, pot
 from treegibbs import fixtures as fx
 from treegibbs import gibbs
 from treegibbs.chain import build_chain, check_markov_property
+from treegibbs.counting import orbit_oracle
 from treegibbs.errors import TreeGibbsError
 from treegibbs.gibbs import (
     Potential,
+    TransferOperator,
     _greens,
-    _junction,
-    _transfer_at,
     compute_gibbs,
     potential_from_dict,
     shadow_vector,
 )
-from treegibbs.graph import materialize, propagate_orders, tail_edge_id
+from treegibbs.graph import materialize, orders_on, propagate_orders, tail_edge_id
 
 
 def _reference_transfer_on(mat, fvals, s):
@@ -97,6 +98,35 @@ def _reference_max_cylinder(mc, gd):
     return max_cyl
 
 
+def _reference_orbit_counts(g, orders, F, n_max):
+    """``orbit_oracle``'s float per-distance counts at the base of a finite
+    quotient: the weighted path DP over ``arc_rows`` with the per-arc weight
+    m exp(F(f)), identity included."""
+    mat = materialize(g, 0)
+    fvals = F.on(mat)
+    base = g.base_vertex
+    states, arcs = arc_rows(mat)
+    order = float(orders_on(mat, orders).vertex(base))
+    vec = [0.0] * len(states)
+    for e in mat.out_edges(base):
+        if e in states:
+            vec[states.index(e)] = mat.index[mat.rev[e]] * math.exp(fvals[e])
+    per = [order]
+    for n in range(1, n_max + 1):
+        tot = 0.0
+        for e, v in zip(states, vec):
+            if mat.term[e] == base and v != 0:
+                tot = tot + v
+        per.append(order * tot)
+        new = [0.0] * len(states)
+        for i, row in enumerate(arcs):
+            if vec[i] != 0:
+                for j, m in row:
+                    new[j] = new[j] + vec[i] * (m * math.exp(fvals[states[j]]))
+        vec = new
+    return per
+
+
 def _hex(M):
     return [x.hex() for x in np.asarray(M, dtype=float).ravel().tolist()]
 
@@ -114,20 +144,20 @@ def _assert_bits(g, F, depth=90):
     """T at s = 0, at delta and at one junction probe, then (when the solve
     and the chain exist) both shadow residuals, P and the cylinder residual.
     Returns the number of those that were compared."""
-    mat1 = materialize(g, 1 if g.tails else 0)
-    fvals1 = F.on(mat1)
+    op1 = TransferOperator(materialize(g, 1 if g.tails else 0), F)
+    mat1, fvals1 = op1.mat, op1.fvals
     try:
         gd = compute_gibbs(g, F, depth)
     except TreeGibbsError:
         gd = None
     probe = _first_bracket(g, F)
     for s in [0.0, probe] + ([gd.delta] if gd else []):
-        states, T = _transfer_at(mat1, fvals1)(s)
+        states, T = op1.states, op1.matrix(s)
         ref_states, R = _reference_transfer_on(mat1, fvals1, s)
         assert states == ref_states and _hex(T) == _hex(R), s
     greens = _greens(g, F, probe)
     if greens is not None:
-        _, T = _junction(mat1, fvals1, probe, greens)
+        T = op1.matrix(probe, greens)
         _, R = _reference_transfer_on(mat1, fvals1, probe)
         for t, tg in enumerate(greens):
             e1, r1 = (arc_rows(mat1)[0].index(tail_edge_id(t, 1, up)) for up in (True, False))
@@ -139,7 +169,7 @@ def _assert_bits(g, F, depth=90):
     for pot, u, got in ((F, gd.u_plus, gd.residual_plus), (rev, gd.u_minus, gd.residual_minus)):
         want = _reference_shadow_residual(pot, gd.delta, u, gd.mat)
         assert type(got) is float and got.hex() == want.hex()
-    _, T = _transfer_at(gd.mat, gd.fvals)(gd.delta)
+    T = gd.op.matrix(gd.delta)
     assert _hex(T) == _hex(_reference_transfer_on(gd.mat, gd.fvals, gd.delta)[1])
     try:
         mc = build_chain(g, gd, propagate_orders(g))
@@ -176,6 +206,52 @@ def test_the_arc_array_operators_keep_the_loops_bits_on_random_tails(drawn):
     g, F = drawn
     assume(not gibbs._is_zero(F))
     _assert_bits(g, F)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("bench_core_10",))
+def test_the_float_orbit_counts_are_the_arc_loops(name):
+    g = bench_core(10) if name == "bench_core_10" else fx.get(name)
+    rng = random.Random(7)
+    F = Potential({e: rng.uniform(-0.3, 0.3) for e in g.edges}, ())
+    orders = propagate_orders(g)
+    got = orbit_oracle(g, orders, F, g.base_vertex, 24)
+    assert not got.exact
+    want = _reference_orbit_counts(g, orders, F, 24)
+    assert [x.hex() for x in got.per_distance] == [x.hex() for x in want]
+
+
+def _counted_evaluations(monkeypatch):
+    """Calls of ``Potential.on``, ``Potential.reversed`` and ``TransferOperator``'s constructor."""
+    counts = Counter()
+    for cls, name in ((Potential, "on"), (Potential, "reversed"), (TransferOperator, "__init__")):
+        def counted(*args, _orig=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def _evaluation_cases():
+    g = bench_core(40)
+    rng = random.Random(7)
+    yield "bench_core_40", g, Potential.zero(g), (1, 1, 1)
+    yield "bench_core_40+uniform", g, Potential({e: rng.uniform(-0.3, 0.3) for e in g.edges}, ()), (3, 1, 3)
+    g = fx.get("thick_ray_5")
+    yield "thick_ray_5", g, Potential.zero(g), (2, 1, 2)
+    g = fx.get("cusp_22")
+    yield "cusp_22+edges", g, potential_from_dict(g, {"edges": {"c": 0.2, "cbar": 0.05}}), (5, 1, 5)
+
+
+@pytest.mark.parametrize("case", list(_evaluation_cases()), ids=lambda case: case[0])
+def test_a_gibbs_solve_evaluates_each_potential_once_per_window(monkeypatch, case):
+    # one operator per potential solved on the junction graph (F; F reversed
+    # when it differs; zero when F is not), reused as the window of a finite
+    # quotient; a tailed one adds one per potential on the deep window
+    _, g, F, want = case
+    counts = _counted_evaluations(monkeypatch)
+    compute_gibbs(g, F)
+    assert (counts["on"], counts["reversed"], counts["__init__"]) == want
 
 
 def _counted_power_runs(monkeypatch, replace=None):

@@ -502,16 +502,13 @@ CORE_4_3 = {
 
 def test_renewal_skips_rational_elimination_at_a_non_integer_perron_value(monkeypatch):
     import treegibbs.counting as counting
-    from treegibbs.gibbs import _transfer_at, spectral_radius
+    from treegibbs.gibbs import TransferOperator, spectral_radius
 
     g = graph_from_dict(CORE_4_3)
     orders = propagate_orders(g)
-    mat = materialize(g, 0)
-    fvals = Potential.zero(g).on(mat)
-    states, M = _transfer_at(mat, fvals)(0.0)
-    want = counting._renewal_float(
-        mat, orders, fvals, g.base_vertex, length_spectrum_period(g), states, M, spectral_radius(M)
-    )
+    op = TransferOperator(materialize(g, 0), Potential.zero(g))
+    M = op.matrix(0.0)
+    want = counting._renewal_float(op, orders, g.base_vertex, length_spectrum_period(g), M, spectral_radius(M))
 
     def forbidden(A):
         raise AssertionError("rational elimination at a non-integer lambda^2")

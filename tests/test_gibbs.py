@@ -19,9 +19,9 @@ from treegibbs.errors import DivergenceError, GraphError, NoPositiveSolutionErro
 from treegibbs.gibbs import (
     Potential,
     TailPotential,
+    TransferOperator,
     _critical_one,
     _greens,
-    _junction,
     compute_gibbs,
     critical_exponent,
     cusp_exponent_bound,
@@ -400,7 +400,7 @@ def _junction_probes(g, F):
     if math.isfinite(s_tail):
         probes.append(s_tail + 1e-3)
     try:
-        probes.append(_critical_one(materialize(g, 1), F)[0])
+        probes.append(_critical_one(TransferOperator(materialize(g, 1), F))[0])
     except TreeGibbsError:
         pass
     return probes
@@ -415,12 +415,12 @@ def _assert_junction_is_the_reference(g, F):
     the number of probes where every tail converged.
     """
     checked = 0
-    mat1 = materialize(g, 1)
+    op = TransferOperator(materialize(g, 1), F)
     for s in _junction_probes(g, F):
         greens = _greens(g, F, s)
         if greens is None:
             continue
-        states, T = _junction(mat1, F.on(mat1), s, greens)
+        states, T = op.states, op.matrix(s, greens)
         ref_states, R = _reference_junction(g, F, s, greens)
         pos = {e: i for i, e in enumerate(states)}
         assert sorted(pos) == sorted(ref_states)
@@ -473,12 +473,11 @@ def test_junction_is_the_explicit_junction_matrix_on_random_tails(drawn):
 def _reference_critical_one(g, F, tol=1e-14):
     """``_critical_one``'s tailed bisection with every junction rho run to
     convergence (``spectral_radius`` without ``versus``)."""
-    mat1 = materialize(g, 1)
-    fvals1 = F.on(mat1)
+    op = TransferOperator(materialize(g, 1), F)
 
     def sr(s):
         greens = _greens(g, F, s)
-        return None if greens is None else spectral_radius(_junction(mat1, fvals1, s, greens)[1])
+        return None if greens is None else spectral_radius(op.matrix(s, greens))
 
     s_tail = max(tail_critical_value(spec, F.tail(t)) for t, spec in enumerate(g.tails))
     imax = max(g.index[e] for e in g.edges)
@@ -539,7 +538,7 @@ def test_exponent_bisection_walks_the_full_rho_path(monkeypatch, name, pot):
         ref = _reference_critical_one(g, potential)
         ref_solves = built[0]
         built[0] = 0
-        got = _critical_one(materialize(g, 1), potential)[0]
+        got = _critical_one(TransferOperator(materialize(g, 1), potential))[0]
         assert built[0] == ref_solves
         assert got.hex() == ref.hex() == delta.hex()
 

@@ -201,9 +201,9 @@ def test_a_hand_off_runs_the_power_loop_once(monkeypatch):
     u = gibbs._positive_fixed_vector(B)
     assert calls == [2] and np.abs(B @ u - u).max() <= 1e-12
     g = get("single_edge_3")
-    monkeypatch.setattr(gibbs, "_transfer_at", lambda mat, fvals: lambda s: ((), B))
+    monkeypatch.setattr(gibbs.TransferOperator, "matrix", lambda op, s: B)
     calls.clear()
-    assert gibbs._critical_one(materialize(g, 0), Potential.zero(g)) == (0.0, None, None)
+    assert gibbs._critical_one(gibbs.TransferOperator(materialize(g, 0), Potential.zero(g))) == (0.0, None, None)
     assert calls == [2]
 
 

@@ -256,4 +256,4 @@ def test_compute_gibbs_on_random_tailed_graphs(drawn):
     # e^{delta n} along the tail, and at u ~ 1e9 one rounding step exceeds 1e-8
     for res, u in ((gd.residual_plus, gd.u_plus), (gd.residual_minus, gd.u_minus)):
         assert res <= 1e-8 * max(1.0, max(u.values()))
-    assert gd.method["s_tail"] < gd.delta
+    assert gd.s_tail < gd.delta

@@ -778,7 +778,7 @@ def test_tail_certificates_reach_the_weighted_spectral_gap(name):
     gd, mc = _tailed_run(name)
     # the tail's decay parameter; s_tail is a bisection value, so rho may
     # sit a little below it
-    gap = math.exp(gd.method["s_tail"] - gd.delta)
+    gap = math.exp(gd.s_tail - gd.delta)
     cert = tail_certificate(mc)
     out = search_certificate(mc)
     assert out.feasible
@@ -850,7 +850,7 @@ def _prefixed_cusp_chain(prefix, period):
 def test_prefix_levels_that_need_a_larger_ratio_are_certified(prefix, period):
     gd, mc = _prefixed_cusp_chain(prefix, period)
     cert = tail_certificate(mc)
-    assert math.exp(gd.method["s_tail"] - gd.delta) < cert.rho < 1.0
+    assert math.exp(gd.s_tail - gd.delta) < cert.rho < 1.0
     assert lemma_bound_check(mc, cert, 60).violations == 0
     out = search_certificate(mc)
     assert out.feasible and abs(out.infimum_rho - cert.rho) <= 1e-6
@@ -869,5 +869,5 @@ def test_random_tailed_graphs_are_certified(drawn):
         return
     cert = tail_certificate(mc)
     # no tail certificate goes below the tail's decay parameter
-    assert cert.rho >= math.exp(gd.method["s_tail"] - gd.delta) * (1.0 - 1e-6)
+    assert cert.rho >= math.exp(gd.s_tail - gd.delta) * (1.0 - 1e-6)
     assert lemma_bound_check(mc, cert, 30).violations == 0
