@@ -62,6 +62,7 @@ class MarkovChain:
     mat: object = None  # the MaterializedGraph the states live on
     tails: tuple = ()  # TailBlock per tail of mat
     _pos: dict = field(init=False, repr=False, compare=False, default=None)
+    _blocks: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_pos", {s: i for i, s in enumerate(self.states)})
@@ -74,6 +75,13 @@ class MarkovChain:
 
     def p_of(self, a, b):
         return float(self.p[self._pos[a], self._pos[b]])
+
+    def blocks(self):
+        """The ``KernelBlocks`` of the kernel's nonzero pattern, built once on
+        first use."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", _kernel_blocks(self.p))
+        return self._blocks
 
     def class_of(self, state):
         i = self._pos[state]
@@ -104,16 +112,88 @@ class MarkovChain:
         )
 
 
+@dataclass(frozen=True)
+class KernelBlocks:
+    """A kernel's nonzero pattern split into its bipartite components.
+
+    A block is a component: rows R and columns C with p_ij = 0 whenever
+    exactly one of i in R, j in C holds, so column j of a product Q P sums
+    over the rows of j's block only.  On a chain from ``build_chain`` a block
+    is one window vertex: the states ending there and the states leaving it.
+    Blocks of one shape (|C|, |R|) form a group, given as a (rows, cols) pair
+    of (G, |R|) and (G, |C|) state index arrays.  ``order`` lists the states:
+    every group's columns, block by block, then the states without an
+    in-arc.  ``position`` is its inverse and ``gather`` holds the positions
+    in ``order`` of every group's rows, group by group.  Rows without an
+    out-arc belong to no block.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    gather: np.ndarray
+    groups: tuple
+
+
+def _kernel_blocks(p):
+    """The ``KernelBlocks`` of the nonzero pattern of p, blocks by least column."""
+    n = len(p)
+    out = from_matrix(p)
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    # union the columns of each row; a root is its set's least column
+    for cols in out:
+        if cols:
+            a = find(cols[0])
+            for j in cols[1:]:
+                b = find(j)
+                if a != b:
+                    a, b = min(a, b), max(a, b)
+                    root[b] = a
+    blocks = {}
+    covered = sorted({j for cols in out for j in cols})
+    for j in covered:
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    for i, cols in enumerate(out):
+        if cols:
+            blocks[find(cols[0])][0].append(i)
+    shapes = {}
+    for block in blocks.values():
+        shapes.setdefault((len(block[1]), len(block[0])), []).append(block)
+    order = [j for bs in shapes.values() for _, cs in bs for j in cs]
+    order += sorted(set(range(n)).difference(covered))
+    position = [0] * n
+    for k, j in enumerate(order):
+        position[j] = k
+    gather = [position[i] for bs in shapes.values() for rs, _ in bs for i in rs]
+    groups = tuple(
+        (np.array([rs for rs, _ in bs], dtype=np.intp), np.array([cs for _, cs in bs], dtype=np.intp))
+        for bs in shapes.values()
+    )
+    order, position, gather = (np.array(x, dtype=np.intp) for x in (order, position, gather))
+    return KernelBlocks(order, position, gather, groups)
+
+
 def _period_and_classes(adj):
-    """Period and cyclic class partition of a 0/1 transition structure.
+    """Period and cyclic class partition of a 0/1 transition structure."""
+    return _cyclic_classes(from_matrix(adj))
+
+
+def _cyclic_classes(succ):
+    """Period and cyclic class partition of the digraph ``succ``.
 
     Class r holds the states whose BFS level from state 0 is r mod the
     period; states state 0 does not reach (truncation frontier) go to class 0.
     """
-    n = adj.shape[0]
+    n = len(succ)
     if n == 0:
         return 1, (frozenset(),)
-    k, levels = period(from_matrix(adj), 0)
+    k, levels = period(succ, 0)
     k = k or 1
     classes = [set() for _ in range(k)]
     for v in range(n):
@@ -158,13 +238,19 @@ def build_chain(g, gd, orders):
             f"materialized depth {depth} leaves tail mass fraction {remainder / m_mass}"
         )
     pi = lamvec / m_mass
-    interior = np.array([mat.is_interior(s) for s in states])
-    adj = P > 0
+    interior = np.array([mat.is_interior(s) for s in states], dtype=bool)
+    # the support arcs, row by row and columns ascending, as np.nonzero(P) lists them
+    keep = P[ci, cj] > 0
+    src, dst = ci[keep], cj[keep]
+    by_row = np.lexsort((dst, src))
+    src, dst = src[by_row], dst[by_row]
     # the interior sub-digraph must communicate
-    core_idx = [i for i in range(n) if interior[i]]
-    if core_idx and len(sccs(from_matrix(adj[np.ix_(core_idx, core_idx)]))) != 1:
+    inner = interior[src] & interior[dst]
+    renumber = np.cumsum(interior) - 1
+    core = from_arcs(renumber[src[inner]], renumber[dst[inner]], int(interior.sum()))
+    if core and len(sccs(core)) != 1:
         raise ReducibleChainError("chain support splits into non-communicating pieces")
-    period, classes = _period_and_classes(adj)
+    period, classes = _cyclic_classes(from_arcs(src, dst, n))
     return MarkovChain(
         states=states,
         p=P,

@@ -366,12 +366,16 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
         raise GraphError("C* of a tailed quotient is main_term's full constant")
     F = F or Potential.zero(g)
     base = base or g.base_vertex
-    mat = materialize(g, 0)
+    return _renewal(TransferOperator(materialize(g, 0), F), orders, base, prefer_exact)
+
+
+def _renewal(op, orders, base, prefer_exact):
+    """``renewal_constant`` on the core window and potential of ``op``."""
+    mat, F = op.mat, op.F
     _entry_at(mat, base)
     k = _window_period(mat)  # the counting period, main_term's k too
     if k not in (1, 2):
         raise NoPositiveSolutionError(f"counting period {k} not supported for the limit")
-    op = TransferOperator(mat, F)
     # T(0) of the counting weights m(e, f) exp(F(f)), bit for bit: x - 0.0 == x
     M = op.matrix(0.0)
     lam = spectral_radius(M)
@@ -551,7 +555,8 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     through the first entry edge e at the base.  One DP pass counts both: the
     full count and the cone count equal those of ``orbit_oracle`` without a
     constraint and with ``first_edge_constraint=(e,)``.  On a finite quotient
-    C* is ``renewal_constant``'s Perron value, on a tailed one the full
+    C* is ``renewal_constant``'s Perron value, read off ``gd.op`` (the core
+    window and the potential ``gd`` was solved for), on a tailed one the full
     constant.  The main-term formula was checked at the normalization vertex
     with and without potentials, and away from it only at zero potential.
     The error exponent kappa is 2 delta minus the slope that ``decay_fit``
@@ -572,8 +577,9 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     cone_series = list(accumulate(cone))
     nu_x = nu_mass_at(gd, base)
     cone_mass = shadow_measure(gd, base, [cone_edge])
-    # a finite quotient's renewal constant carries the counting period
-    rc = None if g.tails else renewal_constant(g, orders, F, base)
+    # a finite quotient's renewal constant carries the counting period; it
+    # reads T(0) off the shadow window's operator
+    rc = None if g.tails else _renewal(gd.op, orders, base, True)
     k = length_spectrum_period(g) if rc is None else rc.period
     ns = tuple(range(n_lo, n_hi + 1))
     oracle = tuple(float(series[2 * n]) for n in ns)

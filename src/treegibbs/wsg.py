@@ -556,39 +556,80 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
     """Replay p^{(n),B}_{ij} <= t_i rho^n / t_j for rows outside B, n <= n_max.
 
     Also checks the aggregated return bound p^{(n),B}_{i,B} <= M t_i rho^n with
-    M = max over B of 1/t_j.  Only the checked rows of p^{(n),B} are carried
-    (row i of p^{(n),B} is row i of p^{(n-1),B} times the taboo kernel), and
-    the bound and its difference share one reused buffer.
+    M = max over B of 1/t_j.  Only the checked rows of p^{(n),B} are carried,
+    transposed, one row per state in the order of ``mc.blocks()``, in two
+    buffers used in turn.  Step n multiplies p^{(n-1),B} by the taboo kernel,
+    P with B's rows zeroed, block by block: column j of a block C sums over
+    the block's rows R only, since p_kj = 0 for every other k.  So one gather
+    of the R rows and one stacked ``np.matmul`` per block shape make a step,
+    and each entry sums the same nonzero products, in the same ascending
+    order, as the dense product; the products it skips are exact zeros.
+    BLAS sums a product with one row or one column in another order, so the
+    buffers keep two columns at least and a one-column block gets a zero row.
     """
     Bset = set(cert.B)
     weights = np.array([cert.weight(mc, s) for s in mc.states])
     mask = np.ones(len(mc.states))
     for b in cert.B:
         mask[mc.pos(b)] = 0.0
-    DP = mask[:, None] * mc.p
     rows = [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]]
     bcols = [i for i, s in enumerate(mc.states) if s in Bset]
     M = max(1.0 / weights[j] for j in bcols) if bcols else 0.0
+    blocks = mc.blocks()
+    nr = len(rows)
+    width = max(nr, 2)
+    bufs = (np.zeros((len(mc.states), width)), np.zeros((len(mc.states), width)))
+    pns = [q[:, :nr] for q in bufs]
+    # p^{(0)} = 1 at (i, i), as the first step gathers it; that step gives
+    # p^{(1)} = P on the rows outside B exactly, each entry one product by 1
+    at = np.full(len(mc.states), -1)
+    at[rows] = np.arange(nr)
+    col = at[blocks.order[blocks.gather]]
+    hit = col >= 0
+    gathered = np.zeros((len(blocks.gather), width))
+    gathered[hit, col[hit]] = 1.0
+    steps = []
+    x0 = y0 = 0
+    for R, C in blocks.groups:
+        (G, r), c = R.shape, C.shape[1]
+        w = mc.p[R[:, None, :], C[:, :, None]] * mask[R][:, None, :]
+        x = gathered[x0 : x0 + G * r].reshape(G, r, width)
+        ys = [q[y0 : y0 + G * c].reshape(G, c, width) for q in bufs]
+        if c > 1:
+            steps.append((w, x, ys, None))
+        else:
+            out = np.empty((G, 2, width))
+            w = np.concatenate([w, np.zeros_like(w)], axis=1)
+            steps.append((w, x, (out, out), [y[:, 0] for y in ys]))
+        x0, y0 = x0 + G * r, y0 + G * c
     viol = 0
     max_slack = 0.0
     ret_ok = True
-    t_ratio = np.outer(weights[rows], 1.0 / weights)
+    t_ratio = np.outer(1.0 / weights[blocks.order], weights[rows])
     buf = np.empty_like(t_ratio)
-    Pn = mc.p[rows]
-    for n in range(1, n_max + 1):
+    bpos = blocks.position[bcols]
+    powers = np.array([cert.rho**n for n in range(1, n_max + 1)])
+    # the return bound's right-hand side M t_i rho^n + 1e-12, one row per step
+    ret_bound = np.multiply.outer(powers, M * weights[rows]) + 1e-12
+    gather = blocks.gather
+    for n, rho_n in enumerate(powers, start=1):
+        k = n % 2
         if n > 1:
-            Pn = Pn @ DP
-        rho_n = cert.rho**n
+            np.take(bufs[1 - k], gather, axis=0, out=gathered, mode="clip")
+        for w, x, outs, copies in steps:
+            np.matmul(w, x, out=outs[k])
+            if copies:
+                np.copyto(copies[k], outs[k][:, 0])
+        pn = pns[k]
         np.multiply(t_ratio, rho_n, out=buf)
-        np.subtract(Pn, buf, out=buf)
+        np.subtract(pn, buf, out=buf)
         worst = float(buf.max()) if buf.size else 0.0
         if worst > 1e-12:
             viol += int(np.count_nonzero(buf > 1e-12))
         max_slack = max(max_slack, worst)
-        if bcols:
-            ret = Pn[:, bcols].sum(axis=1)
-            if (ret > M * weights[rows] * rho_n + 1e-12).any():
-                ret_ok = False
+        # the B columns added one at a time in state order, as the dense replay added them
+        if bcols and (pn[bpos].sum(axis=0) > ret_bound[n - 1]).any():
+            ret_ok = False
     return LemmaBoundReport(n_max, viol, max_slack, ret_ok)
 
 

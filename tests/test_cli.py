@@ -625,10 +625,11 @@ def test_the_shipped_fixtures_are_the_builders_output(fixture_dir):
 # junction graph for all exponent solves (the bare core without tails, depth
 # 1 with them), and with tails one shadow window (depth 80).  analyze adds the
 # period horizon (depth 1 without tails; 3 on thick_ray_5 and cusp_22, 6 on
-# critical_ray_5).  count adds the renewal constant's bare core without tails,
-# and the DP window (depth 51) and the period horizon with them.
+# critical_ray_5).  count adds nothing without tails (the renewal constant
+# reads the shadow window's operator), and the DP window (depth 51) and the
+# period horizon with them.
 # critical_ray_5 stops at the exponent, after its junction graph.
-FINITE_WINDOWS = {"analyze": {1: 1, 0: 1}, "chain": {0: 1}, "wsg": {0: 1}, "mix": {0: 1}, "count": {0: 2}}
+FINITE_WINDOWS = {"analyze": {1: 1, 0: 1}, "chain": {0: 1}, "wsg": {0: 1}, "mix": {0: 1}, "count": {0: 1}}
 TAILED_WINDOWS = {
     "analyze": {1: 1, 80: 1, 3: 1},
     "chain": {1: 1, 80: 1},

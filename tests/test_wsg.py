@@ -6,9 +6,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FINITE_FIXTURES, TAILED_FIXTURES, bench_core, pipeline, tailed_graphs
 from treegibbs import fixtures as fx
+from treegibbs import chain as chain_module
 from treegibbs.chain import MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
 from treegibbs.errors import NoGeometricDriftError, TreeGibbsError
 from treegibbs.gibbs import compute_gibbs, potential_from_dict, spectral_radius
@@ -718,6 +720,135 @@ def test_lemma_replay_matches_the_list_reference():
         slack_seen |= want.max_slack > 0
         return_failures_seen |= not want.return_bound_ok
     assert violations_seen and slack_seen and return_failures_seen
+
+
+# ---------------------------------------------------------------------------
+# the block replay on kernels of any pattern
+
+
+def _kernel_certificate(rows, B, t):
+    """A chain on the kernel ``rows`` and the certificate (t, B, rho) at its
+    drift value: rho the largest (P t)_i / t_i over the checked rows.
+
+    A row summing to less than 1 is a truncation frontier: its state is not
+    interior, so the replay does not check it, but its row stays in the
+    taboo kernel.
+    """
+    p = np.array(rows, dtype=float)
+    states = tuple(f"s{i}" for i in range(len(p)))
+    mc = MarkovChain.from_kernel(states, p, np.full(len(p), 1.0 / len(p)))
+    mc = replace(mc, interior=np.abs(p.sum(axis=1) - 1.0) < 1e-12)
+    ratios = [float(p[i] @ t / t[i]) for i in range(len(p)) if i not in B and mc.interior[i]]
+    t_core = dict(zip(states, (float(x) for x in t)))
+    cert = DriftCertificate(t_core, tuple(states[i] for i in sorted(B)), max(ratios, default=0.5))
+    return mc, cert
+
+
+def _assert_replay_matches(mc, cert, n_max=12):
+    """The replay against ``_reference_lemma`` at rho, then at rho halved
+    until both bounds are violated."""
+    for _ in range(40):
+        want = _reference_lemma(mc, cert, n_max)
+        assert _bits(lemma_bound_check(mc, cert, n_max)) == _bits(want), cert.rho
+        if want.violations and not want.return_bound_ok:
+            return
+        cert = replace(cert, rho=0.5 * cert.rho)
+
+
+@st.composite
+def sparse_kernels(draw):
+    """(rows, B, t): a kernel on at most 12 states whose zero pattern is
+    random, so its blocks are rarely bicliques, with some rows scaled below 1
+    (frontier states), a taboo set of 1-3 states and positive weights."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = []
+    for i in range(n):
+        w = [draw(st.integers(min_value=1, max_value=9)) * draw(st.booleans()) for _ in range(n)]
+        if not any(w):
+            w[(i + 1) % n] = 1
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 0.75, 0.5]))
+        rows.append([scale * x / sum(w) for x in w])
+    B = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=min(3, n)))
+    t = np.array([draw(st.integers(min_value=1, max_value=64)) / 8.0 for _ in range(n)])
+    return rows, B, t
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(sparse_kernels())
+def test_the_block_replay_matches_the_list_reference_on_sparse_kernels(drawn):
+    _assert_replay_matches(*_kernel_certificate(*drawn))
+
+
+def _one_column_kernel(seed):
+    """Frontier states s0, s1 and s2 step only to s3, which no other state
+    enters: a block of one column and three rows.  s4 lies in B, and the
+    other rows have random weights off column 3."""
+    rng = random.Random(seed)
+    rows = [[0.0] * 10 for _ in range(3)]
+    for row in rows:
+        row[3] = rng.randint(20, 90) / 100
+    for _ in range(7):
+        w = [rng.randint(5, 100) for _ in range(10)]
+        w[3] = 0
+        rows.append([x / sum(w) for x in w])
+    return rows
+
+
+REPLAY_KERNELS = {
+    # s0 has no in-arc: its column is zero, and it lies in no block
+    "zero column": ([[0, 0.5, 0.5, 0], [0, 0, 0.3, 0.7], [0, 0.6, 0, 0.4], [0, 0.2, 0.8, 0]], {1}),
+    # s3's only predecessors s0 and s1 lie in B, so its column dies after one step
+    "B holds the only predecessors": (
+        [[0, 0.5, 0, 0.5], [0.3, 0, 0.2, 0.5], [0.4, 0.6, 0, 0], [0.1, 0.2, 0.7, 0]],
+        {0, 1},
+    ),
+    # every entry positive: the whole kernel is one block
+    "dense": ([[(1 + (i * 7 + j * 3) % 5) / 15 for j in range(5)] for i in range(5)], {2}),
+    # s1 is the one checked row; the frontier states s2 and s3 stay in the kernel
+    "one checked row": (
+        [[0.2, 0.3, 0.1, 0.4], [0.6, 0.1, 0.2, 0.1], [0.15, 0.35, 0.2, 0.1], [0.3, 0.25, 0.15, 0.05]],
+        {0},
+    ),
+    # with t(s3) large the largest slack is a sum of three products in column 3
+    "one-column block": (_one_column_kernel(1), {4}),
+}
+
+
+@pytest.mark.parametrize("name", REPLAY_KERNELS)
+def test_the_block_replay_matches_the_list_reference_on_edge_cases(name):
+    rows, B = REPLAY_KERNELS[name]
+    n = len(rows)
+    heavy = np.ones(n)
+    heavy[3] = 2.0**20
+    for t in (np.ones(n), np.array([1.0 + 0.375 * i for i in range(n)]), heavy):
+        _assert_replay_matches(*_kernel_certificate(rows, B, t), n_max=20)
+    blocks = MarkovChain.from_kernel(tuple(range(n)), np.array(rows), np.ones(n) / n).blocks()
+    if name == "zero column":
+        assert blocks.order[-1] == 0 and all(0 not in C for _, C in blocks.groups)
+    if name == "dense":
+        ((R, C),) = blocks.groups
+        assert R.tolist() == C.tolist() == [list(range(n))]
+    if name == "one-column block":
+        assert [R.tolist() for R, C in blocks.groups if C.shape[1] == 1] == [[[0, 1, 2]]]
+
+
+def test_the_chain_builds_its_blocks_once(monkeypatch):
+    builds = []
+    real = chain_module._kernel_blocks
+
+    def counted(p):
+        builds.append(len(p))
+        return real(p)
+
+    monkeypatch.setattr(chain_module, "_kernel_blocks", counted)
+    mc = _random_unimodular_chain(3)
+    cert = search_certificate(mc).certificate
+    first = lemma_bound_check(mc, cert, 20)
+    assert _bits(lemma_bound_check(mc, cert, 20)) == _bits(first)
+    assert builds == [len(mc.states)]
+    assert mc.blocks() is mc.blocks()
+    # a chain of the same kernel builds its own
+    assert replace(mc).blocks() is not mc.blocks() and len(builds) == 2
 
 
 def _thick_ray_period2_chain():
