@@ -9,7 +9,8 @@ line per artifact, where ``<run>`` is ``<command>_<fixture>`` (or ``probe``,
 or ``<command>_<fixture>+<potential>``).  Then it prints one
 ``<sha256>  census_<fixture>`` line per fixture: the digest of the sorted
 ``label depth count`` rows of ``cover_census`` around the fixture's base
-vertex at radius ``CENSUS_RADIUS``.  Each config names its graph and
+vertex at radius ``CENSUS_RADIUS``.  The artifact bits depend on the BLAS
+kernel, so the OpenBLAS core in use goes to stderr first.  Each config names its graph and
 potential by paths relative to the config file, so the input hash stamped
 into the artifacts does not depend on where the checkout lives.  Diffing the
 output of two checkouts lists the artifacts whose bytes differ.
@@ -20,6 +21,8 @@ Usage:
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -74,6 +77,21 @@ def _runs():
                 yield f"{cmd}_{name}+{pot}", cmd, config
 
 
+def blas_core():
+    """The core name of the OpenBLAS bundled with numpy, or ``unknown``."""
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def digest_lines(work):
     """Run every command on every fixture under ``work``; yield the output lines."""
     shutil.copytree(FIXTURE_DIR, os.path.join(work, "graphs"))
@@ -114,6 +132,7 @@ def main(argv=None):
         help="new directory to keep configs and artifacts in (default: a temporary one)",
     )
     ns = ap.parse_args(argv)
+    print(f"openblas core: {blas_core()}", file=sys.stderr, flush=True)
     with contextlib.ExitStack() as stack:
         work = ns.work or stack.enter_context(tempfile.TemporaryDirectory())
         for line in digest_lines(work):

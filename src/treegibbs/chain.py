@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import from_arcs, from_matrix, has_cycle, period, reachable, reverse, sccs
+from .digraph import from_arcs, from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
 from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
 from .gibbs import perron_vector
 from .graph import orders_on, tail_edge_id
@@ -56,6 +56,7 @@ class MarkovChain:
     period: int
     classes: tuple
     interior: np.ndarray
+    arcs: tuple  # (src, dst) of P's nonzeros, row by row, as np.nonzero(p) lists them
     orders: object = None
     m_mass: float = None
     tail_remainder: float = 0.0
@@ -77,10 +78,10 @@ class MarkovChain:
         return float(self.p[self._pos[a], self._pos[b]])
 
     def blocks(self):
-        """The ``KernelBlocks`` of the kernel's nonzero pattern, built once on
-        first use."""
+        """The ``KernelBlocks`` of the kernel's nonzero pattern, built from
+        ``arcs`` once, on first use."""
         if self._blocks is None:
-            object.__setattr__(self, "_blocks", _kernel_blocks(self.p))
+            object.__setattr__(self, "_blocks", _kernel_blocks(*self.arcs, len(self.states)))
         return self._blocks
 
     def class_of(self, state):
@@ -101,7 +102,8 @@ class MarkovChain:
         p = np.asarray(p, dtype=float)
         states = tuple(states)
         pi = perron_vector(p.T, 1.0) if pi is None else np.asarray(pi, dtype=float)
-        period, classes = _period_and_classes(p > 0)
+        arcs = np.nonzero(p)
+        period, classes = _cyclic_classes(from_arcs(*arcs, len(states)))
         return MarkovChain(
             states=states,
             p=p,
@@ -109,6 +111,7 @@ class MarkovChain:
             period=period,
             classes=classes,
             interior=np.ones(len(states), dtype=bool),
+            arcs=arcs,
         )
 
 
@@ -134,49 +137,54 @@ class KernelBlocks:
     groups: tuple
 
 
-def _kernel_blocks(p):
-    """The ``KernelBlocks`` of the nonzero pattern of p, blocks by least column."""
-    n = len(p)
-    out = from_matrix(p)
-    root = list(range(n))
+def _kernel_blocks(src, dst, n):
+    """The ``KernelBlocks`` of the arcs src -> dst on n states, listed as
+    ``MarkovChain.arcs`` lists them; blocks by least column.
 
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    # union the columns of each row; a root is its set's least column
-    for cols in out:
-        if cols:
-            a = find(cols[0])
-            for j in cols[1:]:
-                b = find(j)
-                if a != b:
-                    a, b = min(a, b), max(a, b)
-                    root[b] = a
-    blocks = {}
-    covered = sorted({j for cols in out for j in cols})
-    for j in covered:
-        blocks.setdefault(find(j), ([], []))[1].append(j)
-    for i, cols in enumerate(out):
-        if cols:
-            blocks[find(cols[0])][0].append(i)
+    Every column is labelled with the least column of its block.  A round
+    gives each row the least label among its columns, lowers each column's
+    label to the least among its rows, then jumps every label to its
+    label's label until none moves; the labels are final after a round that
+    changes none.
+    """
+    if not len(src):
+        order = np.arange(n)
+        return KernelBlocks(order, order.copy(), np.zeros(0, dtype=np.intp), ())
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1))
+    counts = np.diff(np.append(starts, len(src)))
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, dst, np.repeat(np.minimum.reduceat(label[dst], starts), counts))
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, label):
+            break
+        label = new
+    rows, row_root = src[starts], label[dst[starts]]
+    covered = np.zeros(n, dtype=bool)
+    covered[dst] = True
+    cols = np.flatnonzero(covered)
+    col_root = label[cols]
+    ncols, nrows = np.bincount(col_root, minlength=n), np.bincount(row_root, minlength=n)
+    # shape groups in the order their first block appears, blocks by least column
+    roots = np.flatnonzero(ncols)
     shapes = {}
-    for block in blocks.values():
-        shapes.setdefault((len(block[1]), len(block[0])), []).append(block)
-    order = [j for bs in shapes.values() for _, cs in bs for j in cs]
-    order += sorted(set(range(n)).difference(covered))
-    position = [0] * n
-    for k, j in enumerate(order):
-        position[j] = k
-    gather = [position[i] for bs in shapes.values() for rs, _ in bs for i in rs]
-    groups = tuple(
-        (np.array([rs for rs, _ in bs], dtype=np.intp), np.array([cs for _, cs in bs], dtype=np.intp))
-        for bs in shapes.values()
-    )
-    order, position, gather = (np.array(x, dtype=np.intp) for x in (order, position, gather))
-    return KernelBlocks(order, position, gather, groups)
+    rank = np.zeros(n, dtype=np.intp)
+    for r, shape in zip(roots.tolist(), zip(ncols[roots].tolist(), nrows[roots].tolist())):
+        rank[r] = shapes.setdefault(shape, len(shapes))
+    col_order = cols[np.lexsort((col_root, rank[col_root]))]
+    row_order = rows[np.lexsort((row_root, rank[row_root]))]
+    order = np.concatenate((col_order, np.flatnonzero(~covered)))
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    groups = []
+    r0 = c0 = 0
+    for (c, r), G in zip(shapes, np.bincount(rank[roots]).tolist()):
+        groups.append((row_order[r0 : r0 + G * r].reshape(G, r), col_order[c0 : c0 + G * c].reshape(G, c)))
+        r0, c0 = r0 + G * r, c0 + G * c
+    return KernelBlocks(order, position, position[row_order], tuple(groups))
 
 
 def _period_and_classes(adj):
@@ -248,7 +256,7 @@ def build_chain(g, gd, orders):
     inner = interior[src] & interior[dst]
     renumber = np.cumsum(interior) - 1
     core = from_arcs(renumber[src[inner]], renumber[dst[inner]], int(interior.sum()))
-    if core and len(sccs(core)) != 1:
+    if core and not strongly_connected(core):
         raise ReducibleChainError("chain support splits into non-communicating pieces")
     period, classes = _cyclic_classes(from_arcs(src, dst, n))
     return MarkovChain(
@@ -258,6 +266,7 @@ def build_chain(g, gd, orders):
         period=period,
         classes=classes,
         interior=interior,
+        arcs=(src, dst),
         orders=ext,
         m_mass=m_mass,
         tail_remainder=float(remainder),

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .digraph import from_arcs, period
 from .gibbs import Potential, TransferOperator, entry_weights, perron_vector, spectral_radius
+from .gibbs import _LSTSQ_MAX_STATES
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
 
@@ -358,7 +359,8 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
     """C* = lim N_x(2n) exp(-2 n delta) for a finite quotient.
 
     Perron decomposition of the counting matrix T(0), one Perron value for
-    both routes; with zero potential the whole computation runs in rational
+    both routes; with zero potential, on a core of at most
+    ``_LSTSQ_MAX_STATES`` states, the whole computation runs in rational
     arithmetic when it can (see ``_renewal_exact``).  This is the
     independent route to C*; on a tailed quotient it is ``main_term``'s.
     """
@@ -381,7 +383,9 @@ def _renewal(op, orders, base, prefer_exact):
     lam = spectral_radius(M)
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
-    if prefer_exact and _potential_is_zero(F):
+    # the exact route's products and eliminations grow as n^3 in Python
+    # integers and fractions, so it runs only on small cores
+    if prefer_exact and _potential_is_zero(F) and len(op.states) <= _LSTSQ_MAX_STATES:
         res = _renewal_exact(mat, orders, base, k, op.states, M, lam)
         if res is not None:
             return res

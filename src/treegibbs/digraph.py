@@ -49,6 +49,14 @@ def reachable(succ, sources):
     return seen
 
 
+def strongly_connected(succ):
+    """Whether the digraph is one strongly connected component, as
+    ``len(sccs(succ)) == 1`` says: node 0 reaches every node and every node
+    reaches node 0."""
+    n = len(succ)
+    return n > 0 and len(reachable(succ, [0])) == n and len(reachable(reverse(succ), [0])) == n
+
+
 def sccs(succ):
     """Strongly connected components by iterative Tarjan.
 

@@ -38,7 +38,7 @@ from .errors import (
     NoPositiveSolutionError,
     ReducibleChainError,
 )
-from .digraph import from_matrix, has_cycle, reachable, reverse, sccs
+from .digraph import from_matrix, has_cycle, reachable, reverse, sccs, strongly_connected
 from .graph import (
     IndexedGraph,
     MaterializedGraph,
@@ -233,9 +233,10 @@ def _power_run(T: np.ndarray, versus):
         below = (versus + 1.0) * (1.0 - _SIDE_MARGIN)
     for step in range(_POWER_STEPS):
         w = A @ v
-        est = w.sum() / v.sum()
-        # 1-norms summed as np.linalg.norm(x, 1) sums them, without its dispatch
-        nw = np.add.reduce(np.abs(w))
+        # w >= 0 (A = T + I and v are), so its sum is its 1-norm, summed as
+        # np.linalg.norm(w, 1) sums it
+        nw = w.sum()
+        est = nw / v.sum()
         if nw == 0.0:
             return 0.0, None
         if versus is not None and v.min() > 0.0:
@@ -680,11 +681,11 @@ def _positive_fixed_vector(T, iterate=None):
     tol = 1e-10
     n = T.shape[0]
     succ = from_matrix(T > 0.0)
-    comps = sccs(succ)
-    if iterate is not None and n > _LSTSQ_MAX_STATES and len(comps) == 1:
+    if iterate is not None and n > _LSTSQ_MAX_STATES and strongly_connected(succ):
         u = iterate / iterate.sum()
         if _perron_defect(T, 1.0, u) is None:
             return u
+    comps = sccs(succ)
     dominant = []
     for comp in comps:
         if not has_cycle(succ, comp):

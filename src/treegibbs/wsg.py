@@ -120,11 +120,10 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
     rows = np.array(
         [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]], dtype=int
     )
-    p_rows = mc.p[rows]
-    nz = np.nonzero(p_rows)
+    nz, p_nz = _row_arcs(mc, rows)
     t, checked = _read_weights(mc, cert, rows, nz)
     head = rows[:checked]
-    sums = row_sums(nz[0], p_rows[nz] * t[nz[1]], len(p_rows))[:checked]
+    sums = row_sums(nz[0], p_nz * t[nz[1]], len(rows))[:checked]
     ratios = dict(zip([mc.states[i] for i in head], (sums / t[head]).tolist()))
     if checked < len(rows):
         s = mc.states[rows[checked]]
@@ -138,10 +137,23 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
     return DriftReport(ok, worst[1], worst[0], ratios, symbolic_ok, tuple(notes))
 
 
+def _row_arcs(mc, rows):
+    """(``np.nonzero(mc.p[rows])``, the entries it points at), read off the
+    chain's arcs: the arcs leaving ``rows``, row by row in the order of
+    ``rows``, columns ascending."""
+    src, dst = mc.arcs
+    at = np.full(len(mc.states), -1)
+    at[rows] = np.arange(len(rows))
+    k = at[src]
+    arc = np.flatnonzero(k >= 0)
+    arc = arc[np.argsort(k[arc], kind="stable")]
+    return (k[arc], dst[arc]), mc.p[src[arc], dst[arc]]
+
+
 def _read_weights(mc, cert, rows, nz):
     """The certificate's weights on ``rows`` and on the nonzero columns
-    ``nz = np.nonzero(mc.p[rows])``, each read once, and the number of rows
-    before the first row with t <= 0.
+    ``nz = np.nonzero(mc.p[rows])`` (as ``_row_arcs`` reads it), each read
+    once, and the number of rows before the first row with t <= 0.
 
     States are read in the order of a loop over the rows (a row, then its
     nonzero columns in column order) that returns at the first row with
@@ -466,8 +478,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
         if r1 in mc.states and r1 not in Bset:
             junctions.append((t, mc.pos(r1)))
     j_idx = np.array([i for _, i in junctions], dtype=int)
-    j_rows = mc.p[j_idx]
-    j_nz = np.nonzero(j_rows)
+    j_nz, j_p = _row_arcs(mc, j_idx)
 
     def tail_feasible(rho):
         if any(tf is None or tf.rho > rho for tf in tail_forms):
@@ -509,7 +520,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
                 return None
             bumped = False
             w, _ = _read_weights(mc, cert, j_idx, j_nz)
-            sums = row_sums(j_nz[0], j_rows[j_nz] * w[j_nz[1]], len(j_rows))
+            sums = row_sums(j_nz[0], j_p * w[j_nz[1]], len(j_idx))
             for (t, _), ratio in zip(junctions, sums / w[j_idx]):
                 if ratio > rho:
                     forms[t] = forms[t].scaled(ratio / rho * (1.0 + 1e-9))

@@ -568,6 +568,32 @@ def test_renewal_exact_path_still_hits(name, exact, growth_sq):
     assert rc.value == float(exact)
 
 
+def test_renewal_above_the_exact_size_takes_the_float_route(monkeypatch):
+    # K_10 with index 1 on every edge: 90 states, lambda = p = 8 an integer,
+    # and C* = (p + 1) / (V (p - 1)) = 9 / 70
+    import treegibbs.counting as counting
+
+    def forbidden(*args):
+        raise AssertionError("rational route on a core above the exact size")
+
+    monkeypatch.setattr(counting, "_renewal_exact", forbidden)
+    names = [f"v{k}" for k in range(10)]
+    pairs = [(u, v) for k, u in enumerate(names) for v in names[k + 1 :]]
+    g = graph_from_dict(
+        {
+            "vertices": names,
+            "edges": _core_edges(pairs),
+            "tails": [],
+            "funnels": [],
+            "orders": {"base_vertex": "v0", "base_value": "1"},
+        }
+    )
+    assert len(materialize(g, 0).edges) == 90
+    rc = renewal_constant(g, propagate_orders(g))
+    assert rc.method == "perron-float"
+    assert abs(rc.value - 9 / 70) <= 1e-12
+
+
 def _reference_census(g, base, radius, node_limit=50_000_000):
     """The census as a one-pop-per-vertex DFS over (kind, payload, depth)."""
     from collections import Counter

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegibbs.digraph import from_matrix, has_cycle, period, reachable, reverse, sccs
+from treegibbs.digraph import from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
 
 
 @st.composite
@@ -79,3 +79,20 @@ def test_reachable_matches_the_closure(A, data):
     R = _closure(A)
     assert reachable(succ, sources) == {w for w in range(n) if R[list(sources), w].any()}
     assert reachable(reverse(succ), sources) == {v for v in range(n) if R[v, list(sources)].any()}
+
+
+@st.composite
+def digraphs(draw):
+    """Adjacency matrices on 0..12 nodes, from sparse to complete, so both
+    verdicts of ``strongly_connected`` come up."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+    return np.array([c < density for c in cells], dtype=np.int64).reshape(n, n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(digraphs())
+def test_strongly_connected_is_one_component(A):
+    succ = from_matrix(A)
+    assert strongly_connected(succ) == (len(sccs(succ)) == 1)

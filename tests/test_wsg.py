@@ -8,10 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FINITE_FIXTURES, TAILED_FIXTURES, bench_core, pipeline, tailed_graphs
+from conftest import (
+    FINITE_FIXTURES,
+    PIPELINE_FIXTURES,
+    TAILED_FIXTURES,
+    bench_core,
+    pipeline,
+    tailed_graphs,
+)
 from treegibbs import fixtures as fx
 from treegibbs import chain as chain_module
-from treegibbs.chain import MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
+from treegibbs.chain import KernelBlocks, MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
+from treegibbs.digraph import from_matrix
 from treegibbs.errors import NoGeometricDriftError, TreeGibbsError
 from treegibbs.gibbs import compute_gibbs, potential_from_dict, spectral_radius
 from treegibbs.graph import (
@@ -836,9 +844,9 @@ def test_the_chain_builds_its_blocks_once(monkeypatch):
     builds = []
     real = chain_module._kernel_blocks
 
-    def counted(p):
-        builds.append(len(p))
-        return real(p)
+    def counted(src, dst, n):
+        builds.append(n)
+        return real(src, dst, n)
 
     monkeypatch.setattr(chain_module, "_kernel_blocks", counted)
     mc = _random_unimodular_chain(3)
@@ -849,6 +857,129 @@ def test_the_chain_builds_its_blocks_once(monkeypatch):
     assert mc.blocks() is mc.blocks()
     # a chain of the same kernel builds its own
     assert replace(mc).blocks() is not mc.blocks() and len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the support arcs and the blocks built from them
+
+
+def _reference_blocks(p):
+    """The ``KernelBlocks`` of the nonzero pattern of p by a union-find over
+    a dense pattern scan, blocks by least column."""
+    n = len(p)
+    out = from_matrix(p)
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    # union the columns of each row; a root is its set's least column
+    for cols in out:
+        if cols:
+            a = find(cols[0])
+            for j in cols[1:]:
+                b = find(j)
+                if a != b:
+                    a, b = min(a, b), max(a, b)
+                    root[b] = a
+    blocks = {}
+    covered = sorted({j for cols in out for j in cols})
+    for j in covered:
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    for i, cols in enumerate(out):
+        if cols:
+            blocks[find(cols[0])][0].append(i)
+    shapes = {}
+    for block in blocks.values():
+        shapes.setdefault((len(block[1]), len(block[0])), []).append(block)
+    order = [j for bs in shapes.values() for _, cs in bs for j in cs]
+    order += sorted(set(range(n)).difference(covered))
+    position = [0] * n
+    for k, j in enumerate(order):
+        position[j] = k
+    gather = [position[i] for bs in shapes.values() for rs, _ in bs for i in rs]
+    groups = tuple(
+        (np.array([rs for rs, _ in bs], dtype=np.intp), np.array([cs for _, cs in bs], dtype=np.intp))
+        for bs in shapes.values()
+    )
+    order, position, gather = (np.array(x, dtype=np.intp) for x in (order, position, gather))
+    return KernelBlocks(order, position, gather, groups)
+
+
+def _assert_pattern_and_blocks(mc, name):
+    """``mc.arcs`` is ``np.nonzero(mc.p)`` and ``mc.blocks()`` the reference's."""
+    for got, want in zip(mc.arcs, np.nonzero(mc.p)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    got, want = mc.blocks(), _reference_blocks(mc.p)
+    for a, b in zip((got.order, got.position, got.gather), (want.order, want.position, want.gather)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), name
+    assert len(got.groups) == len(want.groups), name
+    for pair, ref in zip(got.groups, want.groups):
+        for a, b in zip(pair, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), name
+
+
+def test_the_chain_arcs_are_its_pattern_and_the_blocks_the_dense_reference():
+    for depth in (80, 360):
+        for name in PIPELINE_FIXTURES:
+            _assert_pattern_and_blocks(pipeline(name, depth)[3], f"{name} at depth {depth}")
+    for V in (20, 40, 80):
+        g = bench_core(V)
+        _assert_pattern_and_blocks(build_chain(g, compute_gibbs(g), propagate_orders(g)), f"bench core {V}")
+    for name, (rows, _) in REPLAY_KERNELS.items():
+        n = len(rows)
+        _assert_pattern_and_blocks(MarkovChain.from_kernel(range(n), np.array(rows), np.ones(n) / n), name)
+    empty = MarkovChain.from_kernel(range(3), np.zeros((3, 3)), np.ones(3) / 3)
+    _assert_pattern_and_blocks(empty, "no arcs")
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(sparse_kernels())
+def test_kernel_chains_carry_their_pattern_and_its_blocks(drawn):
+    mc, _ = _kernel_certificate(*drawn)
+    _assert_pattern_and_blocks(mc, "sparse kernel")
+
+
+def test_a_finite_pipeline_reads_its_pattern_off_the_arcs(monkeypatch):
+    """Above the least-squares size, the chain, the search, the verification
+    and the replay scan no dense n x n pattern; the one scan left is the
+    shadow solve's T > 0, and the one Tarjan run the structural support's."""
+    from treegibbs import digraph
+    from treegibbs import gibbs as gibbs_module
+    from treegibbs import graph as graph_module
+
+    g = bench_core(20)
+    orders = propagate_orders(g)
+    n = 4 * 20
+    stage = ["compute_gibbs"]
+    scans, tarjans = [], []
+    nonzero, sccs = np.nonzero, digraph.sccs
+
+    def counted_nonzero(a):
+        a = np.asarray(a)
+        if a.ndim == 2 and a.size == n * n:
+            scans.append(stage[0])
+        return nonzero(a)
+
+    def counted_sccs(succ):
+        tarjans.append(stage[0])
+        return sccs(succ)
+
+    monkeypatch.setattr(np, "nonzero", counted_nonzero)
+    for module in (digraph, chain_module, gibbs_module, graph_module):
+        monkeypatch.setattr(module, "sccs", counted_sccs)
+    gd = compute_gibbs(g)
+    stage[0] = "chain"
+    mc = build_chain(g, gd, orders)
+    assert len(mc.states) == n > gibbs_module._LSTSQ_MAX_STATES
+    found = search_certificate(mc)
+    assert verify_certificate(mc, found.certificate).ok
+    assert lemma_bound_check(mc, found.certificate, 20).violations == 0
+    assert scans == ["compute_gibbs"]
+    assert tarjans == ["chain"]
 
 
 def _thick_ray_period2_chain():
