@@ -224,7 +224,10 @@ def _power_run(T: np.ndarray, versus):
     n = T.shape[0]
     if n == 0:
         return 0.0, None
-    A = T + np.eye(n)
+    # T + I without an identity matrix, with its bits and C layout: T + 0.0
+    # turns -0.0 to +0.0 as the identity's zeros do
+    A = np.add(T, 0.0, order="C")
+    A.reshape(-1)[:: n + 1] += 1.0
     v = np.ones(n)
     prev = -1.0
     width = math.inf

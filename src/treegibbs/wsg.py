@@ -32,6 +32,7 @@ from .errors import NoGeometricDriftError
 from .graph import row_sums, tail_edge_id
 
 VALUE_CAP = 1e9
+REPLAY_CHUNK = 1 << 15  # entries per column chunk of the replay's exact check
 
 
 @dataclass(frozen=True)
@@ -407,7 +408,10 @@ def _taboo_block(mc, Bset, bounded):
     fset = set(free)
     idx = np.array(free, dtype=int)
     other = np.array([i for i in range(len(mc.states)) if i not in fset], dtype=int)
-    block = mc.p[np.ix_(idx, idx)]
+    # one contiguous run of free states (B = {first state} on a finite
+    # chain): P_ff is a view of P, not a copy
+    a, z = free[0], free[-1] + 1
+    block = mc.p[a:z, a:z] if z - a == len(free) else mc.p[np.ix_(idx, idx)]
     return _TabooBlock(idx, other, block, mc.p[np.ix_(idx, other)], spectral_radius(block))
 
 
@@ -433,8 +437,14 @@ def _minimal_supersolution(mc, Bset, rho, t_boundary, taboo):
     if taboo.rho_ff >= rho:
         return None
     rhs = (taboo.p_other @ t[taboo.other]) / rho
+    # I - P_ff / rho in one array, with eye(k) - P_ff / rho's bits: 0 - x off
+    # the diagonal (+0.0 for x = 0), then 1 + (0 - x) = 1 - x on it
+    k = len(taboo.idx)
+    A = np.divide(taboo.block, rho, order="C")
+    np.subtract(0.0, A, out=A)
+    A.reshape(-1)[:: k + 1] += 1.0
     try:
-        sol = np.linalg.solve(np.eye(len(taboo.idx)) - taboo.block / rho, rhs)
+        sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(sol).all() or sol.min() <= 0 or sol.max() > VALUE_CAP:
@@ -568,15 +578,22 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
 
     Also checks the aggregated return bound p^{(n),B}_{i,B} <= M t_i rho^n with
     M = max over B of 1/t_j.  Only the checked rows of p^{(n),B} are carried,
-    transposed, one row per state in the order of ``mc.blocks()``, in two
-    buffers used in turn.  Step n multiplies p^{(n-1),B} by the taboo kernel,
-    P with B's rows zeroed, block by block: column j of a block C sums over
-    the block's rows R only, since p_kj = 0 for every other k.  So one gather
-    of the R rows and one stacked ``np.matmul`` per block shape make a step,
-    and each entry sums the same nonzero products, in the same ascending
-    order, as the dense product; the products it skips are exact zeros.
-    BLAS sums a product with one row or one column in another order, so the
-    buffers keep two columns at least and a one-column block gets a zero row.
+    transposed, one row per state in the order of ``mc.blocks()``, in one
+    power buffer.  Step n gathers the rows of every block from it, then
+    multiplies by the taboo kernel, P with B's rows zeroed, block by block
+    into the same buffer: column j of a block C sums over the block's rows R
+    only, since p_kj = 0 for every other k.  So one gather and one stacked
+    ``np.matmul`` per block shape make a step, and each entry sums the same
+    nonzero products, in the same ascending order, as the dense product; the
+    products it skips are exact zeros.  BLAS sums a product with one row or
+    one column in another order, so the buffer keeps two columns at least
+    and a one-column block gets a zero row.
+
+    A step whose largest entry lies below rho^n min t_i / max t_j, less a
+    relative 1e-13, adds no violation and leaves the largest slack as it is:
+    each entry's bound fl(fl(1/t_j) t_i rho^n) is three roundings, at most
+    4e-16 relative, above that value.  The other steps check every entry, in
+    chunks of at most ``REPLAY_CHUNK`` entries.
     """
     Bset = set(cert.B)
     weights = np.array([cert.weight(mc, s) for s in mc.states])
@@ -587,13 +604,14 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
     bcols = [i for i, s in enumerate(mc.states) if s in Bset]
     M = max(1.0 / weights[j] for j in bcols) if bcols else 0.0
     blocks = mc.blocks()
-    nr = len(rows)
+    ns, nr = len(mc.states), len(rows)
     width = max(nr, 2)
-    bufs = (np.zeros((len(mc.states), width)), np.zeros((len(mc.states), width)))
-    pns = [q[:, :nr] for q in bufs]
+    # rows without an in-arc lie in no block's columns: zero, and never written
+    power = np.zeros((ns, width))
+    pn = power[:, :nr]
     # p^{(0)} = 1 at (i, i), as the first step gathers it; that step gives
     # p^{(1)} = P on the rows outside B exactly, each entry one product by 1
-    at = np.full(len(mc.states), -1)
+    at = np.full(ns, -1)
     at[rows] = np.arange(nr)
     col = at[blocks.order[blocks.gather]]
     hit = col >= 0
@@ -605,39 +623,64 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
         (G, r), c = R.shape, C.shape[1]
         w = mc.p[R[:, None, :], C[:, :, None]] * mask[R][:, None, :]
         x = gathered[x0 : x0 + G * r].reshape(G, r, width)
-        ys = [q[y0 : y0 + G * c].reshape(G, c, width) for q in bufs]
+        y = power[y0 : y0 + G * c].reshape(G, c, width)
         if c > 1:
-            steps.append((w, x, ys, None))
+            steps.append((w, x, y, None))
         else:
-            out = np.empty((G, 2, width))
             w = np.concatenate([w, np.zeros_like(w)], axis=1)
-            steps.append((w, x, (out, out), [y[:, 0] for y in ys]))
+            steps.append((w, x, np.empty((G, 2, width)), y[:, 0]))
         x0, y0 = x0 + G * r, y0 + G * c
     viol = 0
     max_slack = 0.0
     ret_ok = True
-    t_ratio = np.outer(1.0 / weights[blocks.order], weights[rows])
-    buf = np.empty_like(t_ratio)
+    inv_t, row_t = 1.0 / weights[blocks.order], weights[rows]
+    span = max(1, REPLAY_CHUNK // max(ns, 1))
+    scratch = np.empty(ns * min(span, nr))
+    # (power columns, scratch, their weights t_i) per chunk of checked rows
+    chunks = []
+    for a in range(0, nr, span):
+        t_part = row_t[a : a + span]
+        chunks.append((pn[:, a : a + span], scratch[: ns * len(t_part)].reshape(ns, -1), t_part))
+    # one chunk: the bound table once per call; else one chunk of it per use
+    t_ratio = np.outer(inv_t, row_t) if len(chunks) == 1 else None
+    lo = None
+    if nr and np.isfinite(weights).all() and weights.min() > 0.0:
+        lo = row_t.min() / weights.max()
+        # the walk from the heaviest checked row: an entry of it at or above
+        # the bound settles a step without the full max
+        probe = pn[:, int(np.argmax(row_t))]
     bpos = blocks.position[bcols]
     powers = np.array([cert.rho**n for n in range(1, n_max + 1)])
     # the return bound's right-hand side M t_i rho^n + 1e-12, one row per step
-    ret_bound = np.multiply.outer(powers, M * weights[rows]) + 1e-12
+    ret_bound = np.multiply.outer(powers, M * row_t) + 1e-12
     gather = blocks.gather
     for n, rho_n in enumerate(powers, start=1):
-        k = n % 2
         if n > 1:
-            np.take(bufs[1 - k], gather, axis=0, out=gathered, mode="clip")
-        for w, x, outs, copies in steps:
-            np.matmul(w, x, out=outs[k])
-            if copies:
-                np.copyto(copies[k], outs[k][:, 0])
-        pn = pns[k]
-        np.multiply(t_ratio, rho_n, out=buf)
-        np.subtract(pn, buf, out=buf)
-        worst = float(buf.max()) if buf.size else 0.0
-        if worst > 1e-12:
-            viol += int(np.count_nonzero(buf > 1e-12))
-        max_slack = max(max_slack, worst)
+            np.take(power, gather, axis=0, out=gathered, mode="clip")
+        for w, x, out, copy in steps:
+            np.matmul(w, x, out=out)
+            if copy is not None:
+                np.copyto(copy, out[:, 0])
+        # below b every entry is below its own bound: no violation, no slack
+        b = rho_n * lo * (1.0 - 1e-13) if lo is not None else 0.0
+        if b < 1e-300 or not probe.max() < b or not pn.max() < b:
+            worst, over = (-math.inf if chunks else 0.0), 0
+            for part, buf, t_part in chunks:
+                if t_ratio is None:
+                    np.outer(inv_t, t_part, out=buf)
+                    np.multiply(buf, rho_n, out=buf)
+                else:
+                    np.multiply(t_ratio, rho_n, out=buf)
+                np.subtract(part, buf, out=buf)
+                m = float(buf.max())
+                # a nan wins, as in one max over every entry
+                if worst == worst and not m <= worst:
+                    worst = m
+                if m > 1e-12:
+                    over += int(np.count_nonzero(buf > 1e-12))
+            if worst > 1e-12:
+                viol += over
+            max_slack = max(max_slack, worst)
         # the B columns added one at a time in state order, as the dense replay added them
         if bcols and (pn[bpos].sum(axis=0) > ret_bound[n - 1]).any():
             ret_ok = False

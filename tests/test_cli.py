@@ -676,3 +676,18 @@ def test_each_command_unrolls_each_window_once(tmp_path, monkeypatch, name, tail
         code, _ = _run(tmp_path, command, graph_to_dict(fx.get(name)), potential, command)
         assert code == (3 if name == "critical_ray_5" else 0), command
         assert seen == Counter(depths), command
+
+
+def test_scale_peaks_runs_each_command_in_its_own_interpreter(capsys):
+    """scripts/scale_peaks.py on a 3-vertex core: one line per graph
+    command, each with exit 0, the chain's 4 V states and a peak."""
+    from conftest import _load_by_path
+
+    script = _load_by_path("scale_peaks", "scripts/scale_peaks.py")
+    assert script.main(["3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(script.COMMANDS)
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert (fields["V"], fields["states"], fields["exit"]) == ("3", "12", "0"), line
+        assert float(fields["wall_s"]) > 0 and float(fields["peak_mb"]) > 0, line

@@ -18,6 +18,7 @@ from conftest import (
 )
 from treegibbs import fixtures as fx
 from treegibbs import chain as chain_module
+from treegibbs import wsg as wsg_module
 from treegibbs.chain import KernelBlocks, MarkovChain, build_chain, counterexample_chain, taboo_matrix_powers
 from treegibbs.digraph import from_matrix
 from treegibbs.errors import NoGeometricDriftError, TreeGibbsError
@@ -728,6 +729,90 @@ def test_lemma_replay_matches_the_list_reference():
         slack_seen |= want.max_slack > 0
         return_failures_seen |= not want.return_bound_ok
     assert violations_seen and slack_seen and return_failures_seen
+
+
+@pytest.fixture(scope="module")
+def core_320():
+    """``bench_core(80)``'s chain (320 states) and its searched certificate:
+    the replay's exact check there runs in more than one chunk."""
+    g = bench_core(80)
+    mc = build_chain(g, compute_gibbs(g), propagate_orders(g))
+    return mc, search_certificate(mc).certificate
+
+
+def _replay_paths(mc, cert, n_max):
+    """Per step n of the dense reference, whether the replay's bound clears
+    it (the largest entry below rho^n min t_i / max t_j, less a relative
+    1e-13), and whether a violation and the step's largest slack lie in a
+    checked row past the first column chunk."""
+    weights = np.array([cert.weight(mc, s) for s in mc.states])
+    rows = [i for i, s in enumerate(mc.states) if s not in set(cert.B) and mc.interior[i]]
+    span = wsg_module.REPLAY_CHUNK // len(mc.states)
+    lo = weights[rows].min() / weights.max()
+    mats = taboo_matrix_powers(mc, cert.B, n_max)
+    cleared, late = [], []
+    for n in range(1, n_max + 1):
+        pn = mats[n][rows]
+        cleared.append(pn.max() < cert.rho**n * lo * (1.0 - 1e-13))
+        diff = pn - np.outer(weights[rows], 1.0 / weights) * cert.rho**n
+        late.append(diff[span:].max() == diff.max() > 1e-12)
+    return cleared, late
+
+
+def test_lemma_replay_matches_the_list_reference_in_chunks(core_320):
+    mc, cert = core_320
+    rows = [i for i, s in enumerate(mc.states) if s not in set(cert.B) and mc.interior[i]]
+    assert len(mc.states) * len(rows) > 2 * wsg_module.REPLAY_CHUNK
+    # the searched certificate: the bound clears most steps
+    want = _reference_lemma(mc, cert, 20)
+    assert _bits(lemma_bound_check(mc, cert, 20)) == _bits(want)
+    cleared, late = _replay_paths(mc, cert, 20)
+    assert sum(cleared) >= 15 and not any(late)
+    # rho shrunk: violations, with the largest slack of some step past the
+    # first chunk; at 0.999 rho the bound still clears most steps
+    for factor, clears in ((0.999, 15), (0.5, 0)):
+        shrunk = replace(cert, rho=factor * cert.rho)
+        want = _reference_lemma(mc, shrunk, 20)
+        assert want.violations and want.max_slack > 0
+        assert _bits(lemma_bound_check(mc, shrunk, 20)) == _bits(want), factor
+        cleared, late = _replay_paths(mc, shrunk, 20)
+        assert sum(cleared) >= clears and any(late), factor
+        assert not any(c and l for c, l in zip(cleared, late)), factor
+
+
+def test_lemma_replay_matches_the_list_reference_where_rho_n_underflows(single_edge_pipeline):
+    mc = single_edge_pipeline[3]
+    cert = search_certificate(mc).certificate
+    assert cert.rho**60 == 0.0
+    assert _bits(lemma_bound_check(mc, cert, 60)) == _bits(_reference_lemma(mc, cert, 60))
+
+
+def _traced_peak(f, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_replay_holds_one_power_buffer_and_the_gathered_rows(core_320):
+    mc, cert = core_320
+    mc.blocks()
+    rows = [i for i, s in enumerate(mc.states) if s not in set(cert.B) and mc.interior[i]]
+    # the power buffer and the gathered rows are n x n_rows each; the bound
+    # table, its scratch and a second power buffer would add three more
+    assert _traced_peak(lemma_bound_check, mc, cert, 20) < 3 * len(mc.states) * len(rows) * 8
+
+
+def test_the_search_holds_one_matrix_on_its_taboo_block(core_320):
+    mc, _ = core_320
+    n = len(mc.states)
+    # I - P_ff / rho, or the power loop's T + I, one at a time; P_ff itself
+    # is a view of P
+    assert _traced_peak(search_certificate, mc) < 1.5 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
