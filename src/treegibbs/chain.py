@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import from_arcs, from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
-from .errors import DivergenceError, ReducibleChainError, ZeroShadowError
-from .gibbs import perron_vector
+from .errors import DivergenceError, NoPositiveSolutionError, ReducibleChainError, ZeroShadowError
+from .gibbs import _perron_defect
 from .graph import orders_on, tail_edge_id
 
 PI_REMAINDER_TOL = 1e-13
@@ -96,12 +96,12 @@ class MarkovChain:
         """Wrap an explicit stochastic kernel (counterexample chains, tests),
         every state interior.
 
-        Without ``pi`` the stationary law is ``perron_vector(p.T, 1.0)``,
-        which raises NoPositiveSolutionError when p has no positive one.
+        Without ``pi`` the stationary law is ``_stationary_law(p)``, which
+        raises NoPositiveSolutionError when p has no positive one.
         """
         p = np.asarray(p, dtype=float)
         states = tuple(states)
-        pi = perron_vector(p.T, 1.0) if pi is None else np.asarray(pi, dtype=float)
+        pi = _stationary_law(p) if pi is None else np.asarray(pi, dtype=float)
         arcs = np.nonzero(p)
         period, classes = _cyclic_classes(from_arcs(*arcs, len(states)))
         return MarkovChain(
@@ -113,6 +113,35 @@ class MarkovChain:
             interior=np.ones(len(states), dtype=bool),
             arcs=arcs,
         )
+
+
+def _stationary_law(p):
+    """The stationary law of the kernel p by Grassmann-Taksar-Heyman
+    elimination (Oper. Res. 33, 1985).
+
+    The states are censored out from the last one down; each pivot is the
+    censored row's mass on the states left, so no entry is ever a difference
+    and each comes out to relative precision.  No BLAS call sums anything,
+    so the bits do not depend on the BLAS kernel.  Raises
+    NoPositiveSolutionError on a zero pivot (a state that reaches none of the
+    states before it) and when the law fails ``perron_vector``'s gate for
+    (p^T, 1).
+    """
+    a = p.copy()
+    for k in range(len(a) - 1, 0, -1):
+        pivot = a[k, :k].sum()
+        if not pivot > 0.0:
+            raise NoPositiveSolutionError(f"state {k} reaches no state before it")
+        a[:k, k] /= pivot
+        a[:k, :k] += np.multiply.outer(a[:k, k], a[k, :k])
+    pi = np.ones(len(a))
+    for k in range(1, len(a)):
+        pi[k] = np.add.reduce(pi[:k] * a[:k, k])
+    pi /= pi.sum()
+    why = _perron_defect(p.T, 1.0, pi)
+    if why is not None:
+        raise NoPositiveSolutionError(why)
+    return pi
 
 
 @dataclass(frozen=True)

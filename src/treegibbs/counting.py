@@ -31,12 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .chain import decay_fit
-from .errors import (
-    GraphError,
-    NoPositiveSolutionError,
-    NormalizationMismatchError,
-    ResourceLimitError,
-)
+from .errors import GraphError, NoPositiveSolutionError, ResourceLimitError
 from .digraph import from_arcs, period
 from .gibbs import Potential, TransferOperator, entry_weights, perron_vector, spectral_radius
 from .gibbs import _LSTSQ_MAX_STATES
@@ -143,7 +138,6 @@ def orbit_oracle(
     n_max,
     first_edge_constraint=None,
     include_identity=True,
-    guard=_DP_GUARD,
 ):
     """Weighted count of orbit points per distance, by DP over quotient paths.
 
@@ -152,7 +146,7 @@ def orbit_oracle(
     directions); funnel edges never lead back, so a path into one is refused.
     """
     mat = materialize(g, n_max + 1 if g.tails else 0)
-    op, order_base, entry = _dp_weights(mat, F, orders, base, n_max, guard, None)
+    op, order_base, entry = _dp_weights(mat, F, orders, base, n_max, None)
     exact = op is None
     if first_edge_constraint:
         path = list(first_edge_constraint)
@@ -176,12 +170,12 @@ def orbit_oracle(
     return OracleCounts(base, n_max, tuple(per), exact, tuple(first_edge_constraint or ()))
 
 
-def _dp_weights(mat, F, orders, base, n_max, guard, known):
+def _dp_weights(mat, F, orders, base, n_max, known):
     """(operator, order, entry weights) at ``base`` of the counting DP to ``n_max``
     on the window ``mat``: F's operator there (``known`` when it is) and the order
     as a float, or None and the exact order at zero potential (the exact mode)."""
     F = F or Potential.zero(mat.core)
-    if len(mat.edges) * (n_max + 1) > guard:
+    if len(mat.edges) * (n_max + 1) > _DP_GUARD:
         raise ResourceLimitError("counting DP exceeds the resource guard")
     reuse = known is not None and known.mat is mat and known.F == F
     op = None if _potential_is_zero(F) else known if reuse else TransferOperator(mat, F)
@@ -305,7 +299,7 @@ class MainTerms:
     full_constant: float
 
 
-def main_term(gd, m_mass, n, period, nu_x, cone_mass, norm_record=None):
+def main_term(gd, m_mass, n, period, nu_x, cone_mass):
     """Main terms of the orbit count at x at horizon 2n.
 
     With k = ``period`` (``length_spectrum_period``), ||m|| = ``m_mass``,
@@ -320,10 +314,6 @@ def main_term(gd, m_mass, n, period, nu_x, cone_mass, norm_record=None):
     vertex, with and without potentials, and away from it only at zero
     potential.
     """
-    if norm_record is not None and norm_record != gd.normalization:
-        raise NormalizationMismatchError(
-            f"mass record {norm_record} differs from shadow record {gd.normalization}"
-        )
     ek = math.exp(period * gd.delta)
     scale = period * nu_x / m_mass * ek / (ek - 1.0)
     cone_c = scale * cone_mass
@@ -573,7 +563,7 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     base = base or g.base_vertex
     # a finite quotient counts on the bare core the shadow solve unrolled, with its operator
     mat = materialize(g, 2 * n_hi + 1) if g.tails else gd.mat
-    op, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, _DP_GUARD, gd.op)
+    op, order_base, entry = _dp_weights(mat, F, orders, base, 2 * n_hi, gd.op)
     cone_edge = entry[0][0]
     full, cone = _orbit_dp(mat, op, base, order_base, [entry, entry[:1]], 1, 2 * n_hi)
     full[0] = order_base  # the identity

@@ -22,8 +22,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graph import IndexedGraph, materialize
 
-NODE_LIMIT = 2_000_000
+NODE_LIMIT = 2_000_000  # most vertices ``build_cover_ball`` keeps
 CENSUS_BLOCK = 4096  # cover vertices per block of the census walk
+CENSUS_LIMIT = 50_000_000  # most vertices ``cover_census`` counts
 
 
 @dataclass
@@ -88,7 +89,7 @@ def _expansion(g: IndexedGraph, radius: int):
     return mat, children
 
 
-def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LIMIT) -> CoverBall:
+def build_cover_ball(g: IndexedGraph, base: str, radius: int) -> CoverBall:
     """Exact ball of the universal cover around a lift of ``base``.
 
     Node labels are quotient vertex ids; funnel interior vertices get
@@ -101,9 +102,9 @@ def build_cover_ball(g: IndexedGraph, base: str, radius: int, node_limit=NODE_LI
     for depth in range(1, radius + 1):
         nxt = []
         for parent, kind, payload in frontier:
-            if len(nodes) >= node_limit:
+            if len(nodes) >= NODE_LIMIT:
                 raise ResourceLimitError(
-                    f"cover ball exceeds {node_limit} vertices at radius {depth}"
+                    f"cover ball exceeds {NODE_LIMIT} vertices at radius {depth}"
                 )
             idx = len(nodes)
             if kind == "edge":
@@ -166,7 +167,7 @@ def _state_table(g: IndexedGraph, base: str, radius: int):
     )
 
 
-def cover_census(g: IndexedGraph, base: str, radius: int, node_limit=50_000_000):
+def cover_census(g: IndexedGraph, base: str, radius: int):
     """Counter over (label, depth), enumerating every cover vertex individually.
 
     Memory-light variant of build_cover_ball for large radii, and still an
@@ -176,7 +177,7 @@ def cover_census(g: IndexedGraph, base: str, radius: int, node_limit=50_000_000)
     ``_state_table`` (one entry per child, multiplicities repeated) and adds
     ``np.bincount`` of the children's labels to their depth's row; the stack
     holds at most about radius x ``CENSUS_BLOCK`` x max degree ids.  Raises
-    ResourceLimitError when the ball has more than ``node_limit`` vertices.
+    ResourceLimitError when the ball has more than ``CENSUS_LIMIT`` vertices.
     """
     label, ptr, flat, names = _state_table(g, base, radius)
     hist = np.zeros((radius + 1, len(names)), dtype=np.int64)
@@ -192,8 +193,8 @@ def cover_census(g: IndexedGraph, base: str, radius: int, node_limit=50_000_000)
         if n == 0:
             continue
         total += n
-        if total > node_limit:
-            raise ResourceLimitError(f"cover census exceeds {node_limit} vertices")
+        if total > CENSUS_LIMIT:
+            raise ResourceLimitError(f"cover census exceeds {CENSUS_LIMIT} vertices")
         # child slot j of block entry i sits at flat[first[i] + j]
         kids = flat[np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(n)]
         hist[depth + 1] += np.bincount(label[kids], minlength=len(names))

@@ -45,9 +45,5 @@ class NoGeometricDriftError(TreeGibbsError):
     """No geometric drift weight family exists for the requested tail."""
 
 
-class NormalizationMismatchError(TreeGibbsError):
-    """Inputs computed under different shadow normalization records."""
-
-
 class ResourceLimitError(TreeGibbsError):
-    """A computation would exceed the configured resource guard."""
+    """A computation would exceed a fixed resource guard."""

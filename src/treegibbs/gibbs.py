@@ -279,8 +279,10 @@ def perron_vector(A: np.ndarray, lam: float):
     (||A v - lam v||_1 > 1e-10 ||A v||_1) or when v is not positive.  The
     shadow solve uses it on dominant classes of at most
     ``_LSTSQ_MAX_STATES`` states, and on larger ones whose power iterate
-    fails this gate; the renewal constant and ``MarkovChain.from_kernel``
-    always use it.
+    fails this gate; the renewal constant always uses it.
+    ``MarkovChain.from_kernel`` takes its law by elimination instead, under
+    the same gate, since ``lstsq`` leaves absolute noise of about 1e-16,
+    signed by the BLAS kernel, on entries far below that.
     """
     k = A.shape[0]
     M = np.vstack([A - lam * np.eye(k), np.ones((1, k))])

@@ -33,6 +33,8 @@ from .graph import row_sums, tail_edge_id
 
 VALUE_CAP = 1e9
 REPLAY_CHUNK = 1 << 15  # entries per column chunk of the replay's exact check
+DRIFT_TOL = 1e-10  # how far a verified drift ratio may exceed rho
+SEARCH_RHO_TOL = 1e-6  # the search's floor margin and bisection width in rho
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,9 @@ class DriftReport:
 # verification
 
 
-def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> DriftReport:
+def verify_certificate(mc: MarkovChain, cert: DriftCertificate) -> DriftReport:
     """Per-state drift ratios outside B; parametric tail levels checked on their
-    periodic blocks."""
+    periodic blocks.  A ratio passes at most ``DRIFT_TOL`` above rho."""
     Bset = set(cert.B)
     rows = np.array(
         [i for i, s in enumerate(mc.states) if s not in Bset and mc.interior[i]], dtype=int
@@ -133,8 +135,8 @@ def verify_certificate(mc: MarkovChain, cert: DriftCertificate, tol=1e-10) -> Dr
     for s, r in ratios.items():
         if r > worst[1]:
             worst = (s, r)
-    symbolic_ok, notes = _symbolic_tail_check(mc, cert, tol)
-    ok = worst[1] <= cert.rho + tol and symbolic_ok
+    symbolic_ok, notes = _symbolic_tail_check(mc, cert, DRIFT_TOL)
+    ok = worst[1] <= cert.rho + DRIFT_TOL and symbolic_ok
     return DriftReport(ok, worst[1], worst[0], ratios, symbolic_ok, tuple(notes))
 
 
@@ -453,13 +455,13 @@ def _minimal_supersolution(mc, Bset, rho, t_boundary, taboo):
     return t
 
 
-def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
-    """The least feasible rho, to within ``rho_tol``, and its certificate.
+def search_certificate(mc: MarkovChain, B0=None) -> SearchOutcome:
+    """The least feasible rho, to within ``SEARCH_RHO_TOL``, and its certificate.
 
     Nothing at or below rho(P_ff), the Perron value of the taboo block on
     the free states (Collatz-Wielandt), or below the largest tail form ratio
     is feasible.  So the floor max(largest tail ratio, rho(P_ff)(1 +
-    rho_tol)) is tried first and returned when feasible: one minimal-
+    SEARCH_RHO_TOL)) is tried first and returned when feasible: one minimal-
     supersolution solve (t = 1 on B, tail states from their forms, a tail
     rescaling loop for the junctions) and one verification.  Otherwise, or
     when the floor is 0, rho is bisected between the floor and 1 - 1e-9.
@@ -542,7 +544,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     hi = 1.0 - 1e-9
     # nothing at or below rho(P_ff) or below a tail form's ratio is feasible
     rho_ff = taboo.rho_ff if taboo is not None else 0.0
-    lo = max([rho_ff * (1.0 + rho_tol)] + [tf.rho for tf in tail_forms if tf is not None])
+    lo = max([rho_ff * (1.0 + SEARCH_RHO_TOL)] + [tf.rho for tf in tail_forms if tf is not None])
     if 0.0 < lo < hi:
         floor = feasible(lo)
         if floor is not None:
@@ -550,7 +552,7 @@ def search_certificate(mc: MarkovChain, B0=None, rho_tol=1e-6) -> SearchOutcome:
     best = feasible(hi)
     if best is None:
         return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
-    while hi - lo > rho_tol:
+    while hi - lo > SEARCH_RHO_TOL:
         mid = 0.5 * (lo + hi)
         cand = feasible(mid)
         if cand is not None:
@@ -676,10 +678,10 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
                 # a nan wins, as in one max over every entry
                 if worst == worst and not m <= worst:
                     worst = m
-                if m > 1e-12:
+                # a nan max still counts the entries above 1e-12
+                if not m <= 1e-12:
                     over += int(np.count_nonzero(buf > 1e-12))
-            if worst > 1e-12:
-                viol += over
+            viol += over
             max_slack = max(max_slack, worst)
         # the B columns added one at a time in state order, as the dense replay added them
         if bcols and (pn[bpos].sum(axis=0) > ret_bound[n - 1]).any():
@@ -687,7 +689,7 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
     return LemmaBoundReport(n_max, viol, max_slack, ret_ok)
 
 
-def degradation_probe(gammas, betas, truncations, rho_tol=1e-6):
+def degradation_probe(gammas, betas, truncations):
     """Best feasible rho per truncation of the star family with B = {inf},
     and the drift lower bound sup gamma over the satellites: one Perron value
     and one solve per truncation whenever the search's floor is feasible."""
@@ -696,7 +698,7 @@ def degradation_probe(gammas, betas, truncations, rho_tol=1e-6):
     rows = []
     for N in truncations:
         mc = counterexample_chain(gammas, betas, N)
-        out = search_certificate(mc, B0=("inf",), rho_tol=rho_tol)
+        out = search_certificate(mc, B0=("inf",))
         gmax = max(float(gammas(n)) for n in range(-N, N + 1))
         rows.append(
             {

@@ -204,6 +204,54 @@ def test_mixing_doubly_stochastic_exact():
     assert fit.exact and fit.theta == 0.0
 
 
+# the birth-death chain on 0..25 with forward probability 0.9 inside, built
+# through from_kernel in a fresh interpreter, which prints the OpenBLAS core
+# it runs on (read as scripts/artifact_digests.py reads it) and the law
+_KERNEL_CHILD = """
+import importlib.util, json, sys
+import numpy as np
+from treegibbs.chain import MarkovChain
+spec = importlib.util.spec_from_file_location("artifact_digests", sys.argv[1])
+digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digests)
+P = np.zeros((26, 26))
+for i in range(1, 25):
+    P[i, i + 1], P[i, i - 1] = 0.9, 1.0 - 0.9
+P[0, 1] = P[25, 24] = 1.0
+mc = MarkovChain.from_kernel(tuple(map(str, range(26))), P)
+print(json.dumps({"core": digests.blas_core(), "pi": mc.pi.tolist()}))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_from_kernel_law_does_not_depend_on_the_blas_kernel(core):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, str(root / "scripts" / "artifact_digests.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout)
+    if got["core"].lower() != core.lower():
+        pytest.skip(f"OpenBLAS runs {got['core']}, not {core}")
+    # detailed balance: pi_{i+1} / pi_i = p(i, i+1) / p(i+1, i), true entries down to 5.6e-24
+    up = [1.0] + [0.9] * 24
+    down = [1.0 - 0.9] * 24 + [1.0]
+    law = [1.0]
+    for u, d in zip(up, down):
+        law.append(law[-1] * u / d)
+    law = np.array(law) / math.fsum(law)
+    pi = np.array(got["pi"])
+    assert pi.min() > 0.0
+    assert np.max(np.abs(pi - law) / law) <= 1e-14
+
+
 def test_mixing_rates_match_second_eigenvalue():
     for name, expected in (("parallel_edges", 1.0 / 9.0), ("two_loops", 1.0 / 3.0)):
         _, _, _, mc = pipeline(name)

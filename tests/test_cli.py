@@ -554,7 +554,6 @@ def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch,
         errors.ZeroShadowError: 3,
         errors.ReducibleChainError: 3,
         errors.NoGeometricDriftError: 3,
-        errors.NormalizationMismatchError: 3,
         errors.ResourceLimitError: 4,
     }
     members = inspect.getmembers(errors, inspect.isclass)

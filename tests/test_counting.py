@@ -20,7 +20,7 @@ from treegibbs.counting import (
     sphere_size,
 )
 from treegibbs.cover import build_cover_ball, cover_census
-from treegibbs.errors import GraphError, NormalizationMismatchError
+from treegibbs.errors import GraphError
 from treegibbs.gibbs import Potential
 from treegibbs.graph import graph_from_dict, length_spectrum_period, materialize, propagate_orders
 
@@ -135,8 +135,6 @@ def test_main_term_scaling(single_edge_pipeline):
     t5 = main_term(gd, mc.m_mass, 5, 2, 1.0, 1.0)
     t6 = main_term(gd, mc.m_mass, 6, 2, 1.0, 1.0)
     assert abs(t6.full_term / t5.full_term - math.exp(2 * gd.delta)) < 1e-12
-    with pytest.raises(NormalizationMismatchError):
-        main_term(gd, mc.m_mass, 5, 2, 1.0, 1.0, norm_record={"other": 1})
 
 
 def test_renewal_constant_exact_three_regular(single_edge_pipeline):
@@ -411,15 +409,18 @@ def test_a_bad_base_vertex_is_a_graph_error(call, message):
         BAD_BASE_CALLS[call](*pipeline("funnel_loop"))
 
 
-def test_resource_guards():
+def test_resource_guards(monkeypatch):
+    from treegibbs import counting, cover
     from treegibbs.errors import ResourceLimitError
 
     g = fx.single_edge(3, 3)
     orders = propagate_orders(g)
+    monkeypatch.setattr(counting, "_DP_GUARD", 5)
+    monkeypatch.setattr(cover, "NODE_LIMIT", 10)
     with pytest.raises(ResourceLimitError):
-        orbit_oracle(g, orders, None, "a", 10, guard=5)
+        orbit_oracle(g, orders, None, "a", 10)
     with pytest.raises(ResourceLimitError):
-        build_cover_ball(g, "a", 10, node_limit=10)
+        build_cover_ball(g, "a", 10)
 
 
 def test_random_graphs_oracle_matches_ball():
@@ -642,20 +643,24 @@ def test_census_matches_the_one_pop_per_vertex_reference(name):
 
 
 @pytest.mark.parametrize("name", ["single_edge_3", "funnel_loop", "cusp_24"])
-def test_census_node_limit_is_the_ball_size(name):
+def test_census_node_limit_is_the_ball_size(name, monkeypatch):
+    from treegibbs import cover
     from treegibbs.errors import ResourceLimitError
 
     g = fx.get(name)
     base = g.base_vertex
     size = sum(cover_census(g, base, 6).values())
+    monkeypatch.setattr(cover, "CENSUS_LIMIT", size - 1)
     with pytest.raises(ResourceLimitError) as got:
-        cover_census(g, base, 6, node_limit=size - 1)
+        cover_census(g, base, 6)
     with pytest.raises(ResourceLimitError) as want:
         _reference_census(g, base, 6, node_limit=size - 1)
     assert str(got.value) == str(want.value) == f"cover census exceeds {size - 1} vertices"
-    assert sum(cover_census(g, base, 6, node_limit=size).values()) == size
+    monkeypatch.setattr(cover, "CENSUS_LIMIT", size)
+    assert sum(cover_census(g, base, 6).values()) == size
     # a lone root is never checked against the limit, as in the reference
-    assert cover_census(g, base, 0, node_limit=0) == _reference_census(g, base, 0, node_limit=0)
+    monkeypatch.setattr(cover, "CENSUS_LIMIT", 0)
+    assert cover_census(g, base, 0) == _reference_census(g, base, 0, node_limit=0)
 
 
 def test_census_walks_in_blocks_not_levels():

@@ -93,7 +93,7 @@ def test_spectral_radius_is_exact_on_the_star_taboo_block(N):
 
 def test_degradation_probe_sits_on_the_perron_floor():
     rho_tol = 1e-6
-    for row in degradation_probe(_star_gamma, lambda n: 1.0, (10, 20), rho_tol=rho_tol):
+    for row in degradation_probe(_star_gamma, lambda n: 1.0, (10, 20)):
         N = row["N"]
         want = N / (N + 1) * (1.0 + rho_tol)
         assert row["feasible"] and abs(row["rho"] - want) <= 1e-15 * want

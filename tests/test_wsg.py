@@ -454,16 +454,16 @@ def test_finite_search_is_one_solve_at_the_floor(monkeypatch):
     verifies = []
     verify = wsg.verify_certificate
 
-    def counted_verify(mc, cert, tol=1e-10):
+    def counted_verify(mc, cert):
         verifies.append(cert.rho)
-        return verify(mc, cert, tol)
+        return verify(mc, cert)
 
     monkeypatch.setattr(wsg, "verify_certificate", counted_verify)
     rho_tol, seen = 1e-6, 0
     for name, mc, B0 in _floor_cases():
         solves.clear()
         verifies.clear()
-        out = search_certificate(mc, B0, rho_tol)
+        out = search_certificate(mc, B0)
         # no free states, or rho(P_ff) = 0: the search keeps the bisection
         taboo = solves[0][1]
         rho_ff = taboo.rho_ff if taboo is not None else 0.0
@@ -785,6 +785,20 @@ def test_lemma_replay_matches_the_list_reference_where_rho_n_underflows(single_e
     cert = search_certificate(mc).certificate
     assert cert.rho**60 == 0.0
     assert _bits(lemma_bound_check(mc, cert, 60)) == _bits(_reference_lemma(mc, cert, 60))
+
+
+@pytest.mark.parametrize("value", [math.inf, 0.0])
+def test_lemma_replay_counts_violations_beside_a_nan_bound(core_320, value):
+    # one checked state's weight at inf or 0 puts 0 x inf, a nan, in the
+    # bound table of every step: its max is nan, and the entries above 1e-12
+    # elsewhere still count
+    mc, cert = core_320
+    edited = replace(cert, t_core={**cert.t_core, mc.states[5]: value})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _reference_lemma(mc, edited, 20)
+        got = lemma_bound_check(mc, edited, 20)
+    assert want.violations > 0
+    assert _bits(got) == _bits(want)
 
 
 def _traced_peak(f, *args):
