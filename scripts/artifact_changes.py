@@ -10,8 +10,9 @@ followed by one indented ``<field>: <before> -> <after>`` line per changed JSON
 leaf (``a.b[3]``), CSV cell (``row 4 pi``, data rows counted from 1) or text
 line (``line 4``).  The relative change of two numbers is
 |after - before| / max(|before|, |after|); a text line counts the largest one
-over the numbers it contains.  Artifacts present on one side only are
-reported as such.  ``grep -v '^ '`` keeps the header lines only.
+over the numbers it contains.  Two NaNs count as equal.  Artifacts present
+on one side only are reported as such.  ``grep -v '^ '`` keeps the header
+lines only.
 
 Usage:
     PYTHONPATH=src python scripts/artifact_digests.py --work PARENT_WORK   # on the parent
@@ -51,10 +52,15 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _same(x, y):
+    """Whether two leaves or numbers are equal, two NaNs counting as equal."""
+    return x == y or (isinstance(x, float) and isinstance(y, float) and math.isnan(x) and math.isnan(y))
+
+
 def _json_fields(before, after):
     old, new = dict(_leaves(json.loads(before))), dict(_leaves(json.loads(after)))
     for key in sorted(set(old) | set(new)):
-        if old.get(key, "<absent>") != new.get(key, "<absent>"):
+        if not _same(old.get(key, "<absent>"), new.get(key, "<absent>")):
             yield key, old.get(key, "<absent>"), new.get(key, "<absent>")
 
 
@@ -95,7 +101,7 @@ def rel_change(before, after):
         return None
     worst = 0.0
     for x, y in zip(xs, ys):
-        if x == y:
+        if _same(x, y):
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
             return math.inf

@@ -34,7 +34,6 @@ from .chain import decay_fit
 from .errors import GraphError, NoPositiveSolutionError, ResourceLimitError
 from .digraph import from_arcs, period
 from .gibbs import Potential, TransferOperator, entry_weights, perron_vector, spectral_radius
-from .gibbs import _LSTSQ_MAX_STATES
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
 
@@ -113,6 +112,9 @@ def mgamma_ball_measure(params: BiregularParams, delta: float, R: int, m_mass: f
 
 
 _DP_GUARD = 5_000_000  # largest edges x steps the counting DP takes on
+# the largest core the exact renewal route takes: its rational products and
+# eliminations grow as n^3 in Python integers and fractions
+_EXACT_MAX_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,7 @@ def renewal_constant(g, orders, F=None, base=None, prefer_exact=True) -> Renewal
 
     Perron decomposition of the counting matrix T(0), one Perron value for
     both routes; with zero potential, on a core of at most
-    ``_LSTSQ_MAX_STATES`` states, the whole computation runs in rational
+    ``_EXACT_MAX_STATES`` states, the whole computation runs in rational
     arithmetic when it can (see ``_renewal_exact``).  This is the
     independent route to C*; on a tailed quotient it is ``main_term``'s.
     """
@@ -373,9 +375,7 @@ def _renewal(op, orders, base, prefer_exact):
     lam = spectral_radius(M)
     if lam <= 1.0:
         raise NoPositiveSolutionError("counting growth rate at or below 1")
-    # the exact route's products and eliminations grow as n^3 in Python
-    # integers and fractions, so it runs only on small cores
-    if prefer_exact and _potential_is_zero(F) and len(op.states) <= _LSTSQ_MAX_STATES:
+    if prefer_exact and _potential_is_zero(F) and len(op.states) <= _EXACT_MAX_STATES:
         res = _renewal_exact(mat, orders, base, k, op.states, M, lam)
         if res is not None:
             return res
@@ -442,8 +442,6 @@ def _renewal_exact(mat, orders, base, k, states, M, lam):
         return None
     At = [[A[j][i] for j in range(n)] for i in range(n)]
     W = _nullspace_fraction(At)
-    if len(W) != len(V):
-        return None
     gdim = len(V)
     WV = [[sum(W[a][i] * V[b][i] for i in range(n)) for b in range(gdim)] for a in range(gdim)]
     # the RREF of [WV | I] is [I | WV^-1] exactly when WV is invertible

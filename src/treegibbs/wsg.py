@@ -674,12 +674,12 @@ def lemma_bound_check(mc: MarkovChain, cert: DriftCertificate, n_max) -> LemmaBo
                 else:
                     np.multiply(t_ratio, rho_n, out=buf)
                 np.subtract(part, buf, out=buf)
-                m = float(buf.max())
-                # a nan wins, as in one max over every entry
-                if worst == worst and not m <= worst:
+                # the max over the entries that are not nan: a 0 x inf bound
+                # entry is no slack, and the others still count
+                m = float(np.fmax.reduce(buf, axis=None))
+                if m > worst:
                     worst = m
-                # a nan max still counts the entries above 1e-12
-                if not m <= 1e-12:
+                if m > 1e-12:
                     over += int(np.count_nonzero(buf > 1e-12))
             viol += over
             max_slack = max(max_slack, worst)

@@ -677,6 +677,30 @@ def test_each_command_unrolls_each_window_once(tmp_path, monkeypatch, name, tail
         assert seen == Counter(depths), command
 
 
+@pytest.mark.parametrize("name, searches, analytic", [("thick_ray_5", 0, 1), ("parallel_edges", 1, 0)])
+def test_wsg_takes_one_certificate_route(tmp_path, monkeypatch, name, searches, analytic):
+    # a tailed quotient takes the analytic tail certificate alone, a finite
+    # one the search alone
+    from collections import Counter
+
+    from treegibbs import cli
+
+    calls = Counter()
+
+    def counting(f):
+        def wrapped(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    for attr in ("search_certificate", "tail_certificate"):
+        monkeypatch.setattr(cli, attr, counting(getattr(cli, attr)))
+    code, _ = _run(tmp_path, name, graph_to_dict(fx.get(name)), command="wsg")
+    assert code == 0
+    assert calls == Counter({"search_certificate": searches, "tail_certificate": analytic})
+
+
 def test_scale_peaks_runs_each_command_in_its_own_interpreter(capsys):
     """scripts/scale_peaks.py on a 3-vertex core: one line per graph
     command, each with exit 0, the chain's 4 V states and a peak."""
@@ -690,3 +714,46 @@ def test_scale_peaks_runs_each_command_in_its_own_interpreter(capsys):
         fields = dict(field.split("=") for field in line.split()[1:])
         assert (fields["V"], fields["states"], fields["exit"]) == ("3", "12", "0"), line
         assert float(fields["wall_s"]) > 0 and float(fields["peak_mb"]) > 0, line
+
+
+def _write_tree(work, files):
+    """An ``out/`` tree under ``work``: {"<run>/<file>": text}."""
+    for name, text in files.items():
+        path = work / "out" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(work)
+
+
+def test_artifact_changes_reports_fields_and_keeps_unchanged_nans(tmp_path):
+    from conftest import _load_by_path
+
+    script = _load_by_path("artifact_changes", "scripts/artifact_changes.py")
+    parent = _write_tree(
+        tmp_path / "parent",
+        {
+            "run_a/a.json": '{"x": NaN, "y": 1.0}',
+            "run_a/b.csv": "n,w\n1,1.0\n2,nan\n",
+            "run_a/summary.txt": "rate nan and 2.0\nsame\n",
+            "run_b/c.json": "{}",
+        },
+    )
+    change = _write_tree(
+        tmp_path / "change",
+        {
+            "run_a/a.json": '{"x": NaN, "y": 1.5}',
+            "run_a/b.csv": "n,w\n1,2.0\n2,nan\n",
+            "run_a/summary.txt": "rate nan and 3.0\nsame\n",
+            "run_c/d.json": "{}",
+        },
+    )
+    assert list(script.changes(parent, change)) == [
+        "run_a/a.json: 1 changed, max rel change 0.33 at y",
+        "  y: 1.0 -> 1.5",
+        "run_a/b.csv: 1 changed, max rel change 0.5 at row 1 w",
+        "  row 1 w: 1.0 -> 2.0",
+        "run_a/summary.txt: 1 changed, max rel change 0.33 at line 1",
+        "  line 1: rate nan and 2.0 -> rate nan and 3.0",
+        f"run_b/c.json: only in {parent}",
+        f"run_c/d.json: only in {change}",
+    ]

@@ -14,6 +14,7 @@ from conftest import (
     TAILED_FIXTURES,
     bench_core,
     pipeline,
+    potential_runs,
     tailed_graphs,
 )
 from treegibbs import fixtures as fx
@@ -138,12 +139,37 @@ def test_search_certificate_finite_core():
         assert verify_certificate(mc, out.certificate).ok, name
 
 
-def test_search_matches_analytic_on_cusp():
-    _, _, _, mc = pipeline("cusp_22")
+# every tailed run of scripts/artifact_digests.py: the tailed fixtures, the
+# tail potentials and the core-edge potential on cusp_22
+_TAILED_RUNS = (
+    [pytest.param(name, None, id=name) for name in TAILED_FIXTURES]
+    + [
+        pytest.param(name, {"tail_values": [dict(tail_index=0, **values)]}, id=f"{name}+{pot}")
+        for name, pot, values in potential_runs()
+    ]
+    + [pytest.param("cusp_22", {"edges": {"c": 0.2, "cbar": 0.05}}, id="cusp_22+edges")]
+)
+
+
+@pytest.mark.parametrize("depth", [80, 90])
+@pytest.mark.parametrize("name, potential", _TAILED_RUNS)
+def test_search_matches_analytic_on_cusp(name, potential, depth):
+    # with B every core state no state is free: the search's weights are 1 on
+    # B and the tail forms elsewhere, and its rho the largest tail-form ratio,
+    # so wsg's analytic certificate is the search's plus 1e-9
+    if potential is None:
+        mc = pipeline(name, depth)[3]
+    else:
+        g = fx.get(name)
+        gd = compute_gibbs(g, potential_from_dict(g, potential), depth=depth)
+        mc = build_chain(g, gd, propagate_orders(g))
     cert = tail_certificate(mc)
     out = search_certificate(mc)
     assert out.feasible
-    assert abs(out.infimum_rho - cert.rho) < 1e-3
+    assert cert.rho == min(out.infimum_rho + 1e-9, 1.0 - 1e-12)
+    assert cert.B == out.certificate.B
+    assert cert.t_core == out.certificate.t_core
+    assert cert.tails == out.certificate.tails
     assert verify_certificate(mc, out.certificate).ok
 
 
@@ -597,7 +623,7 @@ def _reference_lemma(mc, cert, n_max):
         diff = Pn[rows] - bound
         if (diff > 1e-12).any():
             viol += int((diff > 1e-12).sum())
-        max_slack = max(max_slack, float(diff.max()) if diff.size else 0.0)
+        max_slack = max(max_slack, float(np.fmax.reduce(diff, axis=None)) if diff.size else 0.0)
         if bcols:
             ret = Pn[np.ix_(rows, bcols)].sum(axis=1)
             if (ret > M * weights[rows] * rho_n + 1e-12).any():
@@ -790,14 +816,15 @@ def test_lemma_replay_matches_the_list_reference_where_rho_n_underflows(single_e
 @pytest.mark.parametrize("value", [math.inf, 0.0])
 def test_lemma_replay_counts_violations_beside_a_nan_bound(core_320, value):
     # one checked state's weight at inf or 0 puts 0 x inf, a nan, in the
-    # bound table of every step: its max is nan, and the entries above 1e-12
-    # elsewhere still count
+    # bound table of every step: the entries above 1e-12 elsewhere still
+    # count, and so does their slack
     mc, cert = core_320
     edited = replace(cert, t_core={**cert.t_core, mc.states[5]: value})
     with np.errstate(divide="ignore", invalid="ignore"):
         want = _reference_lemma(mc, edited, 20)
         got = lemma_bound_check(mc, edited, 20)
     assert want.violations > 0
+    assert got.max_slack > 0
     assert _bits(got) == _bits(want)
 
 
