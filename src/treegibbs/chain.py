@@ -404,10 +404,6 @@ class MarkovReport:
     max_cylinder_residual: float
     pi_sum_defect: float
 
-    @property
-    def max_residual(self):
-        return max(self.max_row_residual, self.max_stationarity_residual)
-
 
 def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     """Row sums, stationarity, and length-2 cylinder consistency residuals."""

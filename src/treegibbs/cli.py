@@ -42,6 +42,8 @@ from .gibbs import DEFAULT_DEPTH, Potential, compute_gibbs, cusp_exponent_bound,
 from .graph import (
     _is_int,
     _is_number,
+    _object,
+    _shape,
     graph_from_json,
     length_spectrum_period,
     propagate_orders,
@@ -91,12 +93,7 @@ def parse_config(argv=None):
     ap.add_argument("--out", default=None)
     ap.add_argument("--nmax", type=int, default=None)
     ns = ap.parse_args(argv)
-    raw = read_json(ns.config, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ns.config}: must be a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    raw = _object(read_json(ns.config, "config"), ns.config, _CONFIG_FIELDS)
     cdir = os.path.dirname(os.path.abspath(ns.config))
 
     def resolve(p):
@@ -120,21 +117,18 @@ def parse_config(argv=None):
     for name in ("graph", "potential", "out"):
         if not isinstance(raw.get(name, ""), (str, type(None))):
             raise ConfigError(f"{name}: must be a path, got {raw[name]!r}")
-    truncations = raw.get("truncations", [10, 20, 40, 80])
-    if not isinstance(truncations, list):
-        raise ConfigError(f"truncations: must be a list, got {truncations!r}")
+    truncations = _shape(raw.get("truncations", [10, 20, 40, 80]), list, "truncations")
     if not truncations:
         raise ConfigError("truncations: must name at least one truncation")
     for k, N in enumerate(truncations):
         if not _is_int(N) or N < 0:
             raise ConfigError(f"truncations[{k}]: must be a nonnegative integer, got {N!r}")
-    probe = raw.get("probe", {})
-    if not isinstance(probe, dict):
-        raise ConfigError(f"probe: must be an object, got {probe!r}")
+        # the star kernel is dense in 2N + 2 states
+        if N > 2000:
+            raise ConfigError(f"truncations[{k}]: outside the resource guard")
+    probe = _shape(raw.get("probe", {}), dict, "probe")
     for name in ("gamma", "beta"):
-        prof = probe.get(name, {})
-        if not isinstance(prof, dict):
-            raise ConfigError(f"probe.{name}: must be an object, got {prof!r}")
+        prof = _shape(probe.get(name, {}), dict, f"probe.{name}")
         if not _is_number(prof.get("value", 0.5)):
             raise ConfigError(f"probe.{name}.value: must be a number, got {prof['value']!r}")
     pieces = [json.dumps(raw, sort_keys=True).encode()]

@@ -44,7 +44,9 @@ from .graph import (
     MaterializedGraph,
     _is_int,
     _is_number,
+    _object,
     _pairs,
+    _shape,
     materialize,
     read_json,
     row_sums,
@@ -129,48 +131,31 @@ class Potential:
 
 def potential_from_dict(g: IndexedGraph, d: dict) -> Potential:
     """Parse the potential schema; raises ConfigError with a field path."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"potential: must be an object, got {d!r}")
-    allowed = {"edges", "tail_values"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown potential fields: {sorted(unknown)}")
-    edges = d.get("edges", {})
-    if not isinstance(edges, dict):
-        raise ConfigError(f"edges: must be an object, got {edges!r}")
+    _object(d, "potential", {"edges", "tail_values"})
     values = {e: 0.0 for e in g.edges}
-    for k, v in edges.items():
+    for k, v in _shape(d.get("edges", {}), dict, "edges").items():
         if k not in values:
-            raise ConfigError(f"potential assigns unknown edge {k!r}")
+            raise ConfigError(f"edges.{k}: not an edge of the graph")
         if not _is_number(v):
             raise ConfigError(f"edges.{k}: must be a number, got {v!r}")
         values[k] = float(v)
-    tail_values = d.get("tail_values", [])
-    if not isinstance(tail_values, list):
-        raise ConfigError(f"tail_values: must be a list, got {tail_values!r}")
     tails = [TailPotential() for _ in g.tails]
     first = {}  # tail index -> position of the entry that set it
-    for pos, td in enumerate(tail_values):
-        if not isinstance(td, dict):
-            raise ConfigError(f"tail_values[{pos}]: must be an object, got {td!r}")
-        extra = set(td) - {"tail_index", "prefix", "period"}
-        if extra:
-            raise ConfigError(f"tail_values[{pos}]: unknown fields {sorted(extra)}")
-        if "tail_index" not in td:
-            raise ConfigError(f"tail_values[{pos}]: missing field 'tail_index'")
-        t = td["tail_index"]
-        if not _is_int(t):
-            raise ConfigError(f"tail_values[{pos}].tail_index: must be an integer, got {t!r}")
-        if not 0 <= t < len(g.tails):
-            raise ConfigError(f"tail_values[{pos}].tail_index out of range")
+    for pos, td in enumerate(_shape(d.get("tail_values", []), list, "tail_values")):
         path = f"tail_values[{pos}]"
+        t = _object(td, path, {"tail_index", "prefix", "period"}, ("tail_index",))["tail_index"]
+        if not _is_int(t):
+            raise ConfigError(f"{path}.tail_index: must be an integer, got {t!r}")
+        if not 0 <= t < len(g.tails):
+            raise ConfigError(f"{path}.tail_index out of range")
         if t in first:
             raise ConfigError(f"{path}.tail_index: duplicate of tail_values[{first[t]}]")
         first[t] = pos
-        tails[t] = TailPotential(
-            prefix=_pairs(td.get("prefix", []), f"{path}.prefix", _is_number, "numbers"),
-            period=_pairs(td.get("period", [(0.0, 0.0)]), f"{path}.period", _is_number, "numbers"),
-        )
+        prefix = _pairs(td.get("prefix", []), f"{path}.prefix", _is_number, "numbers")
+        period = _pairs(td.get("period", [(0.0, 0.0)]), f"{path}.period", _is_number, "numbers")
+        if not period:
+            raise ConfigError(f"{path}.period: must name at least one pair")
+        tails[t] = TailPotential(prefix, period)
     return Potential(values, tuple(tails))
 
 

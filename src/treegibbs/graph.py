@@ -452,23 +452,20 @@ def _window_period(mat: MaterializedGraph) -> int:
 
 def graph_from_dict(d: dict) -> IndexedGraph:
     """Parse the graph config schema; raises ConfigError with a field path."""
-    allowed = {"vertices", "edges", "tails", "funnels", "orders"}
-    unknown = set(_shape(d, dict, "graph")) - allowed
-    if unknown:
-        raise ConfigError(f"unknown graph config fields: {sorted(unknown)}")
-    try:
-        raw_vertices = _shape(d["vertices"], list, "vertices")
-        raw_edges = _shape(d["edges"], list, "edges")
-    except KeyError as exc:
-        raise ConfigError(f"missing required field {exc}") from exc
-    vertices = [_shape(v, str, f"vertices[{k}]") for k, v in enumerate(raw_vertices)]
+    _object(d, "graph", {"vertices", "edges", "tails", "funnels", "orders"}, ("vertices", "edges"))
+    first = {}  # vertex id -> position of its entry
+    for k, v in enumerate(_shape(d["vertices"], list, "vertices")):
+        if _shape(v, str, f"vertices[{k}]") in first:
+            raise ConfigError(f"vertices[{k}]: duplicate of vertices[{first[v]}]")
+        first[v] = k
+    if not first:
+        raise ConfigError("vertices: must name at least one vertex")
+    vertices = list(first)
     rev, orig, term, index = {}, {}, {}, {}
     edges = []
-    for pos, ed in enumerate(raw_edges):
+    for pos, ed in enumerate(_shape(d["edges"], list, "edges")):
         path = f"edges[{pos}]"
-        extra = set(_shape(ed, dict, path)) - {"id", "rev", "from", "to", "index"}
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
+        _object(ed, path, {"id", "rev", "from", "to", "index"})
         try:
             eid, e_rev, e_orig, e_term = (
                 _shape(ed[k], str, f"{path}.{k}") for k in ("id", "rev", "from", "to")
@@ -478,16 +475,14 @@ def graph_from_dict(d: dict) -> IndexedGraph:
             raise ConfigError(f"{path}: missing field {exc}") from exc
         if not _is_int(idx) or idx < 1:
             raise ConfigError(f"{path}.index: must be a positive integer, got {idx!r}")
+        if eid in index:
+            raise ConfigError(f"{path}.id: duplicate of edges[{edges.index(eid)}]")
         edges.append(eid)
         rev[eid], orig[eid], term[eid], index[eid] = e_rev, e_orig, e_term, idx
     tails = []
     for pos, td in enumerate(_shape(d.get("tails", []), list, "tails")):
         path = f"tails[{pos}]"
-        extra = set(_shape(td, dict, path)) - {"attach", "prefix", "period"}
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        if "attach" not in td:
-            raise ConfigError(f"{path}: missing field 'attach'")
+        _object(td, path, {"attach", "prefix", "period"}, ("attach",))
         tails.append(
             TailSpec(
                 attach=_shape(td["attach"], str, f"{path}.attach"),
@@ -498,11 +493,7 @@ def graph_from_dict(d: dict) -> IndexedGraph:
     funnels = []
     for pos, fd in enumerate(_shape(d.get("funnels", []), list, "funnels")):
         path = f"funnels[{pos}]"
-        extra = set(_shape(fd, dict, path)) - {"entry_edge", "branching"}
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        if "entry_edge" not in fd:
-            raise ConfigError(f"{path}: missing field 'entry_edge'")
+        _object(fd, path, {"entry_edge", "branching"}, ("entry_edge",))
         branching = _shape(fd.get("branching", [2]), list, f"{path}.branching")
         if not branching or not all(_is_int(b) and b >= 1 for b in branching):
             raise ConfigError(
@@ -510,12 +501,10 @@ def graph_from_dict(d: dict) -> IndexedGraph:
             )
         entry = _shape(fd["entry_edge"], str, f"{path}.entry_edge")
         funnels.append(FunnelSpec(entry_edge=entry, branching=tuple(branching)))
-    orders = _shape(d.get("orders", {}), dict, "orders")
-    extra = set(orders) - {"base_vertex", "base_value"}
-    if extra:
-        raise ConfigError(f"orders: unknown fields {sorted(extra)}")
-    base_vertex = orders.get("base_vertex", vertices[0] if vertices else "")
-    base_vertex = _shape(base_vertex, str, "orders.base_vertex")
+    orders = _object(d.get("orders", {}), "orders", {"base_vertex", "base_value"})
+    base_vertex = _shape(orders.get("base_vertex", vertices[0]), str, "orders.base_vertex")
+    if base_vertex not in first:
+        raise ConfigError(f"orders.base_vertex: not a vertex, got {base_vertex!r}")
     raw_base = orders.get("base_value", 1)
     try:
         base_value = Fraction(str(raw_base))
@@ -562,6 +551,18 @@ def _shape(value, kind, path):
     """``value`` when it has the JSON type ``kind`` (dict, list or str), else ConfigError."""
     if not isinstance(value, kind):
         raise ConfigError(f"{path}: must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _object(value, path, fields, required=()):
+    """``value`` when it is a JSON object with fields only from ``fields`` and
+    every field in ``required``, else ConfigError (checked in that order)."""
+    unknown = set(_shape(value, dict, path)) - set(fields)
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+    for name in required:
+        if name not in value:
+            raise ConfigError(f"{path}: missing field {name!r}")
     return value
 
 

@@ -428,12 +428,10 @@ def _minimal_supersolution(mc, Bset, rho, t_boundary, taboo):
     solve gives the same limit, and infeasibility shows up as a singular
     system, a non-positive entry, or a weight beyond the cap.
     """
+    # t = 1 on B; ``t_boundary`` holds no state of B
     t = np.ones(len(mc.states))
-    for i, s in enumerate(mc.states):
-        if s in Bset:
-            t[i] = 1.0
-        elif s in t_boundary:
-            t[i] = t_boundary[s]
+    for s, w in t_boundary.items():
+        t[mc.pos(s)] = w
     if taboo is None:
         return t
     if taboo.rho_ff >= rho:
@@ -492,15 +490,8 @@ def search_certificate(mc: MarkovChain, B0=None) -> SearchOutcome:
     j_idx = np.array([i for _, i in junctions], dtype=int)
     j_nz, j_p = _row_arcs(mc, j_idx)
 
-    def tail_feasible(rho):
-        if any(tf is None or tf.rho > rho for tf in tail_forms):
-            return None
-        return list(tail_forms)
-
     def feasible(rho):
-        forms = tail_feasible(rho)
-        if forms is None:
-            return None
+        forms = list(tail_forms)
         # analytic tail forms normalize the exit weight to 1; when B leaves
         # core states free their solved weights exceed 1 and the junction
         # constraint needs the tails rescaled, which feeds back into the core
@@ -542,16 +533,21 @@ def search_certificate(mc: MarkovChain, B0=None) -> SearchOutcome:
         return None
 
     hi = 1.0 - 1e-9
+    fail = SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
+    # no probe exceeds hi, and every probe is at least each tail form's ratio
+    # (lo below), so only a missing form or a ratio above hi fails a tail
+    if any(tf is None or tf.rho > hi for tf in tail_forms):
+        return fail
     # nothing at or below rho(P_ff) or below a tail form's ratio is feasible
     rho_ff = taboo.rho_ff if taboo is not None else 0.0
-    lo = max([rho_ff * (1.0 + SEARCH_RHO_TOL)] + [tf.rho for tf in tail_forms if tf is not None])
+    lo = max([rho_ff * (1.0 + SEARCH_RHO_TOL)] + [tf.rho for tf in tail_forms])
     if 0.0 < lo < hi:
         floor = feasible(lo)
         if floor is not None:
             return SearchOutcome(floor, True, lo, ())
     best = feasible(hi)
     if best is None:
-        return SearchOutcome(None, False, 1.0, ("no certificate even at rho ~ 1",))
+        return fail
     while hi - lo > SEARCH_RHO_TOL:
         mid = 0.5 * (lo + hi)
         cand = feasible(mid)

@@ -27,6 +27,11 @@ def _write_cfg(tmp_path, name, **kw):
     return str(path)
 
 
+def test_the_truncation_guard_admits_2000(tmp_path):
+    cfg = parse_config(["probe", "--config", _write_cfg(tmp_path, "c", truncations=[2000])])
+    assert cfg.truncations == (2000,)
+
+
 def test_parse_defaults(tmp_path, fixture_dir):
     cfg_path = _write_cfg(tmp_path, "c", graph=fixture_dir["single_edge_3"])
     cfg = parse_config(["analyze", "--config", cfg_path])
@@ -334,6 +339,26 @@ def _tail_values(entry):
     return {"tail_values": [entry]}
 
 
+def _set(*path, value):
+    """A mutation that sets the field at ``path`` of a graph dict to ``value``."""
+
+    def mutate(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return mutate
+
+
+def _repeat_first(field):
+    """A mutation that appends the first entry of the list ``field`` again."""
+
+    def mutate(d):
+        d[field].append(d[field][0])
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "name, mutate, potential, cfg, field_path",
     [
@@ -376,6 +401,48 @@ def _tail_values(entry):
         ("cusp_22", _tails_not_a_list, None, {}, "tails: must be a list"),
         ("funnel_loop", _string_branching, None, {}, "funnels[0].branching"),
         ("biregular_24", _zero_base_value, None, {}, "orders.base_value"),
+        ("thick_ray_5", _set("bogus", value=1), None, {}, "graph: unknown fields ['bogus']"),
+        ("thick_ray_5", lambda d: d.pop("vertices"), None, {}, "graph: missing field 'vertices'"),
+        ("thick_ray_5", _set("edges", 0, "bogus", value=1), None, {},
+         "edges[0]: unknown fields ['bogus']"),
+        ("thick_ray_5", _set("tails", 0, "bogus", value=1), None, {},
+         "tails[0]: unknown fields ['bogus']"),
+        ("funnel_loop", _set("funnels", 0, "bogus", value=1), None, {},
+         "funnels[0]: unknown fields ['bogus']"),
+        ("thick_ray_5", _set("orders", "bogus", value=1), None, {},
+         "orders: unknown fields ['bogus']"),
+        ("thick_ray_5", _set("orders", "base_vertex", value="z"), None, {},
+         "orders.base_vertex: not a vertex, got 'z'"),
+        ("thick_ray_5", _set("tails", 0, "period", value=5), None, {},
+         "tails[0].period: must be a list of pairs"),
+        ("parallel_edges", _repeat_first("vertices"), None, {}, "vertices[2]: duplicate of vertices[0]"),
+        ("thick_ray_5", _set("vertices", value=[]), None, {}, "vertices: must name at least one vertex"),
+        ("parallel_edges", _repeat_first("edges"), None, {}, "edges[4].id: duplicate of edges[0]"),
+        ("thick_ray_5", lambda d: d["vertices"].append("~z"), None, {}, "violation[reserved-id]"),
+        ("thick_ray_5", _set("tails", 0, "period", value=[[0, 1]]), None, {}, "violation[bad-index]"),
+        ("thick_ray_5", _set("tails", 0, "period", value=[]), None, {}, "violation[tail-bad-period]"),
+        ("funnel_loop", _set("funnels", 0, "entry_edge", value="z"), None, {},
+         "violation[funnel-unknown-edge]"),
+        ("two_loops", None, [0.5], {}, "potential: must be an object, got [0.5]"),
+        ("two_loops", None, {"bogus": 1}, {}, "potential: unknown fields ['bogus']"),
+        ("two_loops", None, {"edges": [0.5]}, {}, "edges: must be an object"),
+        ("two_loops", None, {"edges": {"z": 0.5}}, {}, "edges.z: not an edge of the graph"),
+        ("thick_ray_5", None, {"tail_values": {}}, {}, "tail_values: must be a list"),
+        ("thick_ray_5", None, {"tail_values": [0]}, {}, "tail_values[0]: must be an object"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 0, "bogus": 1}), {},
+         "tail_values[0]: unknown fields ['bogus']"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 1}), {}, "tail_values[0].tail_index out of range"),
+        ("thick_ray_5", None, _tail_values({"tail_index": 0, "period": []}), {},
+         "tail_values[0].period: must name at least one pair"),
+        (None, None, {}, {}, "command 'analyze' requires a graph config"),
+        (None, None, None, [2], "bad.json: must be an object, got [2]"),
+        (None, None, None, {"probes": {}}, "bad.json: unknown fields ['probes']"),
+        (None, None, None, {"n_max": 10_001}, "n_max: outside the resource guard"),
+        (None, None, None, {"out": 5}, "out: must be a path"),
+        (None, None, None, {"truncations": 5}, "truncations: must be a list"),
+        (None, None, None, {"truncations": [4, 10_000_000]}, "truncations[1]: outside the resource guard"),
+        (None, None, None, {"probe": {"gamma": 5}}, "probe.gamma: must be an object"),
+        (None, None, None, {"probe": {"beta": {"value": "x"}}}, "probe.beta.value: must be a number"),
     ],
     ids=[
         "funnel-without-entry-edge", "base-value-not-rational", "no-tail-index",
@@ -387,18 +454,34 @@ def _tail_values(entry):
         "overflowing-beta", "unknown-profile-kind", "huge-integer-tol",
         "huge-integer-edge-value", "huge-integer-tail-value", "huge-depth",
         "tails-not-a-list", "string-branching", "zero-base-value",
+        "unknown-graph-field", "no-vertices", "unknown-edge-field", "unknown-tail-field",
+        "unknown-funnel-field", "unknown-orders-field", "base-vertex-not-a-vertex",
+        "tail-period-not-a-list", "repeated-vertex", "no-vertex", "repeated-edge-id", "reserved-id",
+        "zero-tail-index", "empty-tail-period", "funnel-entry-not-an-edge",
+        "potential-not-an-object", "unknown-potential-field", "potential-edges-not-an-object",
+        "potential-on-an-unknown-edge", "tail-values-not-a-list", "tail-value-not-an-object",
+        "unknown-tail-value-field", "tail-index-out-of-range", "empty-potential-period",
+        "analyze-without-a-graph", "config-not-an-object", "unknown-config-field",
+        "huge-n-max", "out-not-a-path", "truncations-not-a-list", "huge-truncation",
+        "gamma-not-an-object", "string-beta-value",
     ],
 )
 def test_bad_inputs_exit_2_with_a_field_path(
     tmp_path, capsys, name, mutate, potential, cfg, field_path
 ):
-    # a named graph runs analyze; without one, the config is for probe
+    # a named graph or a potential runs analyze; without them, the config is
+    # for probe
     graph = None
     if name is not None:
         graph = graph_to_dict(fx.get(name))
         if mutate:
             mutate(graph)
-    code, _ = _run(tmp_path, "bad", graph, potential, "analyze" if name else "probe", **cfg)
+    if isinstance(cfg, dict):
+        command = "analyze" if name or potential is not None else "probe"
+        code, _ = _run(tmp_path, "bad", graph, potential, command, **cfg)
+    else:  # a config that is not a JSON object
+        (tmp_path / "bad.json").write_text(json.dumps(cfg))
+        code = main(["probe", "--config", str(tmp_path / "bad.json")])
     err = capsys.readouterr().err
     assert code == 2, err
     assert "Traceback" not in err
