@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import from_arcs, from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
+from .digraph import Digraph, from_arcs, period, reachable, strongly_connected
 from .errors import DivergenceError, NoPositiveSolutionError, ReducibleChainError, ZeroShadowError
 from .gibbs import _perron_defect
 from .graph import orders_on, tail_edge_id
@@ -216,21 +216,17 @@ def _kernel_blocks(src, dst, n):
     return KernelBlocks(order, position, position[row_order], tuple(groups))
 
 
-def _period_and_classes(adj):
-    """Period and cyclic class partition of a 0/1 transition structure."""
-    return _cyclic_classes(from_matrix(adj))
-
-
 def _cyclic_classes(succ):
     """Period and cyclic class partition of the digraph ``succ``.
 
     Class r holds the states whose BFS level from state 0 is r mod the
     period; states state 0 does not reach (truncation frontier) go to class 0.
     """
-    n = len(succ)
-    if n == 0:
-        return 1, (frozenset(),)
-    k, levels = period(succ, 0)
+    return _classes(len(succ), *period(succ, 0)) if succ else (1, (frozenset(),))
+
+
+def _classes(n, k, levels):
+    """``_cyclic_classes`` of n states from (gcd, levels) of their BFS from state 0."""
     k = k or 1
     classes = [set() for _ in range(k)]
     for v in range(n):
@@ -279,15 +275,22 @@ def build_chain(g, gd, orders):
     # the support arcs, row by row and columns ascending, as np.nonzero(P) lists them
     keep = P[ci, cj] > 0
     src, dst = ci[keep], cj[keep]
-    by_row = np.lexsort((dst, src))
-    src, dst = src[by_row], dst[by_row]
-    # the interior sub-digraph must communicate
-    inner = interior[src] & interior[dst]
-    renumber = np.cumsum(interior) - 1
-    core = from_arcs(renumber[src[inner]], renumber[dst[inner]], int(interior.sum()))
-    if core and not strongly_connected(core):
-        raise ReducibleChainError("chain support splits into non-communicating pieces")
-    period, classes = _cyclic_classes(from_arcs(src, dst, n))
+    if interior.all() and keep.all() and states == arc_states:
+        # the chain's digraph is the window's own: its arcs, already row by row
+        dg = mat.arc_digraph()
+        if n and not dg.strong:
+            raise ReducibleChainError("chain support splits into non-communicating pieces")
+        period, classes = _classes(n, *dg.search)
+    else:
+        by_row = np.lexsort((dst, src))
+        src, dst = src[by_row], dst[by_row]
+        # the interior sub-digraph must communicate
+        inner = interior[src] & interior[dst]
+        renumber = np.cumsum(interior) - 1
+        core = from_arcs(renumber[src[inner]], renumber[dst[inner]], int(interior.sum()))
+        if core and not strongly_connected(core):
+            raise ReducibleChainError("chain support splits into non-communicating pieces")
+        period, classes = _cyclic_classes(from_arcs(src, dst, n))
     return MarkovChain(
         states=states,
         p=P,
@@ -329,18 +332,23 @@ def _structural_support(mat):
     """Edges lying on a bi-infinite geodesic: both e and rev(e) reach a cycle."""
     states, src, dst, _ = mat.arc_arrays()
     pos = {e: i for i, e in enumerate(states)}
-    succ = from_arcs(src, dst, len(states))
-    for e in states:
-        meta = mat.edge_meta[e]
-        if meta[0] == "tail" and meta[3] and meta[2] == mat.depth:
-            # frontier up-state: the ray continues upward forever; the walk can
-            # turn around above the window iff some periodic level branches
-            t, n = meta[1], meta[2]
-            spec = mat.core.tails[t]
-            if any(a > 1 for a, _ in spec.period):
-                succ[pos[e]].append(pos[tail_edge_id(t, n, False)])
-    oncycle = [v for comp in sccs(succ) if has_cycle(succ, comp) for v in comp]
-    fwd = reachable(reverse(succ), oncycle)
+    # frontier up-states: the ray continues upward forever; the walk can turn
+    # around above the window iff some periodic level branches
+    turns = [
+        (pos[tail_edge_id(t, mat.depth, True)], pos[tail_edge_id(t, mat.depth, False)])
+        for t, spec in enumerate(mat.core.tails if mat.depth else ())
+        if any(a > 1 for a, _ in spec.period)
+    ]
+    if turns:
+        succ = from_arcs(src, dst, len(states))
+        for v, w in turns:
+            succ[v].append(w)
+        dg = Digraph(succ)
+    else:
+        dg = mat.arc_digraph()
+    if dg.strong and dg.period:
+        return set(states)
+    fwd = reachable(dg.pred, dg.oncycle)
     return {e for e in states if pos[e] in fwd and pos[mat.rev[e]] in fwd}
 
 

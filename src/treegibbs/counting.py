@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import decay_fit
 from .errors import GraphError, NoPositiveSolutionError, ResourceLimitError
-from .digraph import from_arcs, period
+from .digraph import period
 from .gibbs import Potential, TransferOperator, entry_weights, perron_vector, spectral_radius
 from .gibbs import _is_zero as _potential_is_zero
 from .graph import _window_period, length_spectrum_period, materialize, orders_on, vertex_successors
@@ -402,7 +402,7 @@ def _renewal_float(op, orders, base, k, M, lam):
     c_minus = 0.0
     if k == 2:
         # BFS level parity splits a period-2 counting matrix's cyclic classes
-        levels = period(from_arcs(op.src, op.dst, len(states)), 0)[1]
+        levels = mat.arc_digraph().search[1]
         sgn = np.array([-1.0 if levels.get(i, 0) % 2 else 1.0 for i in range(len(states))])
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)

@@ -4,11 +4,20 @@ A digraph on nodes 0..n-1 is a list ``succ`` of n lists: ``succ[v]`` holds the
 heads of the arcs leaving v.  Traversals visit successors in list order;
 ``from_matrix`` lists them in ascending order, so results on a matrix do not
 depend on anything but the matrix.
+
+``Digraph`` holds one digraph's successor lists and answers the structural
+questions the pipeline asks of it: the breadth-first search from node 0 (its
+levels and gcd), strong connectivity, the nodes on a closed path, the gcd of
+the cycle lengths and the Tarjan components.  Each answer is computed on first
+use and kept, so every consumer of one window's arcs
+(``MaterializedGraph.arc_digraph``) shares one pass per question.  Every
+traversal is linear in the arcs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -122,14 +131,75 @@ def period(succ, root, within=None):
     """
     levels = {root: 0}
     order = [root]
-    g = 0
+    gaps = set()
     for v in order:
+        up = levels[v] + 1
         for w in succ[v]:
             if within is not None and w not in within:
                 continue
-            if w not in levels:
-                levels[w] = levels[v] + 1
+            lw = levels.get(w)
+            if lw is None:
+                levels[w] = up
                 order.append(w)
             else:
-                g = math.gcd(g, levels[v] + 1 - levels[w])
-    return g, levels
+                gaps.add(up - lw)
+    return math.gcd(*gaps), levels
+
+
+class Digraph:
+    """The digraph ``succ`` with its structural facts, each computed on first
+    use and kept.
+
+    A strongly connected digraph answers everything from two walks: the
+    breadth-first search from node 0 (``search``) and one reverse reach.
+    Otherwise ``oncycle`` and ``period`` read the Tarjan ``components``.
+    """
+
+    def __init__(self, succ):
+        self.succ = succ
+
+    @cached_property
+    def search(self):
+        """``period(succ, 0)``: (gcd, levels) of a breadth-first search from
+        node 0; (0, {}) without nodes."""
+        return period(self.succ, 0) if self.succ else (0, {})
+
+    @cached_property
+    def pred(self):
+        """``reverse(succ)``: the predecessor lists."""
+        return reverse(self.succ)
+
+    @cached_property
+    def strong(self):
+        """Whether the digraph is one strongly connected component, as
+        ``strongly_connected`` says."""
+        n = len(self.succ)
+        return n > 0 and len(self.search[1]) == n and len(reachable(self.pred, [0])) == n
+
+    @cached_property
+    def components(self):
+        """``sccs(succ)``, in Tarjan's order."""
+        return sccs(self.succ)
+
+    @cached_property
+    def _cyclic(self):
+        if self.strong:
+            return [range(len(self.succ))] if self.search[0] else []
+        return [comp for comp in self.components if has_cycle(self.succ, comp)]
+
+    @cached_property
+    def oncycle(self):
+        """The nodes on a closed path, as a set."""
+        return {v for comp in self._cyclic for v in comp}
+
+    @cached_property
+    def period(self):
+        """The gcd of the cycle lengths over the components carrying a
+        closed path; 0 without one.  On a strongly connected digraph this is
+        the gcd of ``search``."""
+        if self.strong:
+            return self.search[0]
+        k = 0
+        for comp in self._cyclic:
+            k = math.gcd(k, period(self.succ, comp[0], within=set(comp))[0])
+        return k

@@ -38,7 +38,7 @@ from .errors import (
     NoPositiveSolutionError,
     ReducibleChainError,
 )
-from .digraph import from_matrix, has_cycle, reachable, reverse, sccs, strongly_connected
+from .digraph import Digraph, from_matrix, has_cycle, reachable
 from .graph import (
     IndexedGraph,
     MaterializedGraph,
@@ -656,7 +656,7 @@ def _is_zero(F):
 _LSTSQ_MAX_STATES = 64
 
 
-def _positive_fixed_vector(T, iterate=None):
+def _positive_fixed_vector(T, iterate=None, dg=None):
     """Positive u with T u = u, supported on states that reach the dominant class.
 
     On the dominant class u is the iterate of the power run that measured
@@ -665,19 +665,22 @@ def _positive_fixed_vector(T, iterate=None):
     gate (residual at most 1e-10, positive); otherwise it is
     ``perron_vector`` of the class.  A given ``iterate`` passing the gate is u on an
     irreducible T of more than ``_LSTSQ_MAX_STATES`` states, without a power run.
+    ``dg`` is the ``Digraph`` of T's positive pattern when the caller holds
+    it (a window's ``arc_digraph``); without it, it is read off T.
     """
     # perron_vector's residual gate: an exponent off by more is named by the
     # class's spectral radius instead of failing inside perron_vector
     tol = 1e-10
     n = T.shape[0]
-    succ = from_matrix(T > 0.0)
-    if iterate is not None and n > _LSTSQ_MAX_STATES and strongly_connected(succ):
+    dg = Digraph(from_matrix(T > 0.0)) if dg is None else dg
+    succ = dg.succ
+    if iterate is not None and n > _LSTSQ_MAX_STATES and dg.strong:
         u = iterate / iterate.sum()
         if _perron_defect(T, 1.0, u) is None:
             return u
-    comps = sccs(succ)
+    # the Tarjan order of each class feeds the power run's sums
     dominant = []
-    for comp in comps:
+    for comp in dg.components:
         if not has_cycle(succ, comp):
             continue
         block = T[np.ix_(comp, comp)]
@@ -700,7 +703,7 @@ def _positive_fixed_vector(T, iterate=None):
         u[comp] = it
     else:
         u[dom] = perron_vector(T[np.ix_(dom, dom)], 1.0)
-    trans = sorted(reachable(reverse(succ), dom) - set(dom))
+    trans = sorted(reachable(dg.pred, dom) - set(dom)) if len(dom) < n else []
     if trans:
         Ttt = T[np.ix_(trans, trans)]
         tset = set(trans)
@@ -746,7 +749,10 @@ def _shadow(op, op1, delta, iterate=None):
     greens = _greens(g, op.F, delta)
     if greens is None:
         raise DivergenceError("tail resummation diverges at the given exponent")
-    uj = _positive_fixed_vector(op1.matrix(delta, greens), iterate)
+    T = op1.matrix(delta, greens)
+    # without tails, T's pattern is the window's arcs when every arc weight is positive
+    dg = op1.mat.arc_digraph() if not greens and (T.ravel()[op1._flat] > 0.0).all() else None
+    uj = _positive_fixed_vector(T, iterate, dg)
     u = {e: 0.0 for e in mat.edges}
     for e, val in zip(op1.states, uj):
         u[e] = float(val)

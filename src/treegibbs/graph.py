@@ -18,10 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import from_arcs, has_cycle, period, reachable, sccs
+from .digraph import Digraph, from_arcs, reachable
 from .errors import ConfigError, GraphError, NoClosedGeodesicError, NonUnimodularError
 
 RESERVED_PREFIX = "~"
+# the largest edge index or tail pair entry: the arc arrays hold them as np.intp
+INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -315,6 +317,7 @@ class MaterializedGraph:
     edge_meta: dict
     _out: dict = field(repr=False, compare=False, default=None)
     _arc_arrays: tuple = field(init=False, repr=False, compare=False, default=None)
+    _arc_digraph: Digraph = field(init=False, repr=False, compare=False, default=None)
 
     def out_edges(self, v):
         return self._out[v]
@@ -334,17 +337,44 @@ class MaterializedGraph:
         ``states`` are the non-funnel edges in edge order.  Each non-funnel
         continuation f of states[i] is one arc: src i, dst the position of f
         and mult m(states[i], f).  Arcs come row by row, ``dst`` ascending
-        within a row (the order of ``continuations``).
+        within a row (the order of ``continuations``).  They are built from
+        per-edge integer arrays (the head vertex, the reversal, the index and
+        the vertex out-lists in edge order): each state meets every out-edge
+        of its head, and ``edge_multiplicity``'s rule is one array expression.
+        ``arc_digraph`` keeps the structural facts of these arcs.
         """
         if self._arc_arrays is None:
-            funnel = self.funnel_edge_ids()
-            states = tuple(e for e in self.edges if e not in funnel)
-            pos = {e: i for i, e in enumerate(states)}
-            rows = (self.continuations(e) for e in states)
-            flat = [(i, pos[f], m) for i, row in enumerate(rows) for f, m in row if f in pos]
-            src, dst, mult = np.array(flat, dtype=np.intp).reshape(-1, 3).T.copy()
+            edges, funnel = self.edges, self.funnel_edge_ids()
+            epos = {e: i for i, e in enumerate(edges)}
+            vpos = {v: i for i, v in enumerate(self.vertices)}
+            out = [self._out[v] for v in self.vertices]
+            first = np.cumsum([0] + [len(o) for o in out])
+            out = np.array([epos[f] for o in out for f in o], dtype=np.intp)
+            rev = np.array([epos[self.rev[e]] for e in edges], dtype=np.intp)
+            term = np.array([vpos[self.term[e]] for e in edges], dtype=np.intp)
+            index = np.array([self.index[e] for e in edges], dtype=np.intp)
+            kept = np.array([e not in funnel for e in edges], dtype=bool)
+            states = tuple(e for e, k in zip(edges, kept.tolist()) if k)
+            # one candidate arc per state e and out-edge f of term(e), row by row
+            e = np.flatnonzero(kept)
+            start, deg = first[term[e]], np.diff(first)[term[e]]
+            shift = start - (np.cumsum(deg) - deg)
+            e, f = np.repeat(e, deg), out[np.arange(deg.sum()) + np.repeat(shift, deg)]
+            mult = np.where(f == rev[e], index[e] - 1, index[rev[f]])
+            arc = (mult > 0) & kept[f]
+            at = np.cumsum(kept) - 1  # edge position -> state position
+            src, dst, mult = at[e[arc]], at[f[arc]], mult[arc]
             object.__setattr__(self, "_arc_arrays", (states, src, dst, mult))
         return self._arc_arrays
+
+    def arc_digraph(self):
+        """The ``Digraph`` of ``arc_arrays``' arcs on its states, built once on
+        first use: its facts (strong connectivity, the on-cycle set, the BFS
+        levels from state 0, the period) are computed once for every reader."""
+        if self._arc_digraph is None:
+            states, src, dst, _ = self.arc_arrays()
+            object.__setattr__(self, "_arc_digraph", Digraph(from_arcs(src, dst, len(states))))
+        return self._arc_digraph
 
     def funnel_edge_ids(self):
         return self.core.funnel_edge_ids()
@@ -435,12 +465,7 @@ def length_spectrum_period(g: IndexedGraph) -> int:
 
 def _window_period(mat: MaterializedGraph) -> int:
     """``length_spectrum_period`` over the arcs of the window ``mat``."""
-    states, src, dst, _ = mat.arc_arrays()
-    succ = from_arcs(src, dst, len(states))
-    k = 0
-    for comp in sccs(succ):
-        if has_cycle(succ, comp):
-            k = math.gcd(k, period(succ, comp[0], within=set(comp))[0])
+    k = mat.arc_digraph().period
     if not k:
         raise NoClosedGeodesicError("no closed non-backtracking path of positive multiplicity")
     return k
@@ -457,6 +482,7 @@ def graph_from_dict(d: dict) -> IndexedGraph:
     for k, v in enumerate(_shape(d["vertices"], list, "vertices")):
         if _shape(v, str, f"vertices[{k}]") in first:
             raise ConfigError(f"vertices[{k}]: duplicate of vertices[{first[v]}]")
+        _unreserved(v, f"vertices[{k}]")
         first[v] = k
     if not first:
         raise ConfigError("vertices: must name at least one vertex")
@@ -473,23 +499,25 @@ def graph_from_dict(d: dict) -> IndexedGraph:
             idx = ed["index"]
         except KeyError as exc:
             raise ConfigError(f"{path}: missing field {exc}") from exc
-        if not _is_int(idx) or idx < 1:
-            raise ConfigError(f"{path}.index: must be a positive integer, got {idx!r}")
+        if not _is_index(idx):
+            raise ConfigError(f"{path}.index: must be an integer from 1 to {INDEX_MAX}, got {idx!r}")
         if eid in index:
             raise ConfigError(f"{path}.id: duplicate of edges[{edges.index(eid)}]")
+        _unreserved(eid, f"{path}.id")
         edges.append(eid)
         rev[eid], orig[eid], term[eid], index[eid] = e_rev, e_orig, e_term, idx
     tails = []
     for pos, td in enumerate(_shape(d.get("tails", []), list, "tails")):
         path = f"tails[{pos}]"
         _object(td, path, {"attach", "prefix", "period"}, ("attach",))
-        tails.append(
-            TailSpec(
-                attach=_shape(td["attach"], str, f"{path}.attach"),
-                prefix=_pairs(td.get("prefix", []), f"{path}.prefix"),
-                period=_pairs(td.get("period", []), f"{path}.period"),
-            )
+        attach = _shape(td["attach"], str, f"{path}.attach")
+        prefix, period = (
+            _pairs(td.get(k, []), f"{path}.{k}", _is_index, f"integers from 1 to {INDEX_MAX}")
+            for k in ("prefix", "period")
         )
+        if not period:
+            raise ConfigError(f"{path}.period: must name at least one pair")
+        tails.append(TailSpec(attach=attach, prefix=prefix, period=period))
     funnels = []
     for pos, fd in enumerate(_shape(d.get("funnels", []), list, "funnels")):
         path = f"funnels[{pos}]"
@@ -500,6 +528,8 @@ def graph_from_dict(d: dict) -> IndexedGraph:
                 f"{path}.branching: must be a non-empty list of positive integers, got {branching!r}"
             )
         entry = _shape(fd["entry_edge"], str, f"{path}.entry_edge")
+        if entry not in index:
+            raise ConfigError(f"{path}.entry_edge: not an edge, got {entry!r}")
         funnels.append(FunnelSpec(entry_edge=entry, branching=tuple(branching)))
     orders = _object(d.get("orders", {}), "orders", {"base_vertex", "base_value"})
     base_vertex = _shape(orders.get("base_vertex", vertices[0]), str, "orders.base_vertex")
@@ -508,11 +538,13 @@ def graph_from_dict(d: dict) -> IndexedGraph:
     raw_base = orders.get("base_value", 1)
     try:
         base_value = Fraction(str(raw_base))
-    except (ValueError, ZeroDivisionError):
-        base_value = 0
-    if base_value <= 0:
+        # the orders are read as floats too: neither overflow nor 0.0 is one
+        in_range = base_value > 0 and float(base_value) > 0.0
+    except (ValueError, ZeroDivisionError, OverflowError):
+        in_range = False
+    if not in_range:
         raise ConfigError(
-            f"orders.base_value: must be a positive rational number, got {raw_base!r}"
+            f"orders.base_value: must be a positive rational number within the float range, got {raw_base!r}"
         )
     return IndexedGraph(
         vertices=tuple(vertices),
@@ -531,6 +563,15 @@ def graph_from_dict(d: dict) -> IndexedGraph:
 def _is_int(x):
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_index(x):
+    return _is_int(x) and 1 <= x <= INDEX_MAX
+
+
+def _unreserved(name, path):
+    if name.startswith(RESERVED_PREFIX):
+        raise ConfigError(f"{path}: {name!r} uses the reserved prefix {RESERVED_PREFIX!r}")
 
 
 def _is_number(x):

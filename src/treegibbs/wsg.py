@@ -161,27 +161,30 @@ def _read_weights(mc, cert, rows, nz):
     States are read in the order of a loop over the rows (a row, then its
     nonzero columns in column order) that returns at the first row with
     t <= 0, so a missing weight raises the same ``KeyError`` as that loop.
-    Unread weights stay 0.
+    Unread weights stay 0.  The walk visits only a state's first place in
+    that order and the rows' places, not every arc.
     """
-    t = np.zeros(len(mc.states))
-    seen = [False] * len(mc.states)
-
-    def read(j):
-        if not seen[j]:
-            seen[j] = True
-            t[j] = cert.weight(mc, mc.states[j])
-
-    cols = nz[1].tolist()
-    ends = np.cumsum(np.bincount(nz[0], minlength=len(rows))).tolist()
-    start = 0
-    for k, (i, end) in enumerate(zip(rows.tolist(), ends)):
-        read(i)
-        if t[i] <= 0:
-            return t, k
-        for j in cols[start:end]:
-            read(j)
-        start = end
-    return t, len(rows)
+    counts = np.bincount(nz[0], minlength=len(rows))
+    # the loop's order: each row, then its columns
+    at_row = np.arange(len(rows)) + np.cumsum(counts) - counts
+    order = np.empty(len(rows) + len(nz[1]), dtype=np.intp)
+    is_row = np.zeros(len(order), dtype=bool)
+    is_row[at_row] = True
+    order[at_row], order[~is_row] = rows, nz[1]
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[np.unique(order, return_index=True)[1]] = True
+    places = np.flatnonzero(fresh | is_row)
+    states, weight = mc.states, cert.weight
+    t = [0.0] * len(states)
+    k = 0
+    for j, new, row in zip(order[places].tolist(), fresh[places].tolist(), is_row[places].tolist()):
+        if new:
+            t[j] = weight(mc, states[j])
+        if row:
+            if t[j] <= 0:
+                break
+            k += 1
+    return np.array(t, dtype=float), k
 
 
 def _symbolic_tail_check(mc, cert, tol):

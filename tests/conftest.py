@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 import random
 
@@ -50,6 +51,22 @@ def arc_rows(mat):
     states = tuple(e for e in mat.edges if e not in funnel)
     pos = {e: i for i, e in enumerate(states)}
     return states, [[(pos[f], m) for f, m in mat.continuations(e) if f in pos] for e in states]
+
+
+def digraph_facts(succ):
+    """(strong, oncycle, period, search) of the digraph ``succ`` from the
+    ``digraph`` walks: strong connectivity by a forward and a reverse reach
+    from node 0, the nodes of the Tarjan components that carry a cycle, the
+    gcd of those components' periods, and the BFS from node 0."""
+    from treegibbs.digraph import has_cycle, period, reachable, reverse, sccs
+
+    n = len(succ)
+    strong = n > 0 and len(reachable(succ, [0])) == n and len(reachable(reverse(succ), [0])) == n
+    cyclic = [comp for comp in sccs(succ) if has_cycle(succ, comp)]
+    k = 0
+    for comp in cyclic:
+        k = math.gcd(k, period(succ, comp[0], within=set(comp))[0])
+    return strong, {v for comp in cyclic for v in comp}, k, period(succ, 0) if n else (0, {})
 
 
 def _load_by_path(name, relpath):

@@ -97,9 +97,10 @@ def test_kstep_classes_are_aperiodic():
         _, _, _, mc = pipeline(name)
         k, classes, kernels = periodic_classes(mc)
         for K in kernels:
-            from treegibbs.chain import _period_and_classes
+            from treegibbs.chain import _cyclic_classes
+            from treegibbs.digraph import from_arcs
 
-            kk, _ = _period_and_classes(K > 0)
+            kk, _ = _cyclic_classes(from_arcs(*np.nonzero(K > 0), len(K)))
             assert kk == 1
 
 

@@ -418,11 +418,27 @@ def _repeat_first(field):
         ("parallel_edges", _repeat_first("vertices"), None, {}, "vertices[2]: duplicate of vertices[0]"),
         ("thick_ray_5", _set("vertices", value=[]), None, {}, "vertices: must name at least one vertex"),
         ("parallel_edges", _repeat_first("edges"), None, {}, "edges[4].id: duplicate of edges[0]"),
-        ("thick_ray_5", lambda d: d["vertices"].append("~z"), None, {}, "violation[reserved-id]"),
-        ("thick_ray_5", _set("tails", 0, "period", value=[[0, 1]]), None, {}, "violation[bad-index]"),
-        ("thick_ray_5", _set("tails", 0, "period", value=[]), None, {}, "violation[tail-bad-period]"),
+        ("thick_ray_5", lambda d: d["vertices"].append("~z"), None, {},
+         "vertices[2]: '~z' uses the reserved prefix"),
+        ("thick_ray_5", _set("tails", 0, "period", value=[[0, 1]]), None, {}, "tails[0].period[0]: must be a pair"),
+        ("thick_ray_5", _set("tails", 0, "period", value=[]), None, {},
+         "tails[0].period: must name at least one pair"),
         ("funnel_loop", _set("funnels", 0, "entry_edge", value="z"), None, {},
-         "violation[funnel-unknown-edge]"),
+         "funnels[0].entry_edge: not an edge, got 'z'"),
+        ("two_loops", _set("edges", 0, "id", value="~x"), None, {}, "edges[0].id: '~x' uses the reserved prefix"),
+        ("thick_ray_5", _set("tails", 0, "prefix", value=[[2, 1], [1, 0]]), None, {},
+         "tails[0].prefix[1]: must be a pair"),
+        ("thick_ray_5", lambda d: d["tails"][0].pop("period"), None, {},
+         "tails[0].period: must name at least one pair"),
+        ("single_edge_3", _set("edges", 0, "index", value=10**400), None, {}, "edges[0].index: must be an integer"),
+        ("single_edge_3", _set("edges", 1, "index", value=2**63), None, {}, "edges[1].index: must be an integer"),
+        ("thick_ray_5", _set("tails", 0, "prefix", value=[[10**400, 1]]), None, {},
+         "tails[0].prefix[0]: must be a pair"),
+        ("thick_ray_5", _set("tails", 0, "period", value=[[4, 2], [2, 10**400]]), None, {},
+         "tails[0].period[1]: must be a pair"),
+        ("single_edge_3", _set("orders", "base_value", value="1e400"), None, {}, "orders.base_value"),
+        ("single_edge_3", _set("orders", "base_value", value="1e-400"), None, {}, "orders.base_value"),
+        ("single_edge_3", _set("orders", "base_value", value=10**400), None, {}, "orders.base_value"),
         ("two_loops", None, [0.5], {}, "potential: must be an object, got [0.5]"),
         ("two_loops", None, {"bogus": 1}, {}, "potential: unknown fields ['bogus']"),
         ("two_loops", None, {"edges": [0.5]}, {}, "edges: must be an object"),
@@ -457,7 +473,10 @@ def _repeat_first(field):
         "unknown-graph-field", "no-vertices", "unknown-edge-field", "unknown-tail-field",
         "unknown-funnel-field", "unknown-orders-field", "base-vertex-not-a-vertex",
         "tail-period-not-a-list", "repeated-vertex", "no-vertex", "repeated-edge-id", "reserved-id",
-        "zero-tail-index", "empty-tail-period", "funnel-entry-not-an-edge",
+        "zero-tail-index", "empty-tail-period", "funnel-entry-not-an-edge", "reserved-edge-id",
+        "zero-tail-prefix-index", "no-tail-period", "huge-edge-index", "edge-index-past-intp",
+        "huge-tail-prefix-index", "huge-tail-period-index", "overflowing-base-value",
+        "underflowing-base-value", "huge-integer-base-value",
         "potential-not-an-object", "unknown-potential-field", "potential-edges-not-an-object",
         "potential-on-an-unknown-edge", "tail-values-not-a-list", "tail-value-not-an-object",
         "unknown-tail-value-field", "tail-index-out-of-range", "empty-potential-period",

@@ -230,8 +230,8 @@ def test_one_counting_period_for_both_constants(drawn):
 
     import numpy as np
 
-    from treegibbs.chain import _period_and_classes, build_chain
-    from treegibbs.digraph import sccs
+    from treegibbs.chain import _cyclic_classes, build_chain
+    from treegibbs.digraph import from_arcs, sccs
     from treegibbs.errors import TreeGibbsError
     from treegibbs.gibbs import compute_gibbs
     from treegibbs.graph import validate_graph
@@ -249,7 +249,7 @@ def test_one_counting_period_for_both_constants(drawn):
     for i, row in enumerate(arcs):
         for j, m in row:
             M[i, j] = m
-    assert length_spectrum_period(core) == _period_and_classes(M > 0)[0]
+    assert length_spectrum_period(core) == _cyclic_classes(from_arcs(*np.nonzero(M > 0), len(M)))[0]
     gd = compute_gibbs(core)
     mc = build_chain(core, gd, orders)
     rep = error_decay_report(core, orders, None, gd, mc.m_mass, None, 5, 8)

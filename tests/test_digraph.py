@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegibbs.digraph import from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
+from conftest import digraph_facts
+from treegibbs.digraph import Digraph, from_matrix, has_cycle, period, reachable, reverse, sccs, strongly_connected
 
 
 @st.composite
@@ -96,3 +97,14 @@ def digraphs(draw):
 def test_strongly_connected_is_one_component(A):
     succ = from_matrix(A)
     assert strongly_connected(succ) == (len(sccs(succ)) == 1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(matrices())
+def test_digraph_facts_are_the_walks_each_computed_once(A):
+    succ = from_matrix(A)
+    dg = Digraph(succ)
+    assert (dg.strong, dg.oncycle, dg.period, dg.search) == digraph_facts(succ)
+    assert dg.strong == strongly_connected(succ)
+    assert dg.components == sccs(succ) and dg.pred == reverse(succ)
+    assert dg.search is dg.search and dg.oncycle is dg.oncycle

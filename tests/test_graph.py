@@ -219,7 +219,11 @@ def test_graph_json_roundtrip():
 # -- randomized structural invariants ---------------------------------------
 
 
-from conftest import arc_rows, small_graphs
+import numpy as np
+
+from conftest import arc_rows, bench_core, digraph_facts, small_graphs, tailed_graphs
+from treegibbs.digraph import from_arcs, reverse, sccs
+from treegibbs.graph import _window_period
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,38 +291,117 @@ def test_digraph_walks_match_the_hand_written_ones(g):
         assert _is_bipartite(g) == _reference_is_bipartite(g)
 
 
-def test_arcs_are_the_nonfunnel_continuations_built_once():
+def _arc_windows():
+    """(name, window): every fixture at depth 3, funnel_loop's bare core, every
+    tailed fixture at depths 1, 2, 80 and 360, and seeded bench cores."""
     for name in sorted(fx.FIXTURES):
-        mat = materialize(fx.get(name), 3)
-        funnel = mat.funnel_edge_ids()
-        states, src, dst, mult = mat.arc_arrays()
-        assert states == tuple(e for e in mat.edges if e not in funnel)
-        arcs = list(zip(src.tolist(), dst.tolist(), mult.tolist()))
-        for i, e in enumerate(states):
-            row = [(j, m) for s, j, m in arcs if s == i]
-            want = [(f, m) for f, m in mat.continuations(e) if f not in funnel]
-            assert [(states[j], m) for j, m in row] == want
-            assert [j for j, _ in row] == sorted(j for j, _ in row)
-        assert mat.arc_arrays() is mat.arc_arrays()
+        yield f"{name}@3", materialize(fx.get(name), 3)
+    yield "funnel_loop@0", materialize(fx.get("funnel_loop"), 0)
+    for name in sorted(n for n in fx.FIXTURES if fx.get(n).tails):
+        for depth in (1, 2, 80, 360):
+            yield f"{name}@{depth}", materialize(fx.get(name), depth)
+    for V in (10, 40, 80):
+        yield f"bench_core_{V}", materialize(bench_core(V), 0)
 
 
-def test_arc_arrays_are_the_arcs_built_once():
+def _assert_arcs_are_the_continuations(mat, name):
     # the arrays are the flat arc list, row by row, of a walk of continuations
-    for name in sorted(fx.FIXTURES):
-        mat = materialize(fx.get(name), 3)
-        states, src, dst, mult = mat.arc_arrays()
-        assert mat.arc_arrays() is mat.arc_arrays()
-        assert mat.arc_arrays()[0] is states
-        want_states, rows = arc_rows(mat)
-        assert states == want_states
-        flat = [(i, j, m) for i, row in enumerate(rows) for j, m in row]
-        assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat
-        assert src.tolist() == sorted(src.tolist())
+    states, src, dst, mult = mat.arc_arrays()
+    want_states, rows = arc_rows(mat)
+    assert states == want_states, name
+    assert not set(states) & mat.funnel_edge_ids(), name
+    assert [a.dtype for a in (src, dst, mult)] == [np.dtype(np.intp)] * 3, name
+    flat = [(i, j, m) for i, row in enumerate(rows) for j, m in row]
+    assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat, name
+    assert src.tolist() == sorted(src.tolist()), name
+    assert all(row == sorted(row) for row in rows), name
+    assert mat.arc_arrays() is mat.arc_arrays(), name
+    assert mat.arc_arrays()[0] is states, name
 
 
-# modules that walk continuations themselves: graph builds the arcs, and the
-# cover walk needs edge ids and funnel edges
-_CONTINUATIONS_ALLOWED = {"graph", "cover"}
+def test_arcs_are_the_nonfunnel_continuations_built_once():
+    for name, mat in _arc_windows():
+        _assert_arcs_are_the_continuations(mat, name)
+
+
+def _assert_window_facts(mat, name):
+    states, src, dst, _ = mat.arc_arrays()
+    dg = mat.arc_digraph()
+    assert dg is mat.arc_digraph(), name
+    assert dg.succ == from_arcs(src, dst, len(states)), name
+    assert (dg.strong, dg.oncycle, dg.period, dg.search) == digraph_facts(dg.succ), name
+    assert dg.components == sccs(dg.succ) and dg.pred == reverse(dg.succ), name
+
+
+def test_window_digraph_facts_are_the_digraph_walks():
+    for name, mat in _arc_windows():
+        _assert_window_facts(mat, name)
+        if mat.arc_digraph().period:
+            assert _window_period(mat) == mat.arc_digraph().period, name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tailed_graphs(), st.sampled_from((0, 1, 2, 7)))
+def test_random_tailed_windows_keep_the_arc_and_digraph_pins(drawn, depth):
+    mat = materialize(drawn[0], depth)
+    _assert_arcs_are_the_continuations(mat, f"depth {depth}")
+    _assert_window_facts(mat, f"depth {depth}")
+
+
+def _count_digraph_walks(monkeypatch):
+    """A Counter of the calls to each ``digraph`` walk, every module's binding
+    of each rebound (as the unroll count of the CLI tests does)."""
+    import sys
+    from collections import Counter
+
+    from treegibbs import digraph
+
+    seen = Counter()
+    for fname in ("from_arcs", "from_matrix", "period", "reverse", "reachable", "sccs", "strongly_connected"):
+        orig = getattr(digraph, fname)
+
+        def counted(*args, _orig=orig, **kwargs):
+            seen[_orig.__name__] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "treegibbs" or mod_name.startswith("treegibbs.")):
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, tarjans",
+    [("single_edge_3", 1), ("parallel_edges", 1), ("funnel_loop", 1), ("bench_core_20", 0)],
+)
+def test_each_window_takes_one_structural_pass(monkeypatch, name, tarjans):
+    # compute_gibbs -> build_chain -> renewal_constant unrolls two core windows,
+    # the shadow window and the renewal's.  Each builds its successor lists,
+    # its BFS from state 0 and its reverse reach once, whichever stage asks:
+    # the shadow's fixed vector, the structural support, the chain's
+    # connectivity and cyclic classes, the counting period and its levels.
+    # Tarjan runs only where its order feeds the shadow's power run, on a
+    # window of at most _LSTSQ_MAX_STATES states.
+    from collections import Counter
+
+    from treegibbs.chain import build_chain
+    from treegibbs.counting import renewal_constant
+    from treegibbs.gibbs import compute_gibbs
+
+    g = bench_core(20) if name == "bench_core_20" else fx.get(name)
+    orders = propagate_orders(g)
+    seen = _count_digraph_walks(monkeypatch)
+    mc = build_chain(g, compute_gibbs(g), orders)
+    rc = renewal_constant(g, orders)
+    assert mc.period == rc.period
+    assert seen == Counter(from_arcs=2, period=2, reverse=2, reachable=2, sccs=tarjans)
+
+
+# modules that walk continuations themselves: the cover walk needs edge ids
+# and funnel edges (graph builds the arcs from per-edge arrays)
+_CONTINUATIONS_ALLOWED = {"cover"}
 
 
 def _callers(name):
@@ -334,9 +417,9 @@ def _callers(name):
     return callers
 
 
-def test_continuations_are_walked_only_by_graph_and_cover():
+def test_continuations_are_walked_only_by_cover():
     callers = _callers("continuations")
-    assert "graph" in callers
+    assert "cover" in callers
     assert callers <= _CONTINUATIONS_ALLOWED, sorted(callers - _CONTINUATIONS_ALLOWED)
 
 

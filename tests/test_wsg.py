@@ -1070,9 +1070,10 @@ def test_kernel_chains_carry_their_pattern_and_its_blocks(drawn):
 
 
 def test_a_finite_pipeline_reads_its_pattern_off_the_arcs(monkeypatch):
-    """Above the least-squares size, the chain, the search, the verification
-    and the replay scan no dense n x n pattern; the one scan left is the
-    shadow solve's T > 0, and the one Tarjan run the structural support's."""
+    """Above the least-squares size, the shadow solve, the chain, the search,
+    the verification and the replay scan no dense n x n pattern: the shadow
+    solve's T > 0 is the window's arcs.  No Tarjan runs either: the window is
+    strongly connected, which two walks show."""
     from treegibbs import digraph
     from treegibbs import gibbs as gibbs_module
     from treegibbs import graph as graph_module
@@ -1096,7 +1097,8 @@ def test_a_finite_pipeline_reads_its_pattern_off_the_arcs(monkeypatch):
 
     monkeypatch.setattr(np, "nonzero", counted_nonzero)
     for module in (digraph, chain_module, gibbs_module, graph_module):
-        monkeypatch.setattr(module, "sccs", counted_sccs)
+        if hasattr(module, "sccs"):
+            monkeypatch.setattr(module, "sccs", counted_sccs)
     gd = compute_gibbs(g)
     stage[0] = "chain"
     mc = build_chain(g, gd, orders)
@@ -1104,8 +1106,8 @@ def test_a_finite_pipeline_reads_its_pattern_off_the_arcs(monkeypatch):
     found = search_certificate(mc)
     assert verify_certificate(mc, found.certificate).ok
     assert lemma_bound_check(mc, found.certificate, 20).violations == 0
-    assert scans == ["compute_gibbs"]
-    assert tarjans == ["chain"]
+    assert scans == []
+    assert tarjans == []
 
 
 def _thick_ray_period2_chain():
