@@ -305,16 +305,23 @@ def _arc_windows():
 
 
 def _assert_arcs_are_the_continuations(mat, name):
-    # the arrays are the flat arc list, row by row, of a walk of continuations
-    states, src, dst, mult = mat.arc_arrays()
+    # the states are the non-funnel edges, each row its non-funnel
+    # continuations in state order
+    states, _, _, _ = mat.arc_arrays()
     want_states, rows = arc_rows(mat)
     assert states == want_states, name
     assert not set(states) & mat.funnel_edge_ids(), name
+    assert all(row == sorted(row) for row in rows), name
+
+
+def _assert_arc_arrays_are_the_arcs(mat, name):
+    # the arrays are the flat arc list, row by row, of a walk of continuations
+    states, src, dst, mult = mat.arc_arrays()
+    _, rows = arc_rows(mat)
     assert [a.dtype for a in (src, dst, mult)] == [np.dtype(np.intp)] * 3, name
     flat = [(i, j, m) for i, row in enumerate(rows) for j, m in row]
     assert list(zip(src.tolist(), dst.tolist(), mult.tolist())) == flat, name
     assert src.tolist() == sorted(src.tolist()), name
-    assert all(row == sorted(row) for row in rows), name
     assert mat.arc_arrays() is mat.arc_arrays(), name
     assert mat.arc_arrays()[0] is states, name
 
@@ -322,6 +329,12 @@ def _assert_arcs_are_the_continuations(mat, name):
 def test_arcs_are_the_nonfunnel_continuations_built_once():
     for name, mat in _arc_windows():
         _assert_arcs_are_the_continuations(mat, name)
+        assert mat.arc_arrays() is mat.arc_arrays(), name
+
+
+def test_arc_arrays_are_the_arcs_built_once():
+    for name, mat in _arc_windows():
+        _assert_arc_arrays_are_the_arcs(mat, name)
 
 
 def _assert_window_facts(mat, name):
@@ -345,6 +358,7 @@ def test_window_digraph_facts_are_the_digraph_walks():
 def test_random_tailed_windows_keep_the_arc_and_digraph_pins(drawn, depth):
     mat = materialize(drawn[0], depth)
     _assert_arcs_are_the_continuations(mat, f"depth {depth}")
+    _assert_arc_arrays_are_the_arcs(mat, f"depth {depth}")
     _assert_window_facts(mat, f"depth {depth}")
 
 
