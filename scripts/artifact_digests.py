@@ -2,18 +2,20 @@
 
 Runs analyze, chain, wsg, mix and count on every config under fixtures/,
 plus probe with its default settings, then the same five commands on a few
-tailed fixtures with a tail potential (``POTENTIAL_RUNS``) and on two
-fixtures with a core-edge potential (``EDGE_POTENTIAL_RUNS``).  It prints one
-``exit <code>  <run>`` line per run followed by one ``<sha256>  <run>/<file>``
-line per artifact, where ``<run>`` is ``<command>_<fixture>`` (or ``probe``,
-or ``<command>_<fixture>+<potential>``).  Then it prints one
-``<sha256>  census_<fixture>`` line per fixture: the digest of the sorted
-``label depth count`` rows of ``cover_census`` around the fixture's base
-vertex at radius ``CENSUS_RADIUS``.  The artifact bits depend on the BLAS
-kernel, so the OpenBLAS core in use goes to stderr first.  Each config names its graph and
-potential by paths relative to the config file, so the input hash stamped
-into the artifacts does not depend on where the checkout lives.  Diffing the
-output of two checkouts lists the artifacts whose bytes differ.
+tailed fixtures with a tail potential (``POTENTIAL_RUNS``), on two fixtures
+with a core-edge potential (``EDGE_POTENTIAL_RUNS``), and the runs at a
+deeper unroll in ``DEPTH_RUNS``.  It prints one ``exit <code>  <run>`` line
+per run followed by one ``<sha256>  <run>/<file>`` line per artifact, where
+``<run>`` is ``<command>_<fixture>`` (or ``probe``,
+``<command>_<fixture>+<potential>`` or ``<command>_<fixture>@depth<depth>``).
+Then it prints one ``<sha256>  census_<fixture>`` line per fixture: the
+digest of the sorted ``label depth count`` rows of ``cover_census`` around
+the fixture's base vertex at radius ``CENSUS_RADIUS``.  The artifact bits
+depend on the BLAS kernel, so the OpenBLAS core in use goes to stderr first.
+Each config names its graph and potential by paths relative to the config
+file, so the input hash stamped into the artifacts does not depend on where
+the checkout lives.  Diffing the output of two checkouts lists the artifacts
+whose bytes differ.
 
 Usage:
     PYTHONPATH=src python scripts/artifact_digests.py [--work DIR] > digests.txt
@@ -56,6 +58,11 @@ EDGE_POTENTIAL_RUNS = (
 )
 
 
+# (command, fixture, depth): runs with the tails unrolled deeper than the
+# default, the deepest one the benchmark's tail_cli workload runs
+DEPTH_RUNS = (("chain", "thick_ray_5", 360),)
+
+
 def _potentials():
     """(fixture, name, potential config) of every potential run."""
     for name, pot, tail_values in POTENTIAL_RUNS:
@@ -75,6 +82,8 @@ def _runs():
             for name, pot, _ in runs:
                 config = {"graph": f"graphs/{name}.json", "potential": f"potentials/{name}+{pot}.json"}
                 yield f"{cmd}_{name}+{pot}", cmd, config
+    for cmd, name, depth in DEPTH_RUNS:
+        yield f"{cmd}_{name}@depth{depth}", cmd, {"graph": f"graphs/{name}.json", "depth": depth}
 
 
 def blas_core():

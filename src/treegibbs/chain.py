@@ -23,7 +23,7 @@ import numpy as np
 from .digraph import Digraph, from_arcs, period, reachable, strongly_connected
 from .errors import DivergenceError, NoPositiveSolutionError, ReducibleChainError, ZeroShadowError
 from .gibbs import _perron_defect
-from .graph import orders_on, tail_edge_id
+from .graph import orders_on
 
 PI_REMAINDER_TOL = 1e-13
 # a distance at scale x carries about n roundings of x after n steps
@@ -66,7 +66,7 @@ class MarkovChain:
     _blocks: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_pos", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_pos", dict(zip(self.states, range(len(self.states)))))
 
     def pos(self, state):
         return self._pos[state]
@@ -222,65 +222,82 @@ def _cyclic_classes(succ):
     Class r holds the states whose BFS level from state 0 is r mod the
     period; states state 0 does not reach (truncation frontier) go to class 0.
     """
-    return _classes(len(succ), *period(succ, 0)) if succ else (1, (frozenset(),))
+    return _classes(period(succ, 0), len(succ)) if succ else (1, (frozenset(),))
 
 
-def _classes(n, k, levels):
-    """``_cyclic_classes`` of n states from (gcd, levels) of their BFS from state 0."""
-    k = k or 1
-    classes = [set() for _ in range(k)]
-    for v in range(n):
-        classes[levels.get(v, 0) % k].add(v)
-    return k, tuple(frozenset(c) for c in classes)
+def _classes(search, n, relabel=None):
+    """``_cyclic_classes`` of n states from the (gcd, levels) of their BFS;
+    state i is node ``relabel[i]`` of the search when given, node i otherwise."""
+    k, levels = search
+    if k <= 1:
+        return 1, (frozenset(range(n)),)
+    at = np.zeros(n, dtype=np.intp)
+    at[np.fromiter(levels, np.intp, len(levels))] = np.fromiter(levels.values(), np.intp, len(levels))
+    phase = (at if relabel is None else at[relabel]) % k
+    return k, tuple(frozenset(np.flatnonzero(phase == r).tolist()) for r in range(k))
 
 
 def build_chain(g, gd, orders):
     """Assemble (states, p, pi) from shadow data and an order grading, on the
     shadow window ``gd.mat`` (which becomes ``mat`` of the chain).  ``g`` is
     unused, kept for the callers' positional signature: the window carries
-    its graph as ``gd.mat.core``."""
+    its graph as ``gd.mat.core``.
+
+    Every step is an array pass over the window's states and arcs.  The
+    chain's states are the supported ones in ``_chain_order``; wherever they
+    are all the window's states and every arc weight is positive, the
+    chain's digraph is the window's own, relabelled, and its connectivity
+    and cyclic classes come from ``mat.arc_digraph``.
+    """
     op, mat = gd.op, gd.mat
     depth = mat.depth
     ext = orders_on(mat, orders)
     arc_states = op.states
-    up, um = gd.u_plus, gd.u_minus
+    nw = len(arc_states)
     w, arc_w = op.weights(gd.delta)
-
+    upv = np.fromiter(map(gd.u_plus.__getitem__, arc_states), float, nw)
+    umv = np.fromiter(map(gd.u_minus.__getitem__, map(mat.rev.__getitem__, arc_states)), float, nw)
+    order = ext.edge_floats()
     support = _structural_support(mat)
-    lam = {}
-    for e, we in zip(arc_states, w.tolist()):
-        val = um[mat.rev[e]] * up[e] * we / float(ext.edge(e))
-        if e in support:
-            if val <= 0.0:
-                raise ZeroShadowError(f"supported state {e} received zero cylinder mass")
-            lam[e] = val
-        elif val > 1e-12:
-            raise ZeroShadowError(f"state {e} off the geodesic support has mass {val}")
-    states = tuple(sorted(lam, key=_state_sort_key(mat)))
-    pos = {s: i for i, s in enumerate(states)}
+    # an order that overflowed (inf) or underflowed (0) is a fault of its state
+    finite = (order > 0.0) & (order < math.inf)
+    lam = umv * upv * w / np.where(finite, order, 1.0)
+    bad = ~finite | np.where(support, lam <= 0.0, lam > 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _mass_fault(arc_states[i], float(umv[i]) * float(upv[i]) * float(w[i]), float(order[i]), support[i])
+    sel = _chain_order(mat)
+    sel = sel[support[sel]]  # window positions of the chain states
+    states = tuple(map(arc_states.__getitem__, sel.tolist()))
     n = len(states)
-    ci, cj, k = _chain_arcs(mat, pos)
-    upv = np.array([up[e] for e in arc_states])
+    cpos = np.full(nw, -1, dtype=np.intp)
+    cpos[sel] = np.arange(n)
+    ci, cj, k = _chain_arcs(mat, cpos)
     P = np.zeros((n, n))
     P[ci, cj] = arc_w[k] * upv[op.dst[k]] / upv[op.src[k]]
-    lamvec = np.array([lam[s] for s in states])
-    remainder = _tail_mass_beyond(mat, lam, gd.tail_periods)
+    lamvec = lam[sel]
+    remainder = _tail_mass_beyond(mat, np.where(support, lam, 0.0), gd.tail_periods)
     m_mass = float(lamvec.sum() + remainder)
     if remainder / m_mass > PI_REMAINDER_TOL:
         raise DivergenceError(
             f"materialized depth {depth} leaves tail mass fraction {remainder / m_mass}"
         )
     pi = lamvec / m_mass
-    interior = np.array([mat.is_interior(s) for s in states], dtype=bool)
+    interior = mat.interior_states()[sel]
     # the support arcs, row by row and columns ascending, as np.nonzero(P) lists them
     keep = P[ci, cj] > 0
     src, dst = ci[keep], cj[keep]
-    if interior.all() and keep.all() and states == arc_states:
-        # the chain's digraph is the window's own: its arcs, already row by row
+    if n == nw and keep.all() and (interior.all() or _frontier_turns_back(mat)):
+        # the chain's digraph is the window's own, its states relabelled by cpos
         dg = mat.arc_digraph()
         if n and not dg.strong:
             raise ReducibleChainError("chain support splits into non-communicating pieces")
-        period, classes = _classes(n, *dg.search)
+        # BFS levels and their gcd do not depend on the order arcs are met in
+        search = dg.search if not n or sel[0] == 0 else period(dg.succ, int(sel[0]))
+        chain_period, classes = _classes(search, n, sel)
+        if (np.diff(sel) != 1).any():
+            by_row = np.lexsort((dst, src))
+            src, dst = src[by_row], dst[by_row]
     else:
         by_row = np.lexsort((dst, src))
         src, dst = src[by_row], dst[by_row]
@@ -290,12 +307,13 @@ def build_chain(g, gd, orders):
         core = from_arcs(renumber[src[inner]], renumber[dst[inner]], int(interior.sum()))
         if core and not strongly_connected(core):
             raise ReducibleChainError("chain support splits into non-communicating pieces")
-        period, classes = _cyclic_classes(from_arcs(src, dst, n))
+        chain_period, classes = _cyclic_classes(from_arcs(src, dst, n))
+    levels = mat.tail_states()
     return MarkovChain(
         states=states,
         p=P,
         pi=pi,
-        period=period,
+        period=chain_period,
         classes=classes,
         interior=interior,
         arcs=(src, dst),
@@ -304,68 +322,98 @@ def build_chain(g, gd, orders):
         tail_remainder=float(remainder),
         mat=mat,
         tails=tuple(
-            _tail_block(P, pos, t, depth, start, L)
-            for t, (start, L) in enumerate(gd.tail_periods)
+            _tail_block(P, cpos[levels[t, 1:]], start, L) for t, (start, L) in enumerate(gd.tail_periods)
         ),
     )
 
 
-def _chain_arcs(mat, pos):
-    """(i, j, k) over the arcs k of ``mat`` between chain states, i, j their ``pos``."""
-    arc_states, src, dst, _ = mat.arc_arrays()
-    cpos = np.array([pos.get(e, -1) for e in arc_states], dtype=np.intp)
+def _mass_fault(e, mass, order, supported):
+    """Raise the fault of state e, whose cylinder mass is ``mass`` / ``order``,
+    as the rational orders raise it: the order overflowed a float (``float``
+    of its ``Fraction`` raises), underflowed to 0 (dividing by it raises), or
+    the mass is not positive on the support or not negligible off it."""
+    if order == math.inf:
+        raise OverflowError("integer division result too large for a float")
+    val = mass / order
+    if supported:
+        raise ZeroShadowError(f"supported state {e} received zero cylinder mass")
+    raise ZeroShadowError(f"state {e} off the geodesic support has mass {val}")
+
+
+def _chain_arcs(mat, cpos):
+    """(i, j, k) over the arcs k of ``mat`` between chain states, i, j their
+    chain positions ``cpos`` (-1 off the chain) of the window's states."""
+    _, src, dst, _ = mat.arc_arrays()
     k = np.flatnonzero((cpos[src] >= 0) & (cpos[dst] >= 0))
     return cpos[src[k]], cpos[dst[k]], k
 
 
-def _state_sort_key(mat):
-    def key(e):
-        meta = mat.edge_meta[e]
-        if meta[0] == "core":
-            return (0, e, 0, 0)
-        return (1, f"t{meta[1]}", meta[2], 0 if meta[3] else 1)
+def _chain_order(mat):
+    """The window's states in chain order, as positions: the core states by
+    id, then tail by tail in the order of the labels "t<k>", level by level,
+    e_n before r_n."""
+    levels = mat.tail_states()
+    ranked = sorted(range(len(levels)), key=lambda t: f"t{t}")
+    return np.concatenate([np.flatnonzero(mat.core_states())] + [levels[t, 1:].ravel() for t in ranked])
 
-    return key
+
+def _frontier_turns_back(mat):
+    """Whether the window's digraph is strongly connected exactly when its
+    interior sub-digraph is: every tail has i(e_n) > 1 at levels depth - 1
+    and depth.
+
+    The frontier states e_D, r_D of a tail meet the interior only through
+    the arcs e_{D-1} -> e_D and r_D -> r_{D-1}, and e_D leaves only to r_D.
+    With the backtrack e_{D-1} -> r_{D-1} an excursion through the frontier
+    has an interior shortcut, and with e_D -> r_D the frontier leads back.
+    """
+    D = mat.depth
+    return D >= 2 and all(spec.pair(n)[0] > 1 for spec in mat.core.tails for n in (D - 1, D))
 
 
 def _structural_support(mat):
-    """Edges lying on a bi-infinite geodesic: both e and rev(e) reach a cycle."""
-    states, src, dst, _ = mat.arc_arrays()
-    pos = {e: i for i, e in enumerate(states)}
+    """Whether each state of the window lies on a bi-infinite geodesic: both
+    e and rev(e) reach a cycle."""
+    states = mat.arc_arrays()[0]
+    D = mat.depth
+    tails = mat.core.tails if D else ()
     # frontier up-states: the ray continues upward forever; the walk can turn
     # around above the window iff some periodic level branches
-    turns = [
-        (pos[tail_edge_id(t, mat.depth, True)], pos[tail_edge_id(t, mat.depth, False)])
-        for t, spec in enumerate(mat.core.tails if mat.depth else ())
-        if any(a > 1 for a, _ in spec.period)
-    ]
-    if turns:
+    turning = [t for t, spec in enumerate(tails) if any(a > 1 for a, _ in spec.period)]
+    if any(tails[t].pair(D)[0] == 1 for t in turning):
+        _, src, dst, _ = mat.arc_arrays()
         succ = from_arcs(src, dst, len(states))
-        for v, w in turns:
+        for t in turning:
+            v, w = mat.tail_states()[t, D].tolist()
             succ[v].append(w)
         dg = Digraph(succ)
     else:
+        # every turn e_D -> r_D is already an arc of the window (i(e_D) > 1)
         dg = mat.arc_digraph()
     if dg.strong and dg.period:
-        return set(states)
-    fwd = reachable(dg.pred, dg.oncycle)
-    return {e for e in states if pos[e] in fwd and pos[mat.rev[e]] in fwd}
+        return np.ones(len(states), dtype=bool)
+    fwd = np.zeros(len(states), dtype=bool)
+    fwd[list(reachable(dg.pred, dg.oncycle))] = True
+    pos = dict(zip(states, range(len(states))))
+    rev = np.fromiter(map(pos.__getitem__, map(mat.rev.__getitem__, states)), np.intp, len(states))
+    return fwd & fwd[rev]
 
 
 def _tail_mass_beyond(mat, lam, tail_periods):
     """Closed-form cylinder mass past the materialized window, summed over the
-    tails, each with its (first periodic level, period length)."""
+    tails, each with its (first periodic level, period length); ``lam`` is
+    the cylinder mass per window state (0 off the chain)."""
     total = 0.0
     D = mat.depth
+    levels = mat.tail_states()
     for t, (start, L) in enumerate(tail_periods):
         if D < start + 3 * L:
             raise DivergenceError(f"depth {D} too shallow for tail {t} mass resummation")
 
         def block(d0):
             s = 0.0
-            for r in range(L):
-                for up in (True, False):
-                    s += lam.get(tail_edge_id(t, d0 + r, up), 0.0)
+            for x in lam[levels[t, d0 : d0 + L].ravel()].tolist():
+                s += x
             return s
 
         s_last = block(D - L + 1)
@@ -379,26 +427,26 @@ def _tail_mass_beyond(mat, lam, tail_periods):
     return total
 
 
-def _tail_block(P, pos, t, depth, start, L):
-    """The ``TailBlock`` of tail t, read off the kernel P up to ``depth``."""
+def _tail_block(P, at, start, L):
+    """The ``TailBlock`` of a tail, read off the kernel P; ``at`` holds the
+    chain positions of (e_n, r_n) for n = 1..depth, -1 off the chain."""
 
     def p_at(a, b):
-        ia, ib = pos.get(a), pos.get(b)
-        if ia is None or ib is None:
-            return 0.0
-        return float(P[ia, ib])
+        ok = (a >= 0) & (b >= 0)
+        vals = np.zeros(len(a))
+        vals[ok] = P[a[ok], b[ok]]
+        return vals.tolist()
 
-    p_up, p_turn, p_dn, p_re = {}, {}, {}, {}
-    for nlv in range(1, depth):
-        e_n = tail_edge_id(t, nlv, True)
-        e_n1 = tail_edge_id(t, nlv + 1, True)
-        r_n = tail_edge_id(t, nlv, False)
-        r_n1 = tail_edge_id(t, nlv + 1, False)
-        p_up[nlv] = p_at(e_n, e_n1)
-        p_turn[nlv] = p_at(e_n, r_n)
-        p_dn[nlv + 1] = p_at(r_n1, r_n)
-        p_re[nlv + 1] = p_at(r_n1, e_n1)
-    return TailBlock(start, L, p_up, p_turn, p_dn, p_re)
+    up, dn = at[:, 0], at[:, 1]
+    lo, hi = range(1, len(at)), range(2, len(at) + 1)
+    return TailBlock(
+        start,
+        L,
+        dict(zip(lo, p_at(up[:-1], up[1:]))),
+        dict(zip(lo, p_at(up[:-1], dn[:-1]))),
+        dict(zip(hi, p_at(dn[1:], dn[:-1]))),
+        dict(zip(hi, p_at(dn[1:], up[1:]))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +474,20 @@ def check_markov_property(mc: MarkovChain, gd=None) -> MarkovReport:
     mat = mc.mat
     if mc.orders is not None and gd is not None and mat is not None:
         # direct two-edge cylinder mass vs pi_i p_ij over the nonzeros of P in interior rows
-        i, j, arc = _chain_arcs(mat, mc._pos)
+        arc_states = mat.arc_arrays()[0]
+        n, nw = len(mc.states), len(arc_states)
+        wpos = dict(zip(arc_states, range(nw)))
+        sel = np.fromiter(map(wpos.__getitem__, mc.states), np.intp, n)
+        cpos = np.full(nw, -1, dtype=np.intp)
+        cpos[sel] = np.arange(n)
+        i, j, arc = _chain_arcs(mat, cpos)
         k = np.flatnonzero((P[i, j] != 0.0) & inter[i])
         i, j, m = i[k], j[k], mat.arc_arrays()[3][arc[k]]
-        f = np.array([gd.fvals[s] for s in mc.states])
-        um = np.array([gd.u_minus[mat.rev[s]] for s in mc.states])
-        up = np.array([gd.u_plus[s] for s in mc.states])
-        order = np.array([float(mc.orders.edge(s)) for s in mc.states])
-        ex = np.array([math.exp(x) for x in (f[i] + f[j] - 2.0 * gd.delta).tolist()])
+        f = np.fromiter(map(gd.fvals.__getitem__, mc.states), float, n)
+        um = np.fromiter(map(gd.u_minus.__getitem__, map(mat.rev.__getitem__, mc.states)), float, n)
+        up = np.fromiter(map(gd.u_plus.__getitem__, mc.states), float, n)
+        order = mc.orders.edge_floats()[sel]
+        ex = np.array(list(map(math.exp, (f[i] + f[j] - 2.0 * gd.delta).tolist())), dtype=float)
         direct = um[i] * up[j] * ex * m / order[i] / mc.m_mass
         max_cyl = max([0.0] + np.abs(direct - pi[i] * P[i, j]).tolist())
     defect = abs(float(pi.sum()) + mc.tail_remainder / (mc.m_mass or 1.0) - 1.0)

@@ -161,17 +161,23 @@ def _dump_json(path, obj):
         fh.write("\n")
 
 
-def _dump_csv(path, header, rows):
+def _dump_csv(path, header, columns):
+    """The header and one line per row of ``columns`` (lists of cell
+    strings), in one write."""
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row[h]) for h in header) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cell(v):
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _table(header, rows):
+    """A CSV payload: ``header`` and the cells of each of its fields in ``rows``."""
+    return {"header": header, "columns": [[_cell(row[h]) for row in rows] for h in header]}
 
 
 def emit_report(results, outdir, cfg):
@@ -184,7 +190,7 @@ def emit_report(results, outdir, cfg):
             continue
         if name.endswith(".csv"):
             path = os.path.join(outdir, name)
-            _dump_csv(path, payload["header"], payload["rows"])
+            _dump_csv(path, payload["header"], payload["columns"])
         else:
             path = os.path.join(outdir, name)
             _dump_json(path, {"meta": stamp, **payload})
@@ -264,10 +270,6 @@ def _cmd_chain(cfg):
     g, F, report, orders, gd, mc = _pipeline(cfg)
     rep = check_markov_property(mc, gd)
     k, classes = mc.period, cyclic_classes(mc)
-    rows = [
-        {"state": s, "pi": float(mc.pi[i]), "interior": int(mc.interior[i])}
-        for i, s in enumerate(mc.states)
-    ]
     payload = {
         "n_states": len(mc.states),
         "period": k,
@@ -288,7 +290,14 @@ def _cmd_chain(cfg):
     ]
     return {
         "chain.json": payload,
-        "stationary.csv": {"header": ["state", "pi", "interior"], "rows": rows},
+        "stationary.csv": {
+            "header": ["state", "pi", "interior"],
+            "columns": [
+                mc.states,
+                list(map(repr, mc.pi.tolist())),
+                list(map(str, mc.interior.astype(int).tolist())),
+            ],
+        },
         "summary": summary,
     }
 
@@ -320,7 +329,7 @@ def _cmd_wsg(cfg):
     ]
     return {
         "certificate.json": payload,
-        "drift_ratios.csv": {"header": ["state", "ratio"], "rows": ratio_rows},
+        "drift_ratios.csv": _table(["state", "ratio"], ratio_rows),
         "summary": summary,
     }
 
@@ -380,7 +389,7 @@ def _cmd_mix(cfg):
     return {
         "mixing.json": payload,
         "taboo.json": taboo_payload,
-        "mixing.csv": {"header": ["n", "p_kn", "pi_k", "dist", "envelope"], "rows": rows},
+        "mixing.csv": _table(["n", "p_kn", "pi_k", "dist", "envelope"], rows),
         "summary": summary,
     }
 
@@ -427,7 +436,7 @@ def _cmd_count(cfg):
     ]
     return {
         "count.json": payload,
-        "count.csv": {"header": list(rows[0]), "rows": rows},
+        "count.csv": _table(list(rows[0]), rows),
         "summary": summary,
     }
 
@@ -484,7 +493,7 @@ def _cmd_probe(cfg):
     ]
     return {
         "probe.json": payload,
-        "probe.csv": {"header": ["N", "rho", "feasible", "gamma_bound"], "rows": rows},
+        "probe.csv": _table(["N", "rho", "feasible", "gamma_bound"], rows),
         "summary": summary,
     }
 

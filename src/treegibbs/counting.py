@@ -182,7 +182,8 @@ def _dp_weights(mat, F, orders, base, n_max, known):
     reuse = known is not None and known.mat is mat and known.F == F
     op = None if _potential_is_zero(F) else known if reuse else TransferOperator(mat, F)
     entry = _entry_at(mat, base, None if op is None else op.fvals)
-    order = orders_on(mat, orders).vertex(base)
+    # a core base reads its order off the grading; a tail base extends it
+    order = orders.vertex(base) if base in mat.core.vertices else orders_on(mat, orders).vertex(base)
     return op, order if op is None else float(order), entry
 
 
@@ -393,7 +394,6 @@ def _is_bipartite(g):
 
 def _renewal_float(op, orders, base, k, M, lam):
     mat, states = op.mat, op.states
-    ext = orders_on(mat, orders)
     chi, psi = (np.array(x, dtype=float) for x in _chi_psi(mat, states, base, op.fvals))
     v = perron_vector(M, lam)
     w = perron_vector(M.T, lam)
@@ -406,7 +406,7 @@ def _renewal_float(op, orders, base, k, M, lam):
         sgn = np.array([-1.0 if levels.get(i, 0) % 2 else 1.0 for i in range(len(states))])
         v2, w2 = sgn * v, sgn * w
         c_minus = float(chi @ v2) * float(w2 @ psi) / float(w2 @ v2)
-    cstar = float(ext.vertex(base)) * (c_plus / (lam - 1.0) - c_minus / (lam + 1.0))
+    cstar = float(orders.vertex(base)) * (c_plus / (lam - 1.0) - c_minus / (lam + 1.0))
     return RenewalConstant(value=cstar, period=k, method="perron-float")
 
 
@@ -430,7 +430,6 @@ def _renewal_exact(mat, orders, base, k, states, M, lam):
         return None
     n = len(states)
     M = [[int(x) for x in row] for row in M.tolist()]
-    ext = orders_on(mat, orders)
     chi, psi = _chi_psi(mat, states, base, None)
     Mk = M
     for _ in range(k - 1):
@@ -453,7 +452,7 @@ def _renewal_exact(mat, orders, base, k, states, M, lam):
     coef = [sum(WVinv[b][a] * w_proj[a] for a in range(gdim)) for b in range(gdim)]
     proj = [sum(coef[b] * V[b][i] for b in range(gdim)) for i in range(n)]
     total = sum(Fraction(chi[i]) * proj[i] for i in range(n))
-    cstar = Fraction(ext.vertex(base)) * total / (mu - 1)
+    cstar = Fraction(orders.vertex(base)) * total / (mu - 1)
     # e^{2 delta} = lambda^2 = mu^(2/k)
     return RenewalConstant(
         value=float(cstar), period=k, exact=cstar, method="perron-exact", growth_sq=mu ** (2 // k)
@@ -498,6 +497,21 @@ def _nullspace_fraction(A):
 
 # ---------------------------------------------------------------------------
 # the error-decay report
+
+
+def _float_counts(series, ns, name):
+    """float(series[2n]) over ns; an OverflowError naming the count and the
+    first n whose float overflows (exact counts are ints and fractions)."""
+    out = []
+    for n in ns:
+        try:
+            out.append(float(series[2 * n]))
+        except OverflowError:
+            raise OverflowError(
+                f"{name} overflows a float from n = {n} on; it scales with orders.base_value "
+                "and grows with the edge indices (edges[k].index)"
+            ) from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -574,8 +588,8 @@ def error_decay_report(g, orders, F, gd, m_mass, params, n_lo, n_hi, base=None) 
     rc = None if g.tails else _renewal(gd.op, orders, base, True)
     k = length_spectrum_period(g) if rc is None else rc.period
     ns = tuple(range(n_lo, n_hi + 1))
-    oracle = tuple(float(series[2 * n]) for n in ns)
-    oracle_cone = tuple(float(cone_series[2 * n]) for n in ns)
+    oracle = _float_counts(series, ns, "orbit count N(2n)")
+    oracle_cone = _float_counts(cone_series, ns, "cone count N(2n)")
     terms = [main_term(gd, m_mass, n, k, nu_x, cone_mass) for n in ns]
     full_c = terms[0].full_constant
     if rc is None:

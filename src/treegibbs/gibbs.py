@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .graph import (
     materialize,
     read_json,
     row_sums,
-    tail_edge_id,
 )
 
 DEFAULT_DEPTH = 80
@@ -116,16 +116,14 @@ class Potential:
         )
 
     def on(self, mat: MaterializedGraph):
-        """Edge -> value map over a materialized graph."""
-        vals = {}
-        for e in mat.edges:
-            meta = mat.edge_meta[e]
-            if meta[0] == "core":
-                vals[e] = float(self.values.get(e, 0.0))
-            else:
-                _, t, n, up = meta
-                fu, fd = self.tail(t).pair(n)
-                vals[e] = fu if up else fd
+        """Edge -> value map over a materialized graph, in its edge order; a
+        tail's values are its pairs repeated level by level."""
+        vals = dict.fromkeys(mat.edges)
+        vals.update((e, float(self.values.get(e, 0.0))) for e in mat.core.edges)
+        for t, levels in enumerate(mat.tail_edges if mat.depth else ()):
+            tp = self.tail(t)
+            pairs = islice(chain(tp.prefix, cycle(tp.period)), mat.depth)
+            vals.update(zip(map(mat.edges.__getitem__, levels.ravel().tolist()), chain.from_iterable(pairs)))
         return vals
 
 
@@ -303,10 +301,9 @@ class TransferOperator:
     def __init__(self, mat: MaterializedGraph, F: Potential):
         self.mat, self.F, self.fvals = mat, F, F.on(mat)
         self.states, self.src, self.dst, self.mult = mat.arc_arrays()
-        self._f = [self.fvals[e] for e in self.states]
+        self._f = list(map(self.fvals.__getitem__, self.states))
         self._flat = self.src * len(self.states) + self.dst
-        tails = range(len(mat.core.tails) if mat.depth else 0)
-        self._entries = [[self.states.index(tail_edge_id(t, 1, up)) for up in (True, False)] for t in tails]
+        self._entries = mat.tail_states()[:, 1].tolist() if mat.depth else []
 
     def weights(self, s):
         """(exp(F(e) - s) per state, m(e, f) exp(F(f) - s) per arc)."""
@@ -327,10 +324,9 @@ class TransferOperator:
 
     def residual(self, u, s):
         """Sup-norm of u - T(s) u over the interior states of the window, u a dict on its edges."""
-        uv = np.array([u[e] for e in self.states])
+        uv = np.fromiter(map(u.__getitem__, self.states), float, len(self.states))
         acc = row_sums(self.src, self.weights(s)[1] * uv[self.dst], len(self.states))
-        defects = np.abs(acc - uv).tolist()
-        return max([0.0] + [d for e, d in zip(self.states, defects) if self.mat.is_interior(e)])
+        return max([0.0] + np.abs(acc - uv)[self.mat.interior_states()].tolist())
 
 
 def transfer_matrix(g: IndexedGraph, F: Potential | None, s: float, depth: int = DEFAULT_DEPTH):
@@ -417,6 +413,37 @@ class TailGreen:
         b = J1 * phi1 * I * psi
         c = (J1 - 1) * phi1
         return a, b, c
+
+    def march(self, dn, depth):
+        """(ups, downs): u(e_n) and u(r_n) for n = 2..depth, marched up from
+        u(r_1) = ``dn`` on the decaying branch.
+
+        With level n's coefficients a = g_{n+1} i(e_n) psi_n, b = i(e_n) psi_n,
+        c = (i(r_{n+1}) - 1) phi_{n+1} and den = 1 - c g_{n+1}, the step is
+        u(e_{n+1}) = a u(r_n) / den and u(r_{n+1}) = b u(r_n) + c u(e_{n+1}).
+        The coefficients repeat over the joint period from its first level
+        on, so they are computed once per period.
+        """
+        steps = [self._march_step(n) for n in range(1, min(self._start, depth))]
+        if depth > self._start:
+            steps = chain(steps, cycle([self._march_step(self._start + k) for k in range(self._L)]))
+        ups, downs = [], []
+        for a, b, c, den in islice(steps, depth - 1):
+            if den <= 0:
+                raise DivergenceError("tail march hit a non-contracting level")
+            up = a * dn / den
+            dn = b * dn + c * up
+            ups.append(up)
+            downs.append(dn)
+        return ups, downs
+
+    def _march_step(self, n):
+        """(a, b, c, den) of ``march`` at level n."""
+        I, _, _, psi = self._level(n)
+        _, J1, phi1, _ = self._level(n + 1)
+        g_next = self.g(n + 1)
+        c = (J1 - 1) * phi1
+        return g_next * I * psi, I * psi, c, 1.0 - c * g_next
 
     @staticmethod
     def _apply(params, gval):
@@ -753,29 +780,30 @@ def _shadow(op, op1, delta, iterate=None):
     # without tails, T's pattern is the window's arcs when every arc weight is positive
     dg = op1.mat.arc_digraph() if not greens and (T.ravel()[op1._flat] > 0.0).all() else None
     uj = _positive_fixed_vector(T, iterate, dg)
-    u = {e: 0.0 for e in mat.edges}
-    for e, val in zip(op1.states, uj):
-        u[e] = float(val)
-    # march up each tail on the decaying branch
-    for t, tg in enumerate(greens):
-        for n in range(1, mat.depth):
-            I, _, _, psi = tg._level(n)
-            _, J1, phi1, _ = tg._level(n + 1)
-            dn = u[tail_edge_id(t, n, False)]
-            g_next = tg.g(n + 1)
-            den = 1.0 - (J1 - 1) * phi1 * g_next
-            if den <= 0:
-                raise DivergenceError("tail march hit a non-contracting level")
-            up_next = g_next * I * psi * dn / den
-            u[tail_edge_id(t, n + 1, True)] = up_next
-            u[tail_edge_id(t, n + 1, False)] = I * psi * dn + (J1 - 1) * phi1 * up_next
+    u = np.zeros(len(op.states))
+    if op is op1:
+        u[:] = uj
+    else:
+        # the junction graph's states: the core's, in the window's order, and level 1 of each tail
+        levels = mat.tail_states()
+        at = np.empty(len(op1.states), dtype=np.intp)
+        at[op1.mat.core_states()] = np.flatnonzero(mat.core_states())
+        at[op1.mat.tail_states()[:, 1].ravel()] = levels[:, 1].ravel()
+        u[at] = uj
+        # march up each tail on the decaying branch
+        for t, tg in enumerate(greens):
+            u[levels[t, 2:, 0]], u[levels[t, 2:, 1]] = tg.march(float(u[levels[t, 1, 1]]), mat.depth)
+    pos = dict(zip(op.states, range(len(op.states))))
     # normalization: unit boundary mass at the base vertex
     mass = 0.0
     for e, w in entry_weights(mat, base, op.fvals, delta):
-        mass += w * u[e]
+        mass += w * float(u[pos[e]])
     if mass <= 0:
         raise NoPositiveSolutionError(f"zero boundary mass at base vertex {base!r}")
-    return {e: val / mass for e, val in u.items()}
+    # funnel edges carry u = 0
+    out = dict.fromkeys(mat.edges, 0.0 / mass)
+    out.update(zip(op.states, (u / mass).tolist()))
+    return out
 
 
 def shadow_residual(F, delta, u, mat):

@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, cycle, islice
+from operator import mul, truediv
 
 import numpy as np
 
@@ -303,7 +305,8 @@ class MaterializedGraph:
     Behaves like a finite edge-indexed graph; ``edge_meta`` maps each edge to
     ("core",) or ("tail", tail_index, level, up), with ``up`` the bool that
     ``tail_edge_id`` takes.  States whose whole transition row stays inside
-    the materialization are ``interior``.
+    the materialization are ``interior``.  ``tail_edges`` holds the position
+    in ``edges`` of every tail edge: entry [t, n - 1] is (e_n, r_n) of tail t.
     """
 
     core: IndexedGraph
@@ -315,8 +318,11 @@ class MaterializedGraph:
     term: dict
     index: dict
     edge_meta: dict
+    tail_edges: np.ndarray = field(repr=False, compare=False, default=None)
     _out: dict = field(repr=False, compare=False, default=None)
+    _epos: dict = field(repr=False, compare=False, default=None)  # edge -> its position in edges
     _arc_arrays: tuple = field(init=False, repr=False, compare=False, default=None)
+    _layout: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _arc_digraph: Digraph = field(init=False, repr=False, compare=False, default=None)
 
     def out_edges(self, v):
@@ -345,16 +351,20 @@ class MaterializedGraph:
         """
         if self._arc_arrays is None:
             edges, funnel = self.edges, self.funnel_edge_ids()
-            epos = {e: i for i, e in enumerate(edges)}
-            vpos = {v: i for i, v in enumerate(self.vertices)}
+            ne, epos = len(edges), self._epos
+            vpos = dict(zip(self.vertices, range(len(self.vertices))))
             out = [self._out[v] for v in self.vertices]
             first = np.cumsum([0] + [len(o) for o in out])
-            out = np.array([epos[f] for o in out for f in o], dtype=np.intp)
-            rev = np.array([epos[self.rev[e]] for e in edges], dtype=np.intp)
-            term = np.array([vpos[self.term[e]] for e in edges], dtype=np.intp)
-            index = np.array([self.index[e] for e in edges], dtype=np.intp)
-            kept = np.array([e not in funnel for e in edges], dtype=bool)
-            states = tuple(e for e, k in zip(edges, kept.tolist()) if k)
+            out = np.fromiter(map(epos.__getitem__, chain.from_iterable(out)), np.intp, ne)
+            rev = np.fromiter(map(epos.__getitem__, map(self.rev.__getitem__, edges)), np.intp, ne)
+            term = np.fromiter(map(vpos.__getitem__, map(self.term.__getitem__, edges)), np.intp, ne)
+            index = np.fromiter(map(self.index.__getitem__, edges), np.intp, ne)
+            kept = np.ones(ne, dtype=bool)
+            if funnel:
+                kept[[epos[f] for f in funnel]] = False
+                states = tuple(e for e, k in zip(edges, kept.tolist()) if k)
+            else:
+                states = edges
             # one candidate arc per state e and out-edge f of term(e), row by row
             e = np.flatnonzero(kept)
             start, deg = first[term[e]], np.diff(first)[term[e]]
@@ -366,6 +376,40 @@ class MaterializedGraph:
             src, dst, mult = at[e[arc]], at[f[arc]], mult[arc]
             object.__setattr__(self, "_arc_arrays", (states, src, dst, mult))
         return self._arc_arrays
+
+    def tail_states(self):
+        """The (tails, depth + 1, 2) array of the position in ``arc_arrays``'
+        states of e_n (column 0) and r_n (column 1) at level n of tail t;
+        level 0 holds -1.  Built once, on first use, and read-only, as are
+        the two masks below."""
+        if "tail" not in self._layout:
+            levels = np.full((len(self.core.tails), self.depth + 1, 2), -1, dtype=np.intp)
+            levels[:, 1:] = self.tail_edges
+            funnel = sorted(map(self._epos.__getitem__, self.funnel_edge_ids()))
+            if funnel:
+                # tail edges are never funnel edges: a state's position is its
+                # edge's less the funnel edges before it
+                levels[:, 1:] -= np.searchsorted(funnel, self.tail_edges)
+            self._layout["tail"] = _read_only(levels)
+        return self._layout["tail"]
+
+    def core_states(self):
+        """Whether each state of ``arc_arrays`` is a core edge."""
+        if "core" not in self._layout:
+            core = np.ones(len(self.arc_arrays()[0]), dtype=bool)
+            core[self.tail_states()[:, 1:].ravel()] = False
+            self._layout["core"] = _read_only(core)
+        return self._layout["core"]
+
+    def interior_states(self):
+        """Whether each state of ``arc_arrays`` is interior (``is_interior``):
+        every state but the two at the last tail level."""
+        if "interior" not in self._layout:
+            interior = np.ones(len(self.arc_arrays()[0]), dtype=bool)
+            if self.depth:
+                interior[self.tail_states()[:, self.depth].ravel()] = False
+            self._layout["interior"] = _read_only(interior)
+        return self._layout["interior"]
 
     def arc_digraph(self):
         """The ``Digraph`` of ``arc_arrays``' arcs on its states, built once on
@@ -382,6 +426,11 @@ class MaterializedGraph:
     def is_interior(self, e):
         meta = self.edge_meta[e]
         return meta[0] == "core" or meta[2] < self.depth
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def row_sums(rows, terms, n):
@@ -422,33 +471,115 @@ def materialize(g: IndexedGraph, depth: int) -> MaterializedGraph:
         out[orig[e]].append(e)
     for v in out:
         out[v].sort()
+    ordered = tuple(sorted(edges))
+    epos = dict(zip(ordered, range(len(ordered))))
+    # the tail edges follow the core's, tail by tail, level by level, (e_n, r_n)
+    tails = edges[len(g.edges) :]
+    tail_edges = np.fromiter(map(epos.__getitem__, tails), np.intp, len(tails))
     return MaterializedGraph(
         core=g,
         depth=depth,
         vertices=tuple(vertices),
-        edges=tuple(sorted(edges)),
+        edges=ordered,
         rev=rev,
         orig=orig,
         term=term,
         index=index,
         edge_meta=meta,
+        tail_edges=tail_edges.reshape(len(g.tails), depth, 2),
         _out=out,
+        _epos=epos,
     )
 
 
 def orders_on(mat: MaterializedGraph, grading: OrderGrading):
     """Extend a core order grading to a materialized graph (tail levels included)."""
-    nv = dict(grading.vertex_order)
-    ne = dict(grading.edge_order)
-    for t, spec in enumerate(mat.core.tails):
-        val = nv[spec.attach]
-        for n in range(1, mat.depth + 1):
-            iu, idn = spec.pair(n)
-            val = val * Fraction(iu, idn)
-            nv[tail_vertex_id(t, n)] = val
-            ne[tail_edge_id(t, n, True)] = val / iu
-            ne[tail_edge_id(t, n, False)] = val / iu
-    return OrderGrading(nv, ne, grading.base_vertex, grading.base_value)
+    return WindowOrders(mat, grading)
+
+
+@dataclass(frozen=True)
+class WindowOrders:
+    """A core order grading extended up the tails of the window ``mat``.
+
+    At level n of a tail N(v_n) = N(v_{n-1}) i(e_n) / i(r_n), from N of the
+    attach vertex, and N(e_n) = N(r_n) = N(v_n) / i(e_n).  ``vertex`` and
+    ``edge`` give the exact rationals on demand.  ``edge_floats`` gives
+    float(N(e)) over the states of ``arc_arrays``: a tail level's value is
+    the running integer products of the index pairs, divided as ints, which
+    rounds the rational exactly as ``float`` of the ``Fraction`` does.
+    """
+
+    mat: MaterializedGraph
+    grading: OrderGrading
+    _levels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _floats: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+
+    @property
+    def base_vertex(self):
+        return self.grading.base_vertex
+
+    @property
+    def base_value(self):
+        return self.grading.base_value
+
+    def _products(self, t):
+        """(I, nums, dens) of tail t: i(e_n) for n = 1..depth, and N(v_n) =
+        nums[n] / dens[n] for n = 0..depth."""
+        if t not in self._levels:
+            spec, depth = self.mat.core.tails[t], self.mat.depth
+            pairs = list(islice(chain(spec.prefix, cycle(spec.period)), depth))
+            up, down = [a for a, _ in pairs], [b for _, b in pairs]
+            start = self.grading.vertex(spec.attach)
+            nums = list(accumulate(up, mul, initial=start.numerator))
+            dens = list(accumulate(down, mul, initial=start.denominator))
+            self._levels[t] = (up, nums, dens)
+        return self._levels[t]
+
+    def vertex(self, a):
+        if a in self.grading.vertex_order:
+            return self.grading.vertex(a)
+        # a tail vertex v_n is the tail of its down edge r_n
+        _, t, n, _ = next(m for m in map(self.mat.edge_meta.__getitem__, self.mat.out_edges(a)) if not m[3])
+        _, nums, dens = self._products(t)
+        return Fraction(nums[n], dens[n])
+
+    def edge(self, e):
+        meta = self.mat.edge_meta[e]
+        if meta[0] == "core":
+            return self.grading.edge(e)
+        _, t, n, _ = meta
+        up, nums, dens = self._products(t)
+        return Fraction(nums[n], dens[n] * up[n - 1])
+
+    def edge_floats(self):
+        """float(N(e)) per state of ``arc_arrays``, in state order, built once;
+        inf where the quotient overflows a float (``float`` of the
+        ``Fraction`` raises OverflowError there)."""
+        if self._floats is None:
+            states = self.mat.arc_arrays()[0]
+            out = np.empty(len(states))
+            levels = self.mat.tail_states()
+            at = np.flatnonzero(self.mat.core_states())
+            out[at] = [_quotient(self.edge(states[i])) for i in at.tolist()]
+            for t in range(len(self.mat.core.tails)):
+                up, nums, dens = self._products(t)
+                denominators = list(map(mul, dens[1:], up))
+                try:
+                    vals = list(map(truediv, nums[1:], denominators))
+                except OverflowError:
+                    vals = [_quotient(Fraction(a, b)) for a, b in zip(nums[1:], denominators)]
+                out[levels[t, 1:, 0]] = vals
+                out[levels[t, 1:, 1]] = vals
+            object.__setattr__(self, "_floats", out)
+        return self._floats
+
+
+def _quotient(x):
+    """float(x) of a positive rational, inf where it overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

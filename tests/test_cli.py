@@ -549,6 +549,27 @@ def test_overflowing_potential_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, mutate, first",
+    [
+        ("base_value", lambda d: d["orders"].update(base_value="1e300"), 14),
+        ("index", lambda d: [e.update(index=2**62) for e in d["edges"]], 10),
+    ],
+    ids=["base_value", "index"],
+)
+def test_count_names_the_orbit_count_that_overflows_a_float(tmp_path, capsys, field, mutate, first):
+    # valid but large numbers: the exact counts N(2n), n = 10..25, are fine,
+    # their floats are not from n = ``first`` on
+    graph = graph_to_dict(fx.get("single_edge_3"))
+    mutate(graph)
+    assert _run(tmp_path, field, graph, command="analyze")[0] == 0
+    code, _ = _run(tmp_path, field, graph, command="count")
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"orbit count N(2n) overflows a float from n = {first} on" in err, err
+    assert "orders.base_value" in err and "edges[k].index" in err, err
+
+
 def _artifacts(tmp_path, tag, graph, potential, command):
     """(exit code, {file name: content}) of one CLI run, without the run
     stamp: JSON artifacts lose ``meta`` and the summary its input-hash line."""

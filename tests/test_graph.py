@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 from fractions import Fraction
@@ -223,7 +224,7 @@ import numpy as np
 
 from conftest import arc_rows, bench_core, digraph_facts, small_graphs, tailed_graphs
 from treegibbs.digraph import from_arcs, reverse, sccs
-from treegibbs.graph import _window_period
+from treegibbs.graph import _window_period, orders_on, tail_edge_id, tail_vertex_id
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,6 +354,59 @@ def test_window_digraph_facts_are_the_digraph_walks():
             assert _window_period(mat) == mat.arc_digraph().period, name
 
 
+def _orders_level_by_level(mat, grading):
+    """(vertex orders, edge orders) of ``mat``: the core grading, then each
+    tail climbed one level at a time in rationals."""
+    nv, ne = dict(grading.vertex_order), dict(grading.edge_order)
+    for t, spec in enumerate(mat.core.tails):
+        val = nv[spec.attach]
+        for n in range(1, mat.depth + 1):
+            iu, idn = spec.pair(n)
+            val = val * Fraction(iu, idn)
+            nv[tail_vertex_id(t, n)] = val
+            ne[tail_edge_id(t, n, True)] = ne[tail_edge_id(t, n, False)] = val / iu
+    return nv, ne
+
+
+def _float_or_inf(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _assert_window_layout(mat, name):
+    # the per-state arrays are the per-edge reads of edge_meta, and the
+    # window's orders are the level-by-level rationals and their floats
+    states = mat.arc_arrays()[0]
+    levels = mat.tail_states()
+    for t in range(len(mat.core.tails)):
+        assert levels[t, 0].tolist() == [-1, -1], name
+        for n in range(1, mat.depth + 1):
+            ids = [tail_edge_id(t, n, up) for up in (True, False)]
+            assert [states[i] for i in levels[t, n].tolist()] == ids, name
+    assert mat.core_states().tolist() == [mat.edge_meta[e][0] == "core" for e in states], name
+    assert mat.interior_states().tolist() == [mat.is_interior(e) for e in states], name
+    grading = propagate_orders(mat.core)
+    nv, ne = _orders_level_by_level(mat, grading)
+    ext = orders_on(mat, grading)
+    assert all(ext.vertex(v) == nv[v] for v in mat.vertices), name
+    assert all(ext.edge(e) == ne[e] for e in mat.edges), name
+    assert ext.edge_floats().tolist() == [_float_or_inf(ne[e]) for e in states], name
+
+
+def test_window_layout_and_orders_are_the_per_edge_reads():
+    for name, mat in _arc_windows():
+        _assert_window_layout(mat, name)
+    # orders past the float range read inf: N(e_n) = 2^(62 (n - 1)) N(attach)
+    # overflows from level 18 on
+    g = fx.get("thick_ray_5")
+    steep = dataclasses.replace(g, tails=(TailSpec(g.tails[0].attach, (), ((2**62, 1),)),))
+    mat = materialize(steep, 20)
+    _assert_window_layout(mat, "steep")
+    assert np.isinf(orders_on(mat, propagate_orders(steep)).edge_floats()).sum() == 6
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tailed_graphs(), st.sampled_from((0, 1, 2, 7)))
 def test_random_tailed_windows_keep_the_arc_and_digraph_pins(drawn, depth):
@@ -360,19 +414,19 @@ def test_random_tailed_windows_keep_the_arc_and_digraph_pins(drawn, depth):
     _assert_arcs_are_the_continuations(mat, f"depth {depth}")
     _assert_arc_arrays_are_the_arcs(mat, f"depth {depth}")
     _assert_window_facts(mat, f"depth {depth}")
+    _assert_window_layout(mat, f"depth {depth}")
 
 
-def _count_digraph_walks(monkeypatch):
-    """A Counter of the calls to each ``digraph`` walk, every module's binding
-    of each rebound (as the unroll count of the CLI tests does)."""
+def _count_calls(monkeypatch, module, names):
+    """A Counter of the calls to each function ``names`` of ``module``, every
+    package module's binding of each rebound (as the unroll count of the CLI
+    tests does)."""
     import sys
     from collections import Counter
 
-    from treegibbs import digraph
-
     seen = Counter()
-    for fname in ("from_arcs", "from_matrix", "period", "reverse", "reachable", "sccs", "strongly_connected"):
-        orig = getattr(digraph, fname)
+    for fname in names:
+        orig = getattr(module, fname)
 
         def counted(*args, _orig=orig, **kwargs):
             seen[_orig.__name__] += 1
@@ -384,6 +438,14 @@ def _count_digraph_walks(monkeypatch):
                     if val is orig:
                         monkeypatch.setattr(mod, attr, counted)
     return seen
+
+
+def _count_digraph_walks(monkeypatch):
+    """A Counter of the calls to each ``digraph`` walk."""
+    from treegibbs import digraph
+
+    walks = ("from_arcs", "from_matrix", "period", "reverse", "reachable", "sccs", "strongly_connected")
+    return _count_calls(monkeypatch, digraph, walks)
 
 
 @pytest.mark.parametrize(
@@ -411,6 +473,37 @@ def test_each_window_takes_one_structural_pass(monkeypatch, name, tarjans):
     rc = renewal_constant(g, orders)
     assert mc.period == rc.period
     assert seen == Counter(from_arcs=2, period=2, reverse=2, reachable=2, sccs=tarjans)
+
+
+@pytest.mark.parametrize("depth", [80, 360])
+def test_each_tailed_window_takes_one_structural_pass(monkeypatch, tmp_path, depth):
+    # thick_ray_5 branches at every tail level, so its chain's states and arcs
+    # are the window's own.  compute_gibbs -> build_chain builds the window's
+    # successor lists, its BFS from state 0 and one reverse reach once: the
+    # structural support, the chain's connectivity (the interior's, through
+    # the frontier levels) and its cyclic classes share them.  The junction
+    # graph adds its matrix pattern and the Tarjan order of its power run.
+    from collections import Counter
+
+    from treegibbs import chain, cli, graph
+    from treegibbs.gibbs import compute_gibbs
+
+    g = fx.get("thick_ray_5")
+    orders = propagate_orders(g)
+    seen = _count_digraph_walks(monkeypatch)
+    mc = chain.build_chain(g, compute_gibbs(g, depth=depth), orders)
+    assert len(mc.states) == 2 + 2 * depth and not mc.interior.all()
+    assert seen == Counter(from_matrix=1, from_arcs=2, sccs=1, period=1, reverse=1, reachable=1)
+    # a count extends the orders up the tails once, for its chain: the
+    # counting DP and the renewal read the base order off the core grading
+    calls = _count_calls(monkeypatch, graph, ("orders_on",))
+    built = _count_calls(monkeypatch, chain, ("build_chain",))
+    cfg = tmp_path / "count.json"
+    fixture = pathlib.Path(__file__).parents[1] / "fixtures" / "thick_ray_5.json"
+    cfg.write_text(f'{{"graph": "{fixture}", "depth": {depth}}}')
+    assert cli.main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built["build_chain"] <= 1
+    assert calls["orders_on"] == built["build_chain"]
 
 
 # modules that walk continuations themselves: the cover walk needs edge ids
